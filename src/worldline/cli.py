@@ -166,11 +166,8 @@ def _emit(doc: dict, outdir, report_name: str, table=None, fmt: str = "csv"):
 
 def _field_norm_maxima(s: cat.Scenario, count: int = 200) -> dict:
     pts = geo.sample_points(s.manifold, count)
-    worst = {}
-    for q in pts:
-        for key, val in fl.invariant_norms(s.manifold, s.fields, tuple(q)).items():
-            worst[key] = max(worst.get(key, -math.inf), abs(val))
-    return {k: float(v) for k, v in sorted(worst.items())}
+    norms = fl.invariant_norms(s.manifold, s.fields, pts)
+    return {k: float(np.max(np.abs(v))) for k, v in sorted(norms.items())}
 
 
 # --- subcommands -----------------------------------------------------------

@@ -145,22 +145,21 @@ def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack,
     if fp.force_operator is None:
         return 0.0, 0.0, 0.0
     pts = geo.sample_points(m, cfg.points)
-    times = _time_grid(cfg, fp.time_dependent)
+    g = geo.metrics_at(m, pts)  # positive definite at every point, for Cholesky
+    L = np.linalg.cholesky(g)
     s_sup = -math.inf
     s_inf = math.inf
-    for t in times:
-        for q in pts:
-            q = tuple(q)
-            g = m.metric_value(q)
-            F = fp.force_matrix(q, float(t))
-            S = 0.5 * (F + fl.g_adjoint(g, F))
-            L = np.linalg.cholesky(g)
-            gs = g @ S
-            sym = 0.5 * (gs + gs.T)  # exact symmetry for the eigensolver
-            C = np.linalg.solve(L, np.linalg.solve(L, sym.T).T)
-            w = np.linalg.eigvalsh(C)
-            s_sup = max(s_sup, float(w[-1]))
-            s_inf = min(s_inf, float(w[0]))
+    for t in _time_grid(cfg, fp.time_dependent):
+        F = geo.finite(f"force operator F at t={float(t)!r}", pts, fp.force_batch,
+                       np.full(len(pts), float(t)))
+        S = 0.5 * (F + fl.g_adjoint(g, F))
+        gs = g @ S
+        sym = 0.5 * (gs + np.swapaxes(gs, 1, 2))  # exact symmetry for the eigensolver
+        half = np.linalg.solve(L, np.swapaxes(sym, 1, 2))
+        C = np.linalg.solve(L, np.swapaxes(half, 1, 2))
+        w = np.linalg.eigvalsh(C)
+        s_sup = max(s_sup, float(w[:, -1].max()))
+        s_inf = min(s_inf, float(w[:, 0].min()))
     return s_sup, s_inf, max(abs(s_sup), abs(s_inf))
 
 
@@ -256,22 +255,20 @@ def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
     potential is given); "gradient" forces the -grad V route.
     """
     p0, pts = _region_points(m, cfg)
-    times = _time_grid(cfg, fp.time_dependent)
-    n = m.dim
-    g = m.metric_batch(pts)
+    g = geo.finite("metric", pts, m.metric_batch)
     use_gradient = quantity == "gradient" or fp.force_vector is None
     y = np.zeros(len(pts))
-    for t in times:
+    for t in _time_grid(cfg, fp.time_dependent):
         ts = np.full(len(pts), float(t))
         if use_gradient:
             if fp.potential is None:
                 vals = np.zeros(len(pts))
             else:
-                dv = np.column_stack([f(pts, ts) for f in fp._compiled.dV_batch])
+                dv = geo.finite(f"derivative of V at t={float(t)!r}", pts,
+                                fp.potential_derivative_batch, ts)
                 vals = np.einsum("mi,mij,mj->m", dv, np.linalg.inv(g), dv)
         else:
-            X = np.column_stack([ex.compile_batch(e, fp.frame)(pts, ts)
-                                 for e in fp.force_vector])
+            X = geo.finite(f"force vector X at t={float(t)!r}", pts, fp.vector_batch, ts)
             vals = np.einsum("mi,mij,mj->m", X, g, X)
         y = np.maximum(y, np.sqrt(np.maximum(vals, 0.0)))
     d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
@@ -299,7 +296,8 @@ def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
     f = ex.compile_batch(u, m.frame)
     y = np.full(len(pts), -math.inf)
     for t in times:
-        y = np.maximum(y, f(pts, np.full(len(pts), float(t))))
+        y = np.maximum(y, geo.finite(f"{quantity} at t={float(t)!r}", pts, f,
+                                     np.full(len(pts), float(t))))
     d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
     A, C = _envelope_fit(d, y, 2)
     if np.max(y) <= 1e-12:

@@ -2,10 +2,11 @@
 
 The second-order equation is integrated as a first-order system on
 (position, velocity) pairs with an embedded Dormand-Prince 5(4) pair and PI
-step control.  For dimensions up to 4 the whole step, Christoffel symbols
-included, is generated as one flat Python function; a generic kernel built
-around the numeric right-hand side covers larger systems and doubles as a
-cross-check in the tests.
+step control.  The right-hand side and the speed are generated as flat Python
+functions in every dimension.  Up to dimension 4 the Christoffel symbols are
+symbolic and the whole step is one generated kernel; above it the right-hand
+side hands g, its derivatives and the forces to one numeric contraction, and
+a generic kernel, also a cross-check in the tests, steps it.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed escape time.
@@ -65,6 +66,9 @@ class IntegrationConfig:
     stride: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_max, self.rtol, self.atol,
+                                       self.v_max, self.h_min))):
+            raise geo.ValidationError("integration parameters must be finite")
         if not (self.t_max > 0 and self.atol > 0 and self.v_max > 0
                 and self.h_min > 0):
             raise geo.ValidationError("integration parameters must be positive")
@@ -128,8 +132,9 @@ class TrajectoryResult:
 def rhs(m: geo.ManifoldSpec, fp: fl.FieldPack, s: TrajectoryState):
     """(dq, dv) at a state, evaluated through the numeric tensor path.
 
-    dq = v and dv^k = -Gamma^k_ij v^i v^j + F^k_j v^j + X^k.  The generated
-    integration kernels must agree with this to roundoff.
+    dq = v and dv^k = -Gamma^k_ij v^i v^j + F^k_j v^j + X^k, with Gamma from
+    the numeric formula in g and its derivatives.  The generated right-hand
+    sides must agree with this to roundoff.
     """
     gam = geo.christoffel_at(m, s.q)
     v = np.asarray(s.v, dtype=float)
@@ -150,18 +155,15 @@ class _System:
         self.fp = fp
         self.n = m.dim
         self.use_reference_speed = _reference_speed_usable(m, fp)
-        if m.dim <= geo._MAX_SYMBOLIC_DIM:
-            self.rhs_source, self.kernel_source, self.speed_source = _generate_sources(m, fp, self.use_reference_speed)
-            ns = dict(ex._SCALAR_NS)
-            ns["sqrt"] = math.sqrt
-            self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
+        self.rhs_source, self.kernel_source, self.speed_source = _generate_sources(
+            m, fp, self.use_reference_speed)
+        ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _numeric_accel=_numeric_accel)
+        self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
+        self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
+        if self.kernel_source is not None:
             self.kernel = ex.compile_source(self.kernel_source, "_kernel", ns)
-            self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
         else:
-            self.rhs_source = self.kernel_source = self.speed_source = None
-            self.rhs_flat = _numeric_rhs_flat(m, fp)
             self.kernel = _generic_kernel(self.rhs_flat)
-            self.speed_sq = _numeric_speed_sq(m, fp, self.use_reference_speed)
 
 
 @lru_cache(maxsize=16)
@@ -180,40 +182,25 @@ def _reference_speed_usable(m: geo.ManifoldSpec, fp: fl.FieldPack) -> bool:
         return False
 
 
-def _numeric_rhs_flat(m, fp):
-    n = m.dim
-
-    def rhs_flat(t, y):
-        q = y[:n]
-        v = np.asarray(y[n:], dtype=float)
-        gam = geo.christoffel_at(m, q)
-        dv = -np.einsum("kij,i,j->k", gam, v, v)
-        if fp.force_operator is not None:
-            dv += fp.force_matrix(q, t) @ v
-        dv += fl.drive_vector(m, fp, q, t)
-        out = tuple(float(c) for c in v) + tuple(float(c) for c in dv)
-        if not all(map(math.isfinite, out)):
-            raise OverflowError("non-finite right-hand side")
-        return out
-
-    return rhs_flat
-
-
-def _numeric_speed_sq(m, fp, use_reference):
-    n = m.dim
-
-    def speed_sq(y):
-        v = np.asarray(y[n:], dtype=float)
-        if not use_reference:
-            return float(v @ v)
-        q = y[:n]
-        g = m.metric_value(q)
-        k = fp.reference_value(q)
-        gkk = float(k @ g @ k)
-        gkv = float(k @ g @ v)
-        return float(v @ g @ v) + 2.0 * gkv * gkv / (-gkk)
-
-    return speed_sq
+def _numeric_accel(q, v, g, dg, F, dV, X):
+    """dv above the symbolic limit, from tuples of floats: flattened g and
+    dg[k][i][j], F or None, and dV/dx or X or neither.  Same numpy operations
+    in the same order as ``rhs``."""
+    n = len(v)
+    g = np.array(g).reshape(n, n)
+    v = np.array(v)
+    gam = geo.levi_civita(g, np.array(dg).reshape(n, n, n), q)
+    dv = -np.einsum("kij,i,j->k", gam, v, v)
+    if F is not None:
+        dv += np.array(F) @ v
+    if dV is not None:
+        dv += -np.linalg.solve(g, np.array(dV))
+    else:
+        dv += np.zeros(n) if X is None else np.array(X)
+    out = tuple(float(c) for c in dv)
+    if not all(map(math.isfinite, tuple(float(c) for c in v) + out)):
+        raise OverflowError("non-finite right-hand side")
+    return out
 
 
 # --- code generation -------------------------------------------------------
@@ -249,8 +236,6 @@ def _emit_accel(m, fp, lines, state, t_name, out, tag):
 
     for c in range(n):
         lines.append(f"    {out[c]} = {state[n + c]}")
-    gamma = m._sys.gamma
-    drive = _drive_exprs(m, fp)
     counter = [0]
 
     def local(e):
@@ -258,6 +243,12 @@ def _emit_accel(m, fp, lines, state, t_name, out, tag):
         counter[0] += 1
         lines.append(f"    {name} = {ex.emit(e, rename_for)}")
         return name
+
+    if m._sys.gamma is None:
+        _emit_numeric_accel(m, fp, lines, state, out, local)
+        return
+    gamma = m._sys.gamma
+    drive = _drive_exprs(m, fp)
 
     for k in range(n):
         terms = []
@@ -283,6 +274,36 @@ def _emit_accel(m, fp, lines, state, t_name, out, tag):
         lines.append(f"    {out[n + k]} = " + (" + ".join(terms) if terms else "0.0"))
 
 
+def _emit_numeric_accel(m, fp, lines, state, out, local):
+    """Acceleration above the symbolic limit: bind g, dg, F and dV (or X) to
+    locals and pass them to _numeric_accel."""
+    n = m.dim
+    dg = m._sys.dg
+    names = {}  # one local per distinct expression: g and dg are symmetric
+
+    def val(e):
+        if isinstance(e, ex.Const):
+            return repr(e.value)
+        if e not in names:
+            names[e] = local(e)
+        return names[e]
+
+    def tup(items):
+        return "(" + "".join(f"{x}, " for x in items) + ")"
+
+    g_src = tup(val(m.metric[i][j]) for i in range(n) for j in range(n))
+    dg_src = tup(val(dg[k][i][j]) for k in range(n) for i in range(n) for j in range(n))
+    F = dV = X = "None"
+    if fp.force_operator is not None:
+        F = tup(tup(val(e) for e in row) for row in fp.force_operator)
+    if fp.potential is not None:
+        dV = tup(val(ex.derive(fp.potential, name)) for name in m.frame.names)
+    elif fp.force_vector is not None:
+        X = tup(val(e) for e in fp.force_vector)
+    lines.append(f"    {tup(out[n:])} = _numeric_accel({tup(state[:n])}, "
+                 f"{tup(state[n:])}, {g_src}, {dg_src}, {F}, {dV}, {X})")
+
+
 def _generate_sources(m, fp, use_reference):
     n = m.dim
     N = 2 * n
@@ -297,7 +318,9 @@ def _generate_sources(m, fp, use_reference):
     lines.append("    return (" + ", ".join(out) + ")")
     rhs_source = "\n".join(lines) + "\n"
 
-    # fused step kernel
+    # fused step kernel, where the Christoffel symbols are symbolic
+    if m._sys.gamma is None:
+        return rhs_source, None, _speed_source(m, fp, use_reference)
     lines = ["def _kernel(t, h, y, k1, atol, rtol):"]
     for c in range(N):
         lines.append(f"    y_{c} = y[{c}]")
@@ -328,8 +351,12 @@ def _generate_sources(m, fp, use_reference):
     lines.append("    return err, (" + ", ".join(f"y5_{c}" for c in range(N))
                  + "), (" + ", ".join(f"k7_{c}" for c in range(N)) + ")")
     kernel_source = "\n".join(lines) + "\n"
+    return rhs_source, kernel_source, _speed_source(m, fp, use_reference)
 
-    # classification speed
+
+def _speed_source(m, fp, use_reference):
+    """The classification speed squared as a function of the state."""
+    n = m.dim
     lines = ["def _speed_sq(y):"]
     qn = [f"y[{c}]" for c in range(n)]
 
@@ -371,8 +398,7 @@ def _generate_sources(m, fp, use_reference):
                     kk.append(f"g_{min(i, j)}_{max(i, j)}*K_{i}*K_{j}")
         lines.append("    gkk = " + (" + ".join(kk) if kk else "0.0"))
         lines.append("    return gvv + 2.0*gkv*gkv/(-gkk)")
-    speed_source = "\n".join(lines) + "\n"
-    return rhs_source, kernel_source, speed_source
+    return "\n".join(lines) + "\n"
 
 
 def _generic_kernel(rhs_flat):
@@ -627,17 +653,14 @@ def _annihilates_cached(m, fp):
 
 @lru_cache(maxsize=32)
 def _inverse_norm_bound(m, fp):
-    """max over fundamental-domain samples of 1/|K| (K timelike)."""
+    """max over fundamental-domain samples of 1/|K| (K timelike), or None."""
     pts = geo.sample_points(m, 1000)
-    worst = 0.0
-    for q in pts:
-        q = tuple(q)
-        k = fp.reference_value(q)
-        gkk = float(k @ m.metric_value(q) @ k)
-        if gkk >= -1e-10:
-            return None
-        worst = max(worst, 1.0 / math.sqrt(-gkk))
-    return worst
+    with np.errstate(all="ignore"):
+        k = fp.reference_batch(pts, np.zeros(len(pts)))
+        gkk = np.einsum("mi,mij,mj->m", k, m.metric_batch(pts), k)
+    if not np.all(gkk < -1e-10):  # also refuses non-finite values
+        return None
+    return float(np.max(1.0 / np.sqrt(-gkk)))
 
 
 def _zero_grid(ts):
@@ -680,6 +703,20 @@ def _nonuniform_derivative(ts, ys):
             + h1 / (h2 * (h1 + h2)) * ys[2:])
 
 
+def _rate_identity(m, fp, ts, qs, k, gvv):
+    """d/dt g(K, v) = -dV(K) + sigma g(v, v) along the samples."""
+    if fp.potential is not None:
+        dv = fp.potential_derivative_batch(qs, ts)
+        k_dot_grad = np.einsum("mi,mi->m", k, dv)  # g(K, grad V) = dV(K)
+    else:
+        k_dot_grad = np.zeros(len(ts))
+    if _conformal_cached(m, fp)[1] <= 1e-9:
+        sigma = np.zeros(len(ts))
+    else:
+        sigma = fl.conformal_factors(m, fp.reference_field, qs)[0]
+    return -k_dot_grad + sigma * gvv
+
+
 def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
                            result: TrajectoryResult) -> KillingRecord:
     """Conservation or rate identity for the charge g(K, v) along the run."""
@@ -698,18 +735,8 @@ def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     if len(ts) >= 3:
         dq_num = _nonuniform_derivative(ts, charge)
         k = fp.reference_batch(qs, ts)
-        if fp.potential is not None:
-            dv = np.column_stack([f(qs, ts) for f in fp._compiled.dV_batch])
-            k_dot_grad = np.einsum("mi,mi->m", k, dv)  # g(K, grad V) = dV(K)
-        else:
-            k_dot_grad = np.zeros(len(ts))
-        if max_sigma <= 1e-9:
-            sigma = np.zeros(len(ts))
-        else:
-            sigma = np.array([fl.conformal_factor(m, fp.reference_field, tuple(q))[0]
-                              for q in qs])
         gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
-        ident = -k_dot_grad + sigma * gvv
+        ident = _rate_identity(m, fp, ts, qs, k, gvv)
         rate_residual = float(np.max(np.abs(dq_num - ident[1:-1])))
     return KillingRecord(True, constant_case, q0, drift, rate_residual, bound)
 
@@ -737,18 +764,7 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
     c2 = float(np.max(np.abs(charge)))
     mc2 = inv_norm * c2
     # c1 from the smooth side of the rate identity
-    if fp.potential is not None:
-        dv = np.column_stack([f(qs, ts) for f in fp._compiled.dV_batch])
-        k_dot_grad = np.einsum("mi,mi->m", k, dv)
-    else:
-        k_dot_grad = np.zeros(len(ts))
-    res, max_sigma, _ = _conformal_cached(m, fp)
-    if max_sigma <= 1e-9:
-        sigma = np.zeros(len(ts))
-    else:
-        sigma = np.array([fl.conformal_factor(m, fp.reference_field, tuple(q))[0]
-                          for q in qs])
-    c1 = float(np.max(np.abs(-k_dot_grad + sigma * gvv)))
+    c1 = float(np.max(np.abs(_rate_identity(m, fp, ts, qs, k, gvv))))
     g_vv_max = float(np.max(gvv))
     gr_max = float(np.max(gr_form))
     bound = g_vv_max + 2.0 * mc2 * mc2

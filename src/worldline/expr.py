@@ -2,9 +2,10 @@
 
 Expressions are small immutable ASTs built from constants, coordinate
 variables, the four arithmetic operations, integer powers, unary negation
-and the functions sin, cos, exp, log.  They support exact symbolic partial
-derivatives and can be compiled to plain Python functions for fast repeated
-evaluation.
+and the functions of ``FUNCTIONS`` (sin, cos, exp, log).  They support exact
+symbolic partial derivatives, and ``emit`` prints them as Python source for
+generated code: scalar code over math functions (``_SCALAR_NS``) or numpy code
+over arrays of points (``compile_batch``).
 
 Grammar (whitespace insignificant)::
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-FUNCTIONS = ("sin", "cos", "exp", "log")
+import numpy as np
 
 TIME_NAME = "t"
 TIME_INDEX = -1
@@ -202,6 +204,32 @@ def power(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
         return Const(base.value ** exponent)
     return Pow(base, exponent)
+
+
+# --- elementary functions --------------------------------------------------
+
+def _log(x: float) -> float:
+    if x <= 0.0:
+        raise EvaluationDomainError(f"log of non-positive value {x!r}")
+    return math.log(x)
+
+
+@dataclass(frozen=True)
+class Function:
+    """One elementary function: its scalar and numpy forms, and its
+    derivative ``derive(node, d_arg)`` given that of its argument."""
+
+    scalar: Callable[[float], float]
+    array: Callable
+    derive: Callable[[Fun, Expr], Expr]
+
+
+FUNCTIONS = {
+    "sin": Function(math.sin, np.sin, lambda e, d: mul(Fun("cos", e.arg), d)),
+    "cos": Function(math.cos, np.cos, lambda e, d: mul(neg(Fun("sin", e.arg)), d)),
+    "exp": Function(math.exp, np.exp, lambda e, d: mul(e, d)),
+    "log": Function(_log, np.log, lambda e, d: div(d, e.arg)),
+}
 
 
 # --- parsing ---------------------------------------------------------------
@@ -387,16 +415,7 @@ def _eval(e: Expr, point, t: float) -> float:
     if isinstance(e, Pow):
         return _eval(e.base, point, t) ** e.exponent
     if isinstance(e, Fun):
-        x = _eval(e.arg, point, t)
-        if e.name == "sin":
-            return math.sin(x)
-        if e.name == "cos":
-            return math.cos(x)
-        if e.name == "exp":
-            return math.exp(x)
-        if x <= 0.0:
-            raise EvaluationDomainError(f"log of non-positive value {x!r}")
-        return math.log(x)
+        return FUNCTIONS[e.name].scalar(_eval(e.arg, point, t))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -421,16 +440,7 @@ def derive(e: Expr, var: str) -> Expr:
         return mul(mul(Const(float(e.exponent)), power(e.base, e.exponent - 1)),
                    derive(e.base, var))
     if isinstance(e, Fun):
-        inner = derive(e.arg, var)
-        if e.name == "sin":
-            outer = Fun("cos", e.arg)
-        elif e.name == "cos":
-            outer = neg(Fun("sin", e.arg))
-        elif e.name == "exp":
-            outer = e
-        else:  # log
-            return div(inner, e.arg)
-        return mul(outer, inner)
+        return FUNCTIONS[e.name].derive(e, derive(e.arg, var))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -534,7 +544,8 @@ def emit(e: Expr, rename=None) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_SCALAR_NS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
+# Namespace of generated scalar code; log raises a ValueError at x <= 0.
+_SCALAR_NS = {name: f.scalar for name, f in FUNCTIONS.items()}
 
 
 def compile_source(source: str, name: str, namespace: dict):
@@ -545,13 +556,9 @@ def compile_source(source: str, name: str, namespace: dict):
     return ns[name]
 
 
-def compile_scalar(e: Expr, frame: CoordinateFrame):
-    """Compile to ``f(point, t=0.0) -> float`` over plain Python floats."""
-    def rename(v: Var) -> str:
-        return "t" if v.index == TIME_INDEX else f"q[{v.index}]"
-
-    source = f"def _f(q, t=0.0):\n    return {emit(e, rename)}\n"
-    return compile_source(source, "_f", _SCALAR_NS)
+_BATCH_NS = dict(
+    {name: f.array for name, f in FUNCTIONS.items()}, asarray=np.asarray,
+    broadcast=lambda a, m: a if a.shape == (m,) else np.broadcast_to(a, (m,)))
 
 
 def compile_batch(e: Expr, frame: CoordinateFrame):
@@ -560,8 +567,6 @@ def compile_batch(e: Expr, frame: CoordinateFrame):
     ``qs`` has shape (m, n); ``ts`` shape (m,).  Constant expressions are
     broadcast to shape (m,).
     """
-    import numpy as np
-
     def rename(v: Var) -> str:
         return "ts" if v.index == TIME_INDEX else f"qs[:, {v.index}]"
 
@@ -571,7 +576,4 @@ def compile_batch(e: Expr, frame: CoordinateFrame):
         f"    res = {body}\n"
         "    return broadcast(asarray(res, dtype=float), qs.shape[0])\n"
     )
-    ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-          "asarray": np.asarray,
-          "broadcast": lambda a, m: a if a.shape == (m,) else np.broadcast_to(a, (m,))}
-    return compile_source(source, "_f", ns)
+    return compile_source(source, "_f", _BATCH_NS)

@@ -9,7 +9,6 @@ manifold's coordinate frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -66,64 +65,67 @@ class FieldPack:
     def _compiled(self) -> "_CompiledFields":
         return _CompiledFields(self)
 
-    def force_matrix(self, q, t: float = 0.0) -> np.ndarray:
-        """F as an n x n matrix at a point (zero matrix when F is absent)."""
-        return self._compiled.F_value(q, t)
+    # Batch evaluators take an (m, n) array of points and values of t (zero
+    # when omitted).
 
-    def reference_value(self, q, t: float = 0.0) -> np.ndarray:
-        return self._compiled.K_value(q, t)
+    def force_batch(self, qs, ts=None) -> np.ndarray:
+        """F at each point, shape (m, n, n); zero when F is absent."""
+        c = self._compiled
+        if c.F is None:
+            return np.zeros((len(qs), c.n, c.n))
+        return np.stack([_columns(row, qs, ts) for row in c.F], axis=1)
 
-    def reference_batch(self, qs, ts) -> np.ndarray:
-        return self._compiled.K_batch(qs, ts)
+    def vector_batch(self, qs, ts=None) -> np.ndarray:
+        """The explicit force vector X at each point."""
+        return _columns(self._compiled.X, qs, ts)
 
-    def potential_value(self, q, t: float = 0.0) -> float:
-        return self._compiled.V_scalar(q, t) if self.potential is not None else 0.0
+    def reference_batch(self, qs, ts=None) -> np.ndarray:
+        if self._compiled.K is None:
+            raise geo.ValidationError("no reference field K in this pack")
+        return _columns(self._compiled.K, qs, ts)
 
-    def potential_batch(self, qs, ts) -> np.ndarray:
+    def potential_batch(self, qs, ts=None) -> np.ndarray:
         if self.potential is None:
             return np.zeros(len(qs))
-        return self._compiled.V_batch(qs, ts)
+        return self._compiled.V(qs, np.zeros(len(qs)) if ts is None else ts)
+
+    def potential_derivative_batch(self, qs, ts=None) -> np.ndarray:
+        """Partial derivatives dV/dx_i at each point."""
+        return _columns(self._compiled.dV, qs, ts)
+
+    def force_matrix(self, q, t: float = 0.0) -> np.ndarray:
+        """F as an n x n matrix at a point (zero matrix when F is absent)."""
+        return self.force_batch(*_one(q, t))[0]
+
+    def reference_value(self, q, t: float = 0.0) -> np.ndarray:
+        return self.reference_batch(*_one(q, t))[0]
+
+
+def _one(q, t):
+    """One point and parameter value as batch arguments."""
+    return np.asarray(q, dtype=float)[None], np.array([float(t)])
+
+
+def _columns(fns, qs, ts) -> np.ndarray:
+    ts = np.zeros(len(qs)) if ts is None else ts
+    return np.column_stack([f(qs, ts) for f in fns])
 
 
 class _CompiledFields:
     def __init__(self, fp: FieldPack):
         frame = fp.frame
-        n = frame.dim
-        self.n = n
+        self.n = frame.dim
+
+        def batch(exprs):
+            return None if exprs is None else [ex.compile_batch(e, frame) for e in exprs]
+
         F = fp.force_operator
-        self.F_scalar = None if F is None else [
-            [ex.compile_scalar(e, frame) for e in row] for row in F]
-        X = fp.force_vector
-        self.X_scalar = None if X is None else [ex.compile_scalar(e, frame) for e in X]
-        K = fp.reference_field
-        self.K_scalar = None if K is None else [ex.compile_scalar(e, frame) for e in K]
-        self.K_bat = None if K is None else [ex.compile_batch(e, frame) for e in K]
+        self.F = None if F is None else [batch(row) for row in F]
+        self.X = batch(fp.force_vector)
+        self.K = batch(fp.reference_field)
         V = fp.potential
-        self.V_scalar = None if V is None else ex.compile_scalar(V, frame)
-        self.V_batch = None if V is None else ex.compile_batch(V, frame)
-        if V is not None:
-            self.dV = [ex.derive(V, name) for name in frame.names]
-            self.dV_scalar = [ex.compile_scalar(e, frame) for e in self.dV]
-            self.dV_batch = [ex.compile_batch(e, frame) for e in self.dV]
-        else:
-            self.dV = None
-            self.dV_scalar = None
-            self.dV_batch = None
-
-    def F_value(self, q, t=0.0) -> np.ndarray:
-        if self.F_scalar is None:
-            return np.zeros((self.n, self.n))
-        return np.array([[f(q, t) for f in row] for row in self.F_scalar])
-
-    def K_value(self, q, t=0.0) -> np.ndarray:
-        if self.K_scalar is None:
-            raise geo.ValidationError("no reference field K in this pack")
-        return np.array([f(q, t) for f in self.K_scalar])
-
-    def K_batch(self, qs, ts) -> np.ndarray:
-        if self.K_bat is None:
-            raise geo.ValidationError("no reference field K in this pack")
-        return np.column_stack([f(qs, ts) for f in self.K_bat])
+        self.V = None if V is None else ex.compile_batch(V, frame)
+        self.dV = None if V is None else batch([ex.derive(V, name) for name in frame.names])
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,8 @@ class SampledCheck:
 
 
 def g_adjoint(g: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Adjoint of F with respect to the (possibly indefinite) form g."""
-    return np.linalg.solve(g, F.T @ g)
+    """Adjoint of F with respect to the (possibly indefinite) form g (or stacks)."""
+    return np.linalg.solve(g, np.swapaxes(F, -1, -2) @ g)
 
 
 def decompose(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> DecompositionAt:
@@ -172,16 +174,11 @@ def is_skew_adjoint(m: geo.ManifoldSpec, fp: FieldPack,
     if fp.force_operator is None:
         return SampledCheck(True, 0.0, 0)
     pts, dirs = _sample_set(m, count, directions)
-    worst = 0.0
-    for q, vs in zip(pts, dirs):
-        q = tuple(q)
-        g = m.metric_value(q)
-        F = fp.force_matrix(q)
-        gF = g @ F
-        for v in vs:
-            val = float(abs(v @ gF @ v) / (1.0 + v @ v))
-            if val > worst:
-                worst = val
+    g = geo.finite("metric", pts, m.metric_batch)
+    F = geo.finite("force operator F", pts, fp.force_batch)
+    vals = (np.abs(np.einsum("mdi,mij,mdj->md", dirs, g @ F, dirs))
+            / (1.0 + np.einsum("mdi,mdi->md", dirs, dirs)))
+    worst = float(vals.max())
     return SampledCheck(worst <= _SKEW_TOL, worst, count)
 
 
@@ -193,11 +190,10 @@ def annihilates(m: geo.ManifoldSpec, fp: FieldPack,
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
     pts = geo.sample_points(m, count)
-    worst = 0.0
-    for q in pts:
-        q = tuple(q)
-        fk = fp.force_matrix(q) @ fp.reference_value(q)
-        worst = max(worst, float(np.sqrt(fk @ fk)))
+    F = geo.finite("force operator F", pts, fp.force_batch)
+    k = geo.finite("reference field K", pts, fp.reference_batch)
+    fk = np.einsum("mij,mj->mi", F, k)
+    worst = float(np.sqrt(np.einsum("mi,mi->m", fk, fk)).max())
     return SampledCheck(worst <= _ANNIHILATE_TOL, worst, count)
 
 
@@ -205,33 +201,38 @@ def gradient(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> np.ndarra
     """Metric gradient of the potential, components g^{ij} dV/dx_j."""
     if fp.potential is None:
         raise geo.ValidationError("no potential in this pack")
-    g = geo.metric_at(m, p)
-    dv = np.array([f(p, t) for f in fp._compiled.dV_scalar])
-    return np.linalg.solve(g, dv)
+    return -drive_vector(m, fp, p, t)
+
+
+def drive_vectors(m: geo.ManifoldSpec, fp: FieldPack, qs, ts=None) -> np.ndarray:
+    """drive_vector at an (k, n) array of points; the metric is checked as
+    by metric_at."""
+    if fp.potential is not None:
+        dv = fp.potential_derivative_batch(qs, ts)
+        return -np.linalg.solve(geo.metrics_at(m, qs), dv[..., None])[..., 0]
+    if fp.force_vector is not None:
+        return fp.vector_batch(qs, ts)
+    return np.zeros((len(qs), m.dim))
 
 
 def drive_vector(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> np.ndarray:
     """The X that actually enters the equation: -grad V if a potential is given,
     else the explicit force vector, else zero."""
-    if fp.potential is not None:
-        return -gradient(m, fp, p, t)
-    if fp.force_vector is not None:
-        return np.array([f(p, t) for f in fp._compiled.X_scalar])
-    return np.zeros(m.dim)
+    return drive_vectors(m, fp, *_one(p, t))[0]
 
 
 # -- conformal structure of K ----------------------------------------------
 
 @lru_cache(maxsize=32)
 def _lie_system(m: geo.ManifoldSpec, K: tuple):
-    """Compiled entries of the Lie derivative of g along K."""
+    """Compiled upper-triangle entries of the Lie derivative of g along K."""
     frame = m.frame
     n = m.dim
     g = m.metric
     if len(K) != n:
         raise geo.ValidationError(f"vector field K must have {n} components")
     dK = [[ex.derive(K[l], frame.names[i]) for l in range(n)] for i in range(n)]
-    lie = [[None] * n for _ in range(n)]
+    lie = {}  # upper triangle (i, j) -> compiled entry
     for i in range(n):
         for j in range(i, n):
             acc = ex.ZERO
@@ -239,23 +240,30 @@ def _lie_system(m: geo.ManifoldSpec, K: tuple):
                 acc = ex.add(acc, ex.mul(K[l], ex.derive(g[i][j], frame.names[l])))
                 acc = ex.add(acc, ex.mul(g[l][j], dK[i][l]))
                 acc = ex.add(acc, ex.mul(g[i][l], dK[j][l]))
-            lie[i][j] = lie[j][i] = ex.compile_scalar(acc, frame)
+            lie[i, j] = ex.compile_batch(acc, frame)
     return lie
 
 
-def conformal_factor(m: geo.ManifoldSpec, K: tuple, p) -> tuple:
-    """(sigma, residual) of L_K g = 2 sigma g at a point.
+def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
+    """(sigma, residual) of L_K g = 2 sigma g at an (k, n) array of points.
 
     sigma is extracted by trace even when K is not conformal; the residual
-    (max-abs entry of L_K g - 2 sigma g) quantifies the failure.
+    (max-abs entry of L_K g - 2 sigma g) quantifies the failure.  The metric
+    is checked as by metric_at.
     """
+    qs = np.asarray(qs, dtype=float)
     n = m.dim
-    lie = _lie_system(m, K)
-    L = np.array([[lie[i][j](p) for j in range(n)] for i in range(n)])
-    g = geo.metric_at(m, p)
-    sigma = float(np.trace(np.linalg.solve(g, L))) / (2 * n)
-    residual = float(np.max(np.abs(L - 2.0 * sigma * g)))
+    g = geo.metrics_at(m, qs)
+    L = geo.symmetric_batch(_lie_system(m, K), qs, (n, n))
+    sigma = np.trace(np.linalg.solve(g, L), axis1=-2, axis2=-1) / (2 * n)
+    residual = np.max(np.abs(L - 2.0 * sigma[:, None, None] * g), axis=(-2, -1))
     return sigma, residual
+
+
+def conformal_factor(m: geo.ManifoldSpec, K: tuple, p) -> tuple:
+    """(sigma, residual) of L_K g = 2 sigma g at a point."""
+    sigma, residual = conformal_factors(m, K, [p])
+    return float(sigma[0]), float(residual[0])
 
 
 def conformal_report(m: geo.ManifoldSpec, fp: FieldPack,
@@ -269,16 +277,10 @@ def conformal_report(m: geo.ManifoldSpec, fp: FieldPack,
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
     pts = geo.sample_points(m, count)
-    max_res = 0.0
-    max_sigma = 0.0
-    sigma0 = None
-    for q in pts:
-        sigma, res = conformal_factor(m, fp.reference_field, tuple(q))
-        if sigma0 is None:
-            sigma0 = sigma
-        max_res = max(max_res, res)
-        max_sigma = max(max_sigma, abs(sigma))
-    return max_res, max_sigma, sigma0
+    sigma, residual = geo.finite(
+        "conformal factor of K", pts,
+        lambda qs: np.column_stack(conformal_factors(m, fp.reference_field, qs))).T
+    return float(residual.max()), float(np.abs(sigma).max()), float(sigma[0])
 
 
 def is_timelike_everywhere(m: geo.ManifoldSpec, fp: FieldPack,
@@ -287,32 +289,33 @@ def is_timelike_everywhere(m: geo.ManifoldSpec, fp: FieldPack,
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
     pts = geo.sample_points(m, count)
-    worst = -math.inf
-    for q in pts:
-        q = tuple(q)
-        k = fp.reference_value(q)
-        worst = max(worst, float(k @ m.metric_value(q) @ k))
+    g = geo.finite("metric", pts, m.metric_batch)
+    k = geo.finite("reference field K", pts, fp.reference_batch)
+    worst = float(np.einsum("mi,mij,mj->m", k, g, k).max())
     return SampledCheck(worst < _TIMELIKE_MARGIN, worst, count)
 
 
-def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> dict:
-    """Pointwise size diagnostics under both the metric and plain sums.
+def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, qs, t: float = 0.0) -> dict:
+    """Size diagnostics under both the metric and plain sums at an (k, n)
+    array of points; each value is an array over the points.
 
     Metric contractions can vanish on null data, so the Euclidean figures are
     reported alongside rather than folded into one number.
     """
-    g = geo.metric_at(m, p)
+    qs = np.asarray(qs, dtype=float)
+    ts = np.full(len(qs), float(t))
+    g = geo.metrics_at(m, qs)
     out = {}
     if fp.force_vector is not None or fp.potential is not None:
-        x = drive_vector(m, fp, p, t)
-        out["g_XX"] = float(x @ g @ x)
-        out["euclid_XX"] = float(x @ x)
+        x = geo.finite("force vector X", qs, lambda q: drive_vectors(m, fp, q, ts))
+        out["g_XX"] = np.einsum("mi,mij,mj->m", x, g, x)
+        out["euclid_XX"] = np.einsum("mi,mi->m", x, x)
     if fp.force_operator is not None:
-        F = fp.force_matrix(p, t)
+        F = geo.finite("force operator F", qs, fp.force_batch, ts)
         # full contraction F^{mu nu} F_{mu nu} = F^i_j F^k_l g_{ik} g^{jl}
         ginv = np.linalg.inv(g)
-        out["F_full_contraction"] = float(np.einsum("ij,kl,ik,jl", F, F, g, ginv))
-        out["F_frobenius_sq"] = float(np.sum(F * F))
+        out["F_full_contraction"] = np.einsum("mij,mkl,mik,mjl->m", F, F, g, ginv)
+        out["F_frobenius_sq"] = np.sum(F * F, axis=(1, 2))
     return out
 
 
@@ -321,24 +324,19 @@ def validate_fields(m: geo.ManifoldSpec, fp: FieldPack, count: int = 100):
     if fp.frame != m.frame:
         raise geo.ValidationError("field pack and manifold use different frames")
     pts = geo.sample_points(m, count)
-    for q in pts:
-        q = tuple(q)
-        try:
-            if fp.force_operator is not None:
-                fp.force_matrix(q)
-            if fp.potential is not None:
-                fp.potential_value(q)
-            if fp.reference_field is not None:
-                fp.reference_value(q)
-            if fp.force_vector is not None:
-                for f in fp._compiled.X_scalar:
-                    f(q)
-        except ex.EvaluationDomainError as err:
-            raise geo.ValidationError(
-                f"field expression fails to evaluate at {q}: {err}") from err
-        if fp.potential is not None and fp.force_vector is not None:
-            explicit = np.array([f(q) for f in fp._compiled.X_scalar])
-            derived = -gradient(m, fp, q)
-            if not np.allclose(explicit, derived, rtol=1e-8, atol=1e-8):
+    if fp.force_operator is not None:
+        geo.finite("force operator F", pts, fp.force_batch)
+    if fp.potential is not None:
+        geo.finite("potential V", pts, fp.potential_batch)
+    if fp.reference_field is not None:
+        geo.finite("reference field K", pts, fp.reference_batch)
+    if fp.force_vector is not None:
+        explicit = geo.finite("force vector X", pts, fp.vector_batch)
+        if fp.potential is not None:
+            derived = geo.finite("gradient of V", pts, lambda q: drive_vectors(m, fp, q))
+            close = np.isclose(explicit, derived, rtol=1e-8, atol=1e-8).all(axis=1)
+            if not close.all():
+                i = int(np.argmin(close))
                 raise geo.ValidationError(
-                    f"X and -grad V disagree at {q}: {explicit} vs {derived}")
+                    f"X and -grad V disagree at {tuple(pts[i].tolist())}: "
+                    f"{explicit[i]} vs {derived[i]}")

@@ -2,15 +2,15 @@
 
 A manifold is a single coordinate chart with a symbolic metric matrix, an
 optional quotient (lattice translations or a scaling map) that encodes
-compactness structurally, and a chart domain predicate.  All heavy lifting
-(Christoffel symbols, inverse metric) is done symbolically once per manifold
-and compiled; the public operations evaluate at points.
+compactness structurally, and a chart domain predicate.  Metric entries and
+their derivatives are compiled once into numpy functions over arrays of
+points; the pointwise operations apply them to one point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,19 +67,6 @@ class ChartDomain:
                 return False
         return True
 
-    def boundary_distance(self, q) -> float:
-        """Distance to the nearest finite box face or to the excluded ball."""
-        d = math.inf
-        for x, lo, hi in zip(q, self.lower, self.upper):
-            if math.isfinite(lo):
-                d = min(d, abs(x - lo))
-            if math.isfinite(hi):
-                d = min(d, abs(x - hi))
-        if self.exclude_origin_radius is not None:
-            r = math.sqrt(sum(x * x for x in q))
-            d = min(d, abs(r - self.exclude_origin_radius))
-        return d
-
 
 @dataclass(frozen=True)
 class LatticeQuotient:
@@ -104,12 +91,6 @@ class ScalingQuotient:
     def __post_init__(self):
         if not (self.factor > 1):
             raise ValidationError(f"scaling factor must exceed 1, got {self.factor}")
-
-
-@dataclass(frozen=True)
-class Tangent:
-    point: tuple
-    vector: tuple
 
 
 @dataclass(frozen=True)
@@ -160,9 +141,9 @@ class ManifoldSpec:
     def _sys(self) -> "_CompiledMetric":
         return _CompiledMetric(self)
 
-    def metric_value(self, q, t: float = 0.0) -> np.ndarray:
+    def metric_value(self, q) -> np.ndarray:
         """Raw metric matrix at a point, no domain/signature checks."""
-        return self._sys.value(q)
+        return self._sys.batch(np.asarray(q, dtype=float)[None])[0]
 
     def metric_batch(self, qs: np.ndarray) -> np.ndarray:
         """Metric matrices at an (m, n) array of points, shape (m, n, n)."""
@@ -187,33 +168,25 @@ def manifold_from_components(frame, components: dict, domain=None,
 
 
 class _CompiledMetric:
-    """Symbolic derivatives, inverse and Christoffels of a metric, compiled."""
+    """Compiled metric entries and derivatives; symbolic Christoffels for the stepper."""
 
     def __init__(self, m: ManifoldSpec):
         frame = m.frame
         n = m.dim
         self.n = n
+        self.frame = frame
         g = m.metric
-        self.entry_scalar = [[ex.compile_scalar(g[i][j], frame) for j in range(n)]
-                             for i in range(n)]
-        self.entry_batch = [[ex.compile_batch(g[i][j], frame) if j >= i else None
-                             for j in range(n)] for i in range(n)]
+        self.entries = {(i, j): ex.compile_batch(g[i][j], frame)
+                        for i in range(n) for j in range(i, n)}
         # dg[k][i][j] = d g_ij / d x_k
         self.dg = [[[ex.derive(g[i][j], frame.names[k]) for j in range(n)]
                     for i in range(n)] for k in range(n)]
-        self.dg_scalar = [[[ex.compile_scalar(self.dg[k][i][j], frame)
-                           for j in range(n)] for i in range(n)] for k in range(n)]
-        self.det_expr = _det(g, n)
-        self.det_scalar = ex.compile_scalar(self.det_expr, frame)
         if n <= _MAX_SYMBOLIC_DIM:
-            self.ginv = _symbolic_inverse(g, self.det_expr, n)
+            self.ginv = _symbolic_inverse(g, _det(g, n), n)
             self.gamma = self._christoffel_exprs()
-            self.gamma_scalar = [[[ex.compile_scalar(self.gamma[k][i][j], frame)
-                                  for j in range(n)] for i in range(n)] for k in range(n)]
         else:
             self.ginv = None
             self.gamma = None
-            self.gamma_scalar = None
 
     def _christoffel_exprs(self):
         n = self.n
@@ -231,32 +204,29 @@ class _CompiledMetric:
                     gamma[k][j][i] = e
         return gamma
 
-    def value(self, q) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = self.entry_scalar[i][j](q)
-        return out
-
     def batch(self, qs: np.ndarray) -> np.ndarray:
-        m, n = qs.shape[0], self.n
-        ts = np.zeros(m)
-        out = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                vals = self.entry_batch[i][j](qs, ts)
-                out[:, i, j] = out[:, j, i] = vals
-        return out
+        return symmetric_batch(self.entries, qs, (self.n, self.n))
 
-    def dg_value(self, q) -> np.ndarray:
+    @cached_property
+    def _dg_entries(self):
         n = self.n
-        out = np.empty((n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = self.dg_scalar[k][i][j](q)
-        return out
+        return {(k, i, j): ex.compile_batch(self.dg[k][i][j], self.frame)
+                for k in range(n) for i in range(n) for j in range(i, n)}
+
+    def dg_batch(self, qs: np.ndarray) -> np.ndarray:
+        """Metric derivatives at an (m, n) array of points, indexed [m, k, i, j]."""
+        return symmetric_batch(self._dg_entries, qs, (self.n,) * 3)
+
+
+def symmetric_batch(entries: dict, qs: np.ndarray, shape: tuple) -> np.ndarray:
+    """Array of shape (m, *shape) from {index: compiled entry} at t = 0; the
+    last two positions of each index (i <= j) are mirrored to (j, i)."""
+    ts = np.zeros(len(qs))
+    out = np.empty((len(qs),) + shape)
+    for index, f in entries.items():
+        mirror = index[:-2] + index[:-3:-1]
+        out[(slice(None),) + index] = out[(slice(None),) + mirror] = f(qs, ts)
+    return out
 
 
 Half = ex.Const(0.5)
@@ -294,25 +264,47 @@ def _symbolic_inverse(g, det, n):
 
 # --- public operations -----------------------------------------------------
 
-def metric_at(m: ManifoldSpec, p) -> np.ndarray:
-    """Evaluate g at p; checks domain membership, degeneracy and signature."""
-    if not m.domain.contains(p):
-        raise OutsideDomainError(f"point {tuple(p)} is outside the chart domain")
-    g = m.metric_value(p)
-    _check_matrix(m, g, p)
+def finite(what: str, qs, fn, *args) -> np.ndarray:
+    """``fn(qs, *args)``, its leading axis over the rows of ``qs``, evaluated
+    with numpy warnings off; ValidationError names the first point at which
+    a value is not finite."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(fn(qs, *args))
+    bad = ~np.isfinite(values.reshape(len(qs), -1)).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"{what} is not finite at {tuple(qs[int(np.argmax(bad))].tolist())}")
+    return values
+
+
+def metrics_at(m: ManifoldSpec, qs) -> np.ndarray:
+    """g at each row of an (k, n) array; checks domain membership, finiteness,
+    degeneracy and signature, and raises naming the first point that fails."""
+    qs = np.asarray(qs, dtype=float)
+    for q in qs:
+        if not m.domain.contains(q):
+            raise OutsideDomainError(f"point {tuple(q.tolist())} is outside the chart domain")
+    g = finite("metric", qs, m.metric_batch)
+    det = np.linalg.det(g)
+    degenerate = np.abs(det) < _DEGENERACY_TOL
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise DegenerateMetricError(
+            f"metric is degenerate at {tuple(qs[i].tolist())} (det={det[i]:.3e})")
+    negatives = np.sum(np.linalg.eigvalsh(g) < 0.0, axis=-1)
+    expected = 1 if m.signature == LORENTZIAN else 0
+    wrong = negatives != expected
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise SignatureError(
+            f"metric at {tuple(qs[i].tolist())} has {negatives[i]} negative eigenvalues, "
+            f"expected {expected} for a {m.signature} spec")
     return g
 
 
-def _check_matrix(m, g, p):
-    det = np.linalg.det(g)
-    if abs(det) < _DEGENERACY_TOL:
-        raise DegenerateMetricError(f"metric is degenerate at {tuple(p)} (det={det:.3e})")
-    negatives = int(np.sum(np.linalg.eigvalsh(g) < 0.0))
-    expected = 1 if m.signature == LORENTZIAN else 0
-    if negatives != expected:
-        raise SignatureError(
-            f"metric at {tuple(p)} has {negatives} negative eigenvalues, "
-            f"expected {expected} for a {m.signature} spec")
+def metric_at(m: ManifoldSpec, p) -> np.ndarray:
+    """Evaluate g at p; checks domain membership, degeneracy and signature."""
+    return metrics_at(m, np.asarray(p, dtype=float)[None])[0]
 
 
 def inner(m: ManifoldSpec, p, u, v) -> float:
@@ -333,26 +325,28 @@ def causal_character(m: ManifoldSpec, p, v) -> str:
     return "timelike" if gvv < 0.0 else "spacelike"
 
 
+def levi_civita(g: np.ndarray, dg: np.ndarray, qs) -> np.ndarray:
+    """Levi-Civita coefficients from g and its derivatives, indexed [k, i, j].
+
+    g has shape (..., n, n) and dg shape (..., n, n, n) with dg[k, i, j] =
+    d_k g_ij; one point or a stack of points.  Raises DegenerateMetricError
+    naming the first point (row of ``qs``) where det g nearly vanishes.
+    """
+    degenerate = np.abs(np.linalg.det(g)) < _DEGENERACY_TOL
+    if degenerate.any():
+        q = np.reshape(qs, (-1, g.shape[-1]))[int(np.argmax(degenerate))]
+        raise DegenerateMetricError(f"metric is degenerate at {tuple(q.tolist())}")
+    ginv = np.linalg.inv(g)
+    # 0.5 * g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), from dg[k, i, j] = d_k g_ij
+    dg_ikj = np.swapaxes(dg, -3, -2)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv,
+                           dg + dg_ikj - np.swapaxes(dg_ikj, -2, -1))
+
+
 def christoffel_at(m: ManifoldSpec, p) -> np.ndarray:
     """Levi-Civita coefficients at p, shape (n, n, n) indexed [k, i, j]."""
-    sys = m._sys
-    if abs(sys.det_scalar(p)) < _DEGENERACY_TOL:
-        raise DegenerateMetricError(f"metric is degenerate at {tuple(p)}")
-    n = sys.n
-    out = np.empty((n, n, n))
-    if sys.gamma_scalar is not None:
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    out[k, i, j] = out[k, j, i] = sys.gamma_scalar[k][i][j](p)
-        return out
-    g = sys.value(p)
-    ginv = np.linalg.inv(g)
-    dg = sys.dg_value(p)
-    # 0.5 * g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dg is indexed [k, i, j]
-    out = 0.5 * np.einsum("kl,ijl->kij",
-                          ginv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    return out
+    qs = np.asarray(p, dtype=float)[None]
+    return levi_civita(m.metric_batch(qs), m._sys.dg_batch(qs), qs)[0]
 
 
 def auxiliary_riemannian(m: ManifoldSpec, p, z, v) -> float:
@@ -393,11 +387,6 @@ def normalize_qv(m: ManifoldSpec, q: tuple, v: tuple):
         return q, v, False
     inv = 1.0 / scale
     return tuple(x * inv for x in q), tuple(x * inv for x in v), True
-
-
-def normalize(m: ManifoldSpec, s: TrajectoryState) -> TrajectoryState:
-    q, v, changed = normalize_qv(m, s.q, s.v)
-    return TrajectoryState(s.t, q, v) if changed else s
 
 
 # --- fundamental domain sampling ------------------------------------------
@@ -475,24 +464,27 @@ def validate_manifold(m: ManifoldSpec, points: int = 100, seed: int = sampling.D
         pts = sample_points(m, points)
     except ValueError as err:
         raise ValidationError(f"cannot sample the fundamental domain: {err}") from err
-    for q in pts:
-        try:
-            metric_at(m, tuple(q))
-        except GeometryError as err:
-            raise ValidationError(str(err)) from err
+    try:
+        g = metrics_at(m, pts)
+    except GeometryError as err:
+        raise ValidationError(str(err)) from err
     transforms = deck_transforms(m)
     if not transforms:
         return
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((points, 2, m.dim))
-    for q, (u, v) in zip(pts, dirs):
-        g = m.metric_value(tuple(q))
-        base = float(u @ g @ v)
-        for point_map, vector_map in transforms:
-            q2 = point_map(q)
-            g2 = m.metric_value(tuple(q2))
-            moved = float(vector_map(u) @ g2 @ vector_map(v))
-            if abs(moved - base) > 1e-10 * (1.0 + abs(base)):
-                raise ValidationError(
-                    f"quotient map is not an isometry at {tuple(q)}: "
-                    f"g(u,v)={base!r} vs {moved!r}")
+    u, v = dirs[:, 0], dirs[:, 1]
+    base = np.einsum("mi,mij,mj->m", u, g, v)
+    with np.errstate(all="ignore"):
+        moved = np.array([
+            np.einsum("mi,mij,mj->m", vector_map(u), m.metric_batch(point_map(pts)),
+                      vector_map(v))
+            for point_map, vector_map in transforms])
+    # not (a <= b) also catches a non-finite moved value
+    broken = ~(np.abs(moved - base) <= 1e-10 * (1.0 + np.abs(base)))
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        j = int(np.argmax(broken[:, i]))
+        raise ValidationError(
+            f"quotient map is not an isometry at {tuple(pts[i].tolist())}: "
+            f"g(u,v)={float(base[i])!r} vs {float(moved[j, i])!r}")

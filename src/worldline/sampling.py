@@ -39,14 +39,6 @@ def _van_der_corput(i: int, base: int) -> float:
     return x
 
 
-def sample_box(count: int, lo, hi) -> np.ndarray:
-    """Halton points mapped affinely into the box [lo, hi)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    pts = halton(count, lo.size)
-    return lo + pts * (hi - lo)
-
-
 def sample_predicate(count: int, lo, hi, keep, max_batches: int = 64) -> np.ndarray:
     """Halton points in the box filtered by ``keep(point) -> bool``.
 

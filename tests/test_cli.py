@@ -44,6 +44,54 @@ def test_run_config_errors(capsys):
     assert invoke(["run", "--scenario", "t3-magnetic", "--v", "a,b,c"], capsys)[0] == 2
 
 
+def test_run_rejects_non_finite_config(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--scenario", "riemann-superlinear", "--output", str(out_dir)]
+    for flag, value in (("--t-max", "inf"), ("--tol", "nan"), ("--v-max", "inf")):
+        code, out = invoke(argv + [flag, value], capsys)
+        assert code == 2, flag
+        assert out == ""
+    assert not out_dir.exists()
+
+
+def _field_file(tmp_path, fields, metric=None):
+    doc = {"name": "bad-field", "dimension": 2, "coordinates": ["x", "y"],
+           "metric": metric or {"g_0_0": "1", "g_1_1": "1"}, "quotient": None,
+           "domain": {"lower": [None, None], "upper": [None, None],
+                      "exclude_origin_radius": None},
+           "fields": dict({"F": None, "X": None, "V": None, "K": None}, **fields),
+           "initial": {"q": [1.0, 0.0], "v": [1.0, 0.0]},
+           "config": {"signature": "riemannian", "declared_complete": True,
+                      "t_max": 2.0}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_non_finite_field_samples_are_refused(tmp_path, capsys):
+    # log(x) is undefined on half of the unbounded chart; 1/(x-x) nowhere
+    for fields, what in (({"V": "log(x)"}, "potential V"),
+                         ({"X": ["1/(x-x)", "0"]}, "force vector X")):
+        path = _field_file(tmp_path, fields)
+        for command in ("check", "run"):
+            code = cli.main([command, "--scenario", path])
+            captured = capsys.readouterr()
+            assert code == 2, (fields, command)
+            assert captured.out == ""
+            assert f"{what} is not finite at (" in captured.err
+
+
+def test_check_refuses_metric_indefinite_between_validation_samples(tmp_path, capsys):
+    # negative in a small disc that the 100 validation samples miss but the
+    # 1000 samples of the operator bound hit
+    metric = {"g_0_0": "1 - 3 * exp(-4 * ((x - 1.3)^2 + (y + 2.2)^2))", "g_1_1": "1"}
+    path = _field_file(tmp_path, {"F": [["0", "1"], ["0", "0"]], "X": ["x", "0"]},
+                       metric=metric)
+    cat.load(path)  # every validation sample sees a positive-definite metric
+    assert cli.main(["check", "--scenario", path]) == 2
+    assert "negative eigenvalues" in capsys.readouterr().err
+
+
 def test_run_initial_override(capsys):
     code, out = invoke(["run", "--scenario", "null-plane-cubic",
                         "--q", "0,0", "--v", "0,1", "--t-max", "3"], capsys)

@@ -203,6 +203,10 @@ def test_config_validation():
         dy.IntegrationConfig(rtol=1e-16)  # below the supported floor
     with pytest.raises(geo.ValidationError):
         dy.IntegrationConfig(stride=0)
+    for field in ("t_max", "rtol", "atol", "v_max", "h_min"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(geo.ValidationError):
+                dy.IntegrationConfig(**{field: value})
 
 
 def test_generated_kernel_matches_generic():
@@ -281,6 +285,19 @@ def test_killing_monitor_rate_identity_with_potential():
     assert rec.charge_bound >= abs(rec.reference)
 
 
+def test_killing_monitor_rate_identity_for_homothety():
+    # K = x d/dx + y d/dy scales the flat metric (sigma = 1), so the charge
+    # g(K, v) of a free particle grows at the rate sigma g(v, v)
+    m = euclid2()
+    fp = fl.FieldPack(XY, reference_field=(ex.parse("x", XY), ex.parse("y", XY)))
+    res = dy.integrate_maximal(m, fp, state((1.0, 0.5), (0.3, -0.2)),
+                               dy.IntegrationConfig(t_max=5.0))
+    rec = dy.killing_charge_monitor(m, fp, res)
+    assert rec.present and not rec.constant_case
+    assert rec.max_drift > 0.1
+    assert rec.rate_residual <= 1e-6
+
+
 def test_certificate_flat_torus_hand_values():
     s = cat.builtin("flat-lorentz-torus")
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
@@ -324,3 +341,45 @@ def test_stride_subsamples_but_keeps_endpoint():
     assert len(sparse.states) < len(dense.states)
     assert sparse.states[-1].t == pytest.approx(5.0)
     assert sparse.states[0].t == pytest.approx(-5.0)
+
+
+def _curved_torus(names, with_potential):
+    """A Lorentzian torus with a curved, non-diagonal spatial metric, a force
+    operator and either a potential or an explicit force vector."""
+    n = len(names)
+    metric = {"g_0_0": "-1", "g_1_2": f"0.1 * sin(2 * pi * {names[-1]})"}
+    for i in range(1, n):
+        metric[f"g_{i}_{i}"] = f"1 + 0.2 * cos(2 * pi * {names[i % (n - 1) + 1]})"
+    F = [["0"] * n for _ in range(n)]
+    F[1][2], F[2][1] = "1.1", "-1.1 * cos(2 * pi * s)"
+    X = ["0"] * n
+    X[1], X[2] = "sin(2 * pi * y)", "x * y"
+    fields = {"F": F, "K": ["1"] + ["0"] * (n - 1)}
+    if with_potential:
+        fields["V"] = "0.05 * cos(2 * pi * x) * sin(2 * pi * s)"
+    else:
+        fields["X"] = X
+    return cat.scenario_from_dict({
+        "name": f"curved-{n}d", "dimension": n, "coordinates": list(names),
+        "metric": metric, "quotient": {"lattice": [1.0] * n}, "fields": fields,
+        "initial": {"q": [0.0] * n, "v": [1.0] + [0.1] * (n - 1)},
+        "config": {"signature": "lorentzian"},
+    })
+
+
+def test_generated_rhs_matches_numeric_oracle():
+    # the generated right-hand side (symbolic Christoffels up to dimension 4,
+    # the numeric contraction above) against rhs, whose Christoffels come
+    # from g and its derivatives in every dimension
+    scenarios = [cat.builtin(name) for name in cat.list_builtins()]
+    for names in (("s", "x", "y"), ("s", "x", "y", "z", "w")):
+        scenarios += [_curved_torus(names, True), _curved_torus(names, False)]
+    rng = np.random.default_rng(8)
+    for s in scenarios:
+        m, fp = s.manifold, s.fields
+        rhs_flat = dy.compiled_system(m, fp).rhs_flat
+        for q in geo.sample_points(m, 40):
+            st = geo.TrajectoryState(0.3, tuple(q), tuple(rng.uniform(-2, 2, m.dim)))
+            got = np.asarray(rhs_flat(st.t, st.q + st.v))
+            want = np.concatenate(dy.rhs(m, fp, st))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), s.name

@@ -108,25 +108,47 @@ def test_constant_folding_keeps_zero_detectable():
     assert ex.derive(ex.parse("y", XY), "x") == ex.ZERO
 
 
-def test_compile_scalar_matches_evaluate():
+def test_scalar_source_matches_evaluate():
+    # emit + compile_source over _SCALAR_NS is the path of the generated stepper
     rng = np.random.default_rng(11)
-    e = ex.parse("exp(x / (1 + x^2)) * cos(y) - y^3", XY)
-    f = ex.compile_scalar(e, XY)
+    e = ex.parse("exp(x / (1 + x^2)) * cos(y) - y^3 + log(1 + x^2)", XY)
+    source = f"def _f(x, y):\n    return {ex.emit(e)}\n"
+    f = ex.compile_source(source, "_f", ex._SCALAR_NS)
     for _ in range(50):
         q = tuple(rng.uniform(-3, 3, size=2))
-        assert f(q) == pytest.approx(ex.evaluate(e, q), rel=1e-15)
+        assert f(*q) == pytest.approx(ex.evaluate(e, q), rel=1e-15)
+    g = ex.compile_source("def _g(x):\n    return log(x)\n", "_g", ex._SCALAR_NS)
+    with pytest.raises(ex.EvaluationDomainError):
+        g(0.0)
 
 
 def test_compile_batch_matches_scalar():
-    e = ex.parse("x * t + sin(x)", XT)
-    scalar = ex.compile_scalar(e, XT)
+    # the batch compiler against the scalar interpreter ``evaluate``
+    e = ex.parse("x * t + sin(x) - exp(cos(x)) / log(2 + x^2)", XT)
     batch = ex.compile_batch(e, XT)
     rng = np.random.default_rng(3)
     qs = rng.uniform(-2, 2, size=(40, 1))
     ts = rng.uniform(-2, 2, size=40)
     got = batch(qs, ts)
-    want = np.array([scalar(tuple(q), t) for q, t in zip(qs, ts)])
+    want = np.array([ex.evaluate(e, tuple(q), t) for q, t in zip(qs, ts)])
     assert np.allclose(got, want, rtol=1e-14, atol=0)
+    # constants broadcast to one value per point
+    assert np.array_equal(ex.compile_batch(ex.parse("2", XT), XT)(qs, ts), np.full(40, 2.0))
+
+
+def test_function_table_drives_parser_and_derivatives():
+    # every function of the table parses, evaluates and differentiates
+    for name, fn in ex.FUNCTIONS.items():
+        e = ex.parse(f"{name}(x)", XY)
+        assert ex.evaluate(e, (0.7, 0.0)) == fn.scalar(0.7)
+        d = ex.evaluate(ex.derive(e, "x"), (0.7, 0.0))
+        fd = (fn.scalar(0.7 + 1e-6) - fn.scalar(0.7 - 1e-6)) / 2e-6
+        assert d == pytest.approx(fd, rel=1e-8), name
+    for unsupported in ("tan(x)", "sqrt(x)", "abs(x)"):
+        with pytest.raises(ex.UnknownIdentifierError):
+            ex.parse(unsupported, XY)
+    with pytest.raises(ex.EvaluationDomainError):
+        ex.evaluate(ex.parse("log(x)", XY), (-1.0, 0.0))
 
 
 # --- randomized derivative oracle -----------------------------------------

@@ -154,18 +154,18 @@ def test_invariant_norms_null_force_vector():
     null = geo.manifold_from_components(
         XY, {(0, 1): ex.ONE}, geo.ChartDomain.unbounded(2), geo.LORENTZIAN)
     fp = fl.FieldPack(XY, force_vector=(ex.parse("2 * x^3", XY), ex.ZERO))
-    out = fl.invariant_norms(null, fp, (1.5, 0.0))
+    out = fl.invariant_norms(null, fp, [(1.5, 0.0), (-0.5, 2.0)])
     # metric square vanishes identically while the plain square does not
-    assert out["g_XX"] == 0.0
-    assert out["euclid_XX"] == pytest.approx((2 * 1.5 ** 3) ** 2)
+    assert np.array_equal(out["g_XX"], [0.0, 0.0])
+    assert out["euclid_XX"] == pytest.approx([(2 * 1.5 ** 3) ** 2, (2 * 0.5 ** 3) ** 2])
 
 
 def test_invariant_norms_operator_contractions():
     m = euclid2()
     fp = fl.FieldPack(XY, force_operator=parse_matrix([["0", "1"], ["-1", "0"]]))
-    out = fl.invariant_norms(m, fp, (0.0, 0.0))
-    assert out["F_frobenius_sq"] == pytest.approx(2.0)
-    assert out["F_full_contraction"] == pytest.approx(2.0)
+    out = fl.invariant_norms(m, fp, [(0.0, 0.0)])
+    assert out["F_frobenius_sq"] == pytest.approx([2.0])
+    assert out["F_full_contraction"] == pytest.approx([2.0])
 
 
 def test_validate_fields_gradient_consistency():
