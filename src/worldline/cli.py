@@ -135,10 +135,12 @@ def _sample_table(s: cat.Scenario, result: dy.TrajectoryResult):
 
 
 def _write_csv(path, columns, rows):
+    """Floats by repr, None as nan, strings as they are."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(",".join(x if isinstance(x, str) else "nan" if x is None
+                              else repr(float(x)) for x in row) + "\n")
 
 
 def _dump(doc: dict) -> str:
@@ -241,11 +243,7 @@ def _sample_initial_point(m: geo.ManifoldSpec, rng) -> tuple:
     lo, hi = np.asarray(lo), np.asarray(hi)
     for _ in range(10000):
         q = tuple(lo + (hi - lo) * rng.random(m.dim))
-        if isinstance(m.quotient, geo.ScalingQuotient):
-            r = math.sqrt(sum(x * x for x in q))
-            if not 1.0 <= r < m.quotient.factor:
-                continue
-        if m.domain.contains(q):
+        if geo.in_fundamental_domain(m, q):
             return q
     raise geo.ValidationError("could not sample a point in the fundamental domain")
 
@@ -331,24 +329,9 @@ def cmd_sweep(args) -> int:
         "config": _config_doc(cfg),
         "provenance": "sampled check, not a proof",
     }
-    sys.stdout.write(_dump(doc))
+    _emit(doc, args.output, "sweep_report.json")
     if args.output is not None:
-        os.makedirs(args.output, exist_ok=True)
-        with open(os.path.join(args.output, "sweep_report.json"), "w") as fh:
-            fh.write(_dump(doc))
-        path = os.path.join(args.output, "sweep.csv")
-        with open(path, "w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                cells = []
-                for x in row:
-                    if isinstance(x, str):
-                        cells.append(x)
-                    elif x is None:
-                        cells.append("nan")
-                    else:
-                        cells.append(repr(float(x)))
-                fh.write(",".join(cells) + "\n")
+        _write_csv(os.path.join(args.output, "sweep.csv"), columns, rows)
     return 0
 
 

@@ -293,11 +293,11 @@ def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
     """
     p0, pts = _region_points(m, cfg)
     times = _time_grid(cfg, ex.references_time(u))
-    f = ex.compile_batch(u, m.frame)
+    f = ex.compile_batch([u], m.frame)
     y = np.full(len(pts), -math.inf)
     for t in times:
         y = np.maximum(y, geo.finite(f"{quantity} at t={float(t)!r}", pts, f,
-                                     np.full(len(pts), float(t))))
+                                     np.full(len(pts), float(t)))[:, 0])
     d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
     A, C = _envelope_fit(d, y, 2)
     if np.max(y) <= 1e-12:

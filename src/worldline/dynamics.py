@@ -2,11 +2,11 @@
 
 The second-order equation is integrated as a first-order system on
 (position, velocity) pairs with an embedded Dormand-Prince 5(4) pair and PI
-step control.  The right-hand side and the speed are generated as flat Python
-functions in every dimension.  Up to dimension 4 the Christoffel symbols are
-symbolic and the whole step is one generated kernel; above it the right-hand
-side hands g, its derivatives and the forces to one numeric contraction, and
-a generic kernel, also a cross-check in the tests, steps it.
+step control.  The right-hand side, the speed and a fused step are generated
+as flat Python functions in every dimension, each stage one block printed by
+``expr.emit_block``.  Up to dimension 4 the Christoffel symbols are symbolic;
+above it each stage hands g, its derivatives and the forces to one numeric
+contraction, ``_numeric_accel``.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed escape time.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -160,10 +160,7 @@ class _System:
         ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _numeric_accel=_numeric_accel)
         self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
         self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
-        if self.kernel_source is not None:
-            self.kernel = ex.compile_source(self.kernel_source, "_kernel", ns)
-        else:
-            self.kernel = _generic_kernel(self.rhs_flat)
+        self.kernel = ex.compile_source(self.kernel_source, "_kernel", ns)
 
 
 @lru_cache(maxsize=16)
@@ -183,8 +180,8 @@ def _reference_speed_usable(m: geo.ManifoldSpec, fp: fl.FieldPack) -> bool:
 
 
 def _numeric_accel(q, v, g, dg, F, dV, X):
-    """dv above the symbolic limit, from tuples of floats: flattened g and
-    dg[k][i][j], F or None, and dV/dx or X or neither.  Same numpy operations
+    """dv above the symbolic limit, from tuples of floats: flattened g,
+    dg[k][i][j] and F (or None), and dV/dx or X or neither.  Same numpy operations
     in the same order as ``rhs``."""
     n = len(v)
     g = np.array(g).reshape(n, n)
@@ -192,7 +189,7 @@ def _numeric_accel(q, v, g, dg, F, dV, X):
     gam = geo.levi_civita(g, np.array(dg).reshape(n, n, n), q)
     dv = -np.einsum("kij,i,j->k", gam, v, v)
     if F is not None:
-        dv += np.array(F) @ v
+        dv += np.array(F).reshape(n, n) @ v
     if dV is not None:
         dv += -np.linalg.solve(g, np.array(dV))
     else:
@@ -211,45 +208,30 @@ def _drive_exprs(m, fp):
     if fp.potential is not None:
         ginv = m._sys.ginv
         dv = [ex.derive(fp.potential, m.frame.names[j]) for j in range(n)]
-        out = []
-        for k in range(n):
-            acc = ex.ZERO
-            for j in range(n):
-                acc = ex.add(acc, ex.mul(ginv[k][j], dv[j]))
-            out.append(ex.neg(acc))
-        return out
+        return [ex.neg(reduce(ex.add, (ex.mul(ginv[k][j], dv[j]) for j in range(n)), ex.ZERO))
+                for k in range(n)]
     if fp.force_vector is not None:
         return list(fp.force_vector)
     return None
 
 
-def _emit_accel(m, fp, lines, state, t_name, out, tag):
-    """Append lines computing the 2n components of the RHS at a stage.
+def _chain(terms):
+    """Left-to-right sum of a non-empty list, as Python adds a + b + c."""
+    return reduce(ex.Add, terms)
 
-    state: 2n local variable names holding the stage point; out: names to
-    bind the RHS components to.
-    """
+
+def _velocities(n):
+    """Variables for the velocity half of the state: index n + c."""
+    return [ex.Var(f"v{c}", n + c) for c in range(n)]
+
+
+def _accel_exprs(m, fp, v):
+    """dv^k = -Gamma^k_ij v^i v^j + F^k_j v^j + X^k with symbolic Christoffels,
+    as trees in the order of operations of the generated code."""
     n = m.dim
-
-    def rename_for(v: ex.Var) -> str:
-        return t_name if v.index == ex.TIME_INDEX else state[v.index]
-
-    for c in range(n):
-        lines.append(f"    {out[c]} = {state[n + c]}")
-    counter = [0]
-
-    def local(e):
-        name = f"_{tag}_{counter[0]}"
-        counter[0] += 1
-        lines.append(f"    {name} = {ex.emit(e, rename_for)}")
-        return name
-
-    if m._sys.gamma is None:
-        _emit_numeric_accel(m, fp, lines, state, out, local)
-        return
     gamma = m._sys.gamma
     drive = _drive_exprs(m, fp)
-
+    out = []
     for k in range(n):
         terms = []
         gamma_terms = []
@@ -258,50 +240,56 @@ def _emit_accel(m, fp, lines, state, t_name, out, tag):
                 e = gamma[k][i][j]
                 if e == ex.ZERO:
                     continue
-                name = local(e)
-                factor = "2.0*" if i < j else ""
-                gamma_terms.append(f"{factor}{name}*{state[n + i]}*{state[n + j]}")
+                if i < j:
+                    e = ex.Mul(ex.Const(2.0), e)
+                gamma_terms.append(ex.Mul(ex.Mul(e, v[i]), v[j]))
         if gamma_terms:
-            terms.append("-(" + " + ".join(gamma_terms) + ")")
+            terms.append(ex.Neg(_chain(gamma_terms)))
         if fp.force_operator is not None:
-            for j in range(n):
-                e = fp.force_operator[k][j]
-                if e == ex.ZERO:
-                    continue
-                terms.append(f"{local(e)}*{state[n + j]}")
+            terms += [ex.Mul(e, v[j]) for j, e in enumerate(fp.force_operator[k])
+                      if e != ex.ZERO]
         if drive is not None and drive[k] != ex.ZERO:
-            terms.append(local(drive[k]))
-        lines.append(f"    {out[n + k]} = " + (" + ".join(terms) if terms else "0.0"))
+            terms.append(drive[k])
+        out.append(_chain(terms) if terms else ex.ZERO)
+    return out
 
 
-def _emit_numeric_accel(m, fp, lines, state, out, local):
-    """Acceleration above the symbolic limit: bind g, dg, F and dV (or X) to
-    locals and pass them to _numeric_accel."""
+def _accel_template(m, fp):
+    """Lines computing the 2n components of the RHS at a stage, one block of
+    shared subexpressions; the format fields {0}..{2n-1} are the stage point,
+    {2n}..{4n-1} the names of the outputs and {t} the time.  Above the
+    symbolic limit the block computes g, dg, F and dV (or X), and
+    _numeric_accel contracts them."""
     n = m.dim
-    dg = m._sys.dg
-    names = {}  # one local per distinct expression: g and dg are symmetric
+    v = _velocities(n)
+    if m._sys.gamma is not None:
+        groups = [v, _accel_exprs(m, fp, v)]
+    else:
+        F, dV, X = fp.force_operator, None, fp.force_vector
+        if fp.potential is not None:
+            dV, X = [ex.derive(fp.potential, name) for name in m.frame.names], None
+        groups = [v, geo.mirrored(m.metric, n),
+                  [e for plane in m._sys.dg for row in plane for e in row],
+                  None if F is None else [e for row in F for e in row], dV, X]
 
-    def val(e):
-        if isinstance(e, ex.Const):
-            return repr(e.value)
-        if e not in names:
-            names[e] = local(e)
-        return names[e]
+    def rename(var: ex.Var) -> str:
+        return "{t}" if var.index == ex.TIME_INDEX else f"{{{var.index}}}"
 
-    def tup(items):
-        return "(" + "".join(f"{x}, " for x in items) + ")"
+    lines, results = ex.emit_block(
+        [e for group in groups if group is not None for e in group], rename, "_a")
+    results = iter(results)
+    texts = [None if group is None else [next(results) for _ in group] for group in groups]
+    state = [f"{{{c}}}" for c in range(2 * n)]
+    out = [f"{{{c}}}" for c in range(2 * n, 4 * n)]
+    if m._sys.gamma is not None:
+        return lines + [f"{o} = {r}" for o, r in zip(out, texts[0] + texts[1])]
+    args = ", ".join("None" if t is None else _tuple(t) for t in texts[1:])
+    return lines + [f"{o} = {r}" for o, r in zip(out, texts[0])] + [
+        f"{_tuple(out[n:])} = _numeric_accel({_tuple(state[:n])}, {_tuple(state[n:])}, {args})"]
 
-    g_src = tup(val(m.metric[i][j]) for i in range(n) for j in range(n))
-    dg_src = tup(val(dg[k][i][j]) for k in range(n) for i in range(n) for j in range(n))
-    F = dV = X = "None"
-    if fp.force_operator is not None:
-        F = tup(tup(val(e) for e in row) for row in fp.force_operator)
-    if fp.potential is not None:
-        dV = tup(val(ex.derive(fp.potential, name)) for name in m.frame.names)
-    elif fp.force_vector is not None:
-        X = tup(val(e) for e in fp.force_vector)
-    lines.append(f"    {tup(out[n:])} = _numeric_accel({tup(state[:n])}, "
-                 f"{tup(state[n:])}, {g_src}, {dg_src}, {F}, {dV}, {X})")
+
+def _tuple(items):
+    return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
 def _generate_sources(m, fp, use_reference):
@@ -314,13 +302,16 @@ def _generate_sources(m, fp, use_reference):
     for c in range(N):
         lines.append(f"    {names[c]} = y[{c}]")
     out = [f"f_{c}" for c in range(N)]
-    _emit_accel(m, fp, lines, names, "t", out, "r")
+    template = _accel_template(m, fp)
+
+    def stage(state, out, t_name):  # the template at one stage point
+        return [f"    {line.format(*state, *out, t=t_name)}" for line in template]
+
+    lines += stage(names, out, "t")
     lines.append("    return (" + ", ".join(out) + ")")
     rhs_source = "\n".join(lines) + "\n"
 
-    # fused step kernel, where the Christoffel symbols are symbolic
-    if m._sys.gamma is None:
-        return rhs_source, None, _speed_source(m, fp, use_reference)
+    # fused Dormand-Prince step
     lines = ["def _kernel(t, h, y, k1, atol, rtol):"]
     for c in range(N):
         lines.append(f"    y_{c} = y[{c}]")
@@ -332,15 +323,14 @@ def _generate_sources(m, fp, use_reference):
             lines.append(f"    s{s}_{c} = y_{c} + h*({combo})")
         lines.append(f"    t{s} = t + {cs!r}*h")
         kn = f"k{s}"
-        _emit_accel(m, fp, lines, [f"s{s}_{c}" for c in range(N)], f"t{s}",
-                    [f"{kn}_{c}" for c in range(N)], f"a{s}")
+        lines += stage([f"s{s}_{c}" for c in range(N)], [f"{kn}_{c}" for c in range(N)],
+                       f"t{s}")
         ks.append(kn)
     for c in range(N):
         combo = " + ".join(f"{b!r}*{kn}_{c}" for b, kn in zip(_B, ks) if b != 0.0)
         lines.append(f"    y5_{c} = y_{c} + h*({combo})")
     lines.append("    t7 = t + h")
-    _emit_accel(m, fp, lines, [f"y5_{c}" for c in range(N)], "t7",
-                [f"k7_{c}" for c in range(N)], "a7")
+    lines += stage([f"y5_{c}" for c in range(N)], [f"k7_{c}" for c in range(N)], "t7")
     ks.append("k7")
     for c in range(N):
         combo = " + ".join(f"{e!r}*{kn}_{c}" for e, kn in zip(_E, ks) if e != 0.0)
@@ -357,73 +347,31 @@ def _generate_sources(m, fp, use_reference):
 def _speed_source(m, fp, use_reference):
     """The classification speed squared as a function of the state."""
     n = m.dim
-    lines = ["def _speed_sq(y):"]
-    qn = [f"y[{c}]" for c in range(n)]
-
-    def rename_q(v: ex.Var) -> str:
-        if v.index == ex.TIME_INDEX:
-            raise geo.ValidationError("speed normalization cannot depend on t")
-        return qn[v.index]
-
     if not use_reference:
         total = " + ".join(f"y[{n + c}]*y[{n + c}]" for c in range(n))
-        lines.append(f"    return {total}")
-    else:
-        g = m.metric
-        K = fp.reference_field
-        for i in range(n):
-            for j in range(i, n):
-                if g[i][j] != ex.ZERO:
-                    lines.append(f"    g_{i}_{j} = {ex.emit(g[i][j], rename_q)}")
-        for i in range(n):
-            lines.append(f"    K_{i} = {ex.emit(K[i], rename_q)}")
+        return f"def _speed_sq(y):\n    return {total}\n"
+    g = m.metric
+    K = fp.reference_field
+    v = _velocities(n)
 
-        def form(left):  # contraction of g with `left` components and v
-            terms = []
-            for i in range(n):
-                for j in range(n):
-                    if g[min(i, j)][max(i, j)] == ex.ZERO:
-                        continue
-                    terms.append(f"g_{min(i, j)}_{max(i, j)}*{left[i]}*y[{n + j}]")
-            return " + ".join(terms) if terms else "0.0"
+    def form(left, right):  # sum of g_ij left_i right_j over the nonzero g_ij
+        terms = [ex.Mul(ex.Mul(g[min(i, j)][max(i, j)], left[i]), right[j])
+                 for i in range(n) for j in range(n) if g[min(i, j)][max(i, j)] != ex.ZERO]
+        return _chain(terms) if terms else ex.ZERO
 
-        v_names = [f"y[{n + i}]" for i in range(n)]
-        k_names = [f"K_{i}" for i in range(n)]
-        lines.append(f"    gvv = {form(v_names)}")
-        lines.append(f"    gkv = {form(k_names)}")
-        kk = []
-        for i in range(n):
-            for j in range(n):
-                if g[min(i, j)][max(i, j)] != ex.ZERO:
-                    kk.append(f"g_{min(i, j)}_{max(i, j)}*K_{i}*K_{j}")
-        lines.append("    gkk = " + (" + ".join(kk) if kk else "0.0"))
-        lines.append("    return gvv + 2.0*gkv*gkv/(-gkk)")
-    return "\n".join(lines) + "\n"
+    gkv = form(K, v)
+    # g(v,v) + 2 g(K,v)^2 / -g(K,K)
+    speed = ex.Add(form(v, v), ex.Div(ex.Mul(ex.Mul(ex.Const(2.0), gkv), gkv),
+                                      ex.Neg(form(K, K))))
 
+    def rename(var: ex.Var) -> str:
+        if var.index == ex.TIME_INDEX:
+            raise geo.ValidationError("speed normalization cannot depend on t")
+        return f"y[{var.index}]"
 
-def _generic_kernel(rhs_flat):
-    """Reference Dormand-Prince step over tuples; works in any dimension."""
-
-    def kernel(t, h, y, k1, atol, rtol):
-        ks = [k1]
-        for cs, row in zip(_C, _A):
-            stage = tuple(
-                yc + h * sum(a * k[c] for a, k in zip(row, ks))
-                for c, yc in enumerate(y))
-            ks.append(rhs_flat(t + cs * h, stage))
-        y5 = tuple(
-            yc + h * sum(b * k[c] for b, k in zip(_B, ks))
-            for c, yc in enumerate(y))
-        k7 = rhs_flat(t + h, y5)
-        ks.append(k7)
-        acc = 0.0
-        for c, yc in enumerate(y):
-            e = h * sum(w * k[c] for w, k in zip(_E, ks))
-            sc = atol + rtol * max(abs(yc), abs(y5[c]))
-            acc += (e / sc) ** 2
-        return math.sqrt(acc / len(y)), y5, k7
-
-    return kernel
+    block, (result,) = ex.emit_block([speed], rename, "_s")
+    return "".join(["def _speed_sq(y):\n", *(f"    {line}\n" for line in block),
+                    f"    return {result}\n"])
 
 
 # --- the integrator --------------------------------------------------------

@@ -3,9 +3,10 @@
 Expressions are small immutable ASTs built from constants, coordinate
 variables, the four arithmetic operations, integer powers, unary negation
 and the functions of ``FUNCTIONS`` (sin, cos, exp, log).  They support exact
-symbolic partial derivatives, and ``emit`` prints them as Python source for
-generated code: scalar code over math functions (``_SCALAR_NS``) or numpy code
-over arrays of points (``compile_batch``).
+symbolic partial derivatives.  ``emit_block``, the one printer of generated
+code, turns a list of them into straight-line Python with one local per
+shared subexpression: scalar code over math functions (``_SCALAR_NS``) for the
+stepper, or numpy code over arrays of points (``compile_batch``).
 
 Grammar (whitespace insignificant)::
 
@@ -23,6 +24,8 @@ reads as ``-(x^2)``.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,52 +88,84 @@ class CoordinateFrame:
 
 # --- AST nodes -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
-    pass
+    """A node.  Equality is structural (Const(0.0) == Const(-0.0), as for
+    floats); neither it nor the hash, cached from the children's at
+    construction, recurses, so any tree deeper than the recursion limit
+    compares and hashes."""
+
+    def __post_init__(self):
+        # the fields, before _hash joins them
+        object.__setattr__(self, "_hash", hash((type(self), *self.__dict__.values())))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(_parts(a), _parts(b)):
+                if isinstance(x, Expr):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
 
-@dataclass(frozen=True)
+def _parts(e: Expr) -> list:
+    """The fields of a node in declaration order."""
+    return [getattr(e, name) for name in e.__match_args__]
+
+
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
     index: int  # position in the frame, or TIME_INDEX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fun(Expr):
     name: str
     arg: Expr
@@ -234,7 +269,25 @@ FUNCTIONS = {
 
 # --- parsing ---------------------------------------------------------------
 
+# Deepest expression the parser accepts; each operator, function call and
+# pair of parentheses adds a level.  It keeps the parser (two frames per
+# parenthesised level), derive and to_text inside the recursion limit with
+# room for the caller.  Derivatives are deeper, but only code that does not
+# recurse walks them: the emitter, equality, hashing and references_time.
+MAX_DEPTH = 350
+
+
+_SPACE = re.compile(r"\s*")
+_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
+_INTEGER = re.compile(r"-?\d+")
+_NAME = re.compile(r"[^\W\d]\w*")
+
+
 class _Parser:
+    """Recursive descent that recurses only into parenthesised groups and
+    function arguments, two frames per level.  Every parsed node carries its
+    depth, and one deeper than MAX_DEPTH is a ParseError."""
+
     def __init__(self, text: str, frame: CoordinateFrame):
         self.text = text
         self.frame = frame
@@ -243,134 +296,110 @@ class _Parser:
     def error(self, message):
         raise ParseError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
+    def take(self, chars: str) -> str:
+        """Consume and return the next character if it is one of ``chars``."""
+        ch = self.peek()
+        if ch and ch in chars:
             self.pos += 1
-            return True
-        return False
+            return ch
+        return ""
+
+    def match(self, pattern) -> str:
+        """Consume and return the text ``pattern`` matches next, or ''."""
+        self.peek()
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            return ""
+        self.pos = m.end()
+        return m.group()
 
     def parse(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.text):
+        if not self.peek():
             self.error("empty expression")
-        e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
+        e, _ = self.expr(0)
+        if self.peek():
+            self.error(f"unexpected character {self.peek()!r}")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            if self.take("+"):
-                e = Add(e, self.term())
-            elif self.take("-"):
-                e = Add(e, _negate(self.term()))
-            else:
-                return e
+    def node(self, cls, *parts):
+        """``cls`` of the given parts; each (node, depth) part is a child."""
+        depth = 1 + max(p[1] for p in parts if isinstance(p, tuple))
+        if depth > MAX_DEPTH:
+            self.error(f"expression is nested more than {MAX_DEPTH} levels deep")
+        return cls(*(p[0] if isinstance(p, tuple) else p for p in parts)), depth
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            if self.take("*"):
-                e = Mul(e, self.factor())
-            elif self.take("/"):
-                e = Div(e, self.factor())
-            else:
-                return e
+    def negate(self, part):
+        # Fold negation of literals so "-2" and Const(-2) round-trip identically.
+        if isinstance(part[0], Const):
+            return Const(-part[0].value), part[1]
+        return self.node(Neg, part)
 
-    def factor(self) -> Expr:
-        if self.take("-"):
-            return _negate(self.factor())
-        e = self.base()
-        if self.take("^"):
-            return Pow(e, self.integer())
-        return e
+    def expr(self, nesting: int):
+        """expr := term (('+'|'-') term)*;  term := factor (('*'|'/') factor)*.
 
-    def integer(self) -> int:
-        self.skip_ws()
+        ``nesting`` counts the enclosing groups.  Returns (node, depth).
+        """
+        total = None
+        sign = "+"
+        while sign:
+            term = self.factor(nesting)
+            while op := self.take("*/"):
+                term = self.node(Mul if op == "*" else Div, term, self.factor(nesting))
+            if sign == "-":
+                term = self.negate(term)
+            total = term if total is None else self.node(Add, total, term)
+            sign = self.take("+-")
+        return total
+
+    def factor(self, nesting: int):
+        """factor := '-' factor | base ('^' integer)?
+        base   := number | name | name '(' expr ')' | '(' expr ')'"""
+        negations = 0
+        while self.take("-"):
+            negations += 1
+        ch = self.peek()
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("expected an integer exponent")
-        return int(self.text[start:self.pos])
-
-    def base(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of expression")
-        ch = self.text[self.pos]
-        if ch == "(":
-            self.pos += 1
-            e = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return e
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch.isalpha() or ch == "_":
-            return self.identifier()
-        self.error(f"unexpected character {ch!r}")
-
-    def number(self) -> Expr:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # 'e' belongs to a following identifier, not an exponent
-        try:
-            return Const(float(self.text[start:self.pos]))
-        except ValueError:
-            self.pos = start
-            self.error(f"bad number literal {self.text[start:self.pos + 1]!r}")
-
-    def identifier(self) -> Expr:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        name = self.text[start:self.pos]
-        if name in FUNCTIONS:
+        name = self.match(_NAME)
+        if name in FUNCTIONS or ch == "(":
             if not self.take("("):
                 self.pos = start
                 self.error(f"function {name!r} needs an argument in parentheses")
-            arg = self.expr()
+            if nesting >= MAX_DEPTH:
+                self.error(f"expression is nested more than {MAX_DEPTH} levels deep")
+            inner = self.expr(nesting + 1)
             if not self.take(")"):
                 self.error("expected ')'")
-            return Fun(name, arg)
-        if name == "pi":
-            return Const(math.pi)
-        try:
-            index = self.frame.index_of(name)
-        except KeyError:
-            self.pos = start
-            raise UnknownIdentifierError(f"unknown identifier {name!r}", start) from None
-        return Var(name, index)
-
-
-def _negate(e: Expr) -> Expr:
-    # Fold negation of literals so "-2" and Const(-2) round-trip identically.
-    if isinstance(e, Const):
-        return Const(-e.value)
-    return Neg(e)
+            if name:
+                e = self.node(Fun, name, inner)
+            else:  # the parentheses add a level but no node
+                e = self.node(lambda a: a, inner)
+        elif name == "pi":
+            e = Const(math.pi), 1
+        elif name:
+            try:
+                e = Var(name, self.frame.index_of(name)), 1
+            except KeyError:
+                raise UnknownIdentifierError(f"unknown identifier {name!r}", start) from None
+        elif number := self.match(_NUMBER):
+            try:
+                e = Const(float(number)), 1
+            except ValueError:
+                self.pos = start
+                self.error(f"bad number literal {number!r}")
+        else:
+            self.error(f"unexpected character {ch!r}" if ch else "unexpected end of expression")
+        if self.take("^"):
+            exponent = self.match(_INTEGER)
+            if not exponent:
+                self.error("expected an integer exponent")
+            e = self.node(Pow, e, int(exponent))
+        for _ in range(negations):
+            e = self.negate(e)
+        return e
 
 
 def parse(text: str, frame: CoordinateFrame) -> Expr:
@@ -446,19 +475,13 @@ def derive(e: Expr, var: str) -> Expr:
 
 def references_time(e: Expr) -> bool:
     """True if the expression mentions the parameter variable ``t``."""
-    if isinstance(e, Var):
-        return e.index == TIME_INDEX
-    if isinstance(e, (Const,)):
-        return False
-    if isinstance(e, (Add, Mul, Div)):
-        return references_time(e.a) or references_time(e.b)
-    if isinstance(e, Neg):
-        return references_time(e.a)
-    if isinstance(e, Pow):
-        return references_time(e.base)
-    if isinstance(e, Fun):
-        return references_time(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var) and node.index == TIME_INDEX:
+            return True
+        stack.extend(x for x in _parts(node) if isinstance(x, Expr))
+    return False
 
 
 # --- printing --------------------------------------------------------------
@@ -490,62 +513,107 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
-        left = _wrap(e.a, _PREC_ADD)
+        left = _wrap(to_text(e.a), e.a, _PREC_ADD)
         if isinstance(e.b, Neg):
-            return f"{left} - {_wrap(e.b.a, _PREC_MUL)}"
+            return f"{left} - {_wrap(to_text(e.b.a), e.b.a, _PREC_MUL)}"
         if isinstance(e.b, Const) and e.b.value < 0:
             return f"{left} - {to_text(Const(-e.b.value))}"
-        return f"{left} + {_wrap(e.b, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL)}*{_wrap(e.b, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL)}/{_wrap(e.b, _PREC_MUL + 1)}"
+        return f"{left} + {_wrap(to_text(e.b), e.b, _PREC_ADD + 1)}"
+    if isinstance(e, (Mul, Div)):
+        op = "*" if isinstance(e, Mul) else "/"
+        return (f"{_wrap(to_text(e.a), e.a, _PREC_MUL)}{op}"
+                f"{_wrap(to_text(e.b), e.b, _PREC_MUL + 1)}")
     if isinstance(e, Neg):
-        return f"-{_wrap(e.a, _PREC_UNARY)}"
+        return f"-{_wrap(to_text(e.a), e.a, _PREC_UNARY)}"
     if isinstance(e, Pow):
-        base = to_text(e.base)
-        if _prec(e.base) < 5:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
+        return f"{_wrap(to_text(e.base), e.base, 5)}^{e.exponent}"
     if isinstance(e, Fun):
         return f"{e.name}({to_text(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _wrap(e: Expr, minimum: int) -> str:
-    text = to_text(e)
+def _wrap(text: str, e: Expr, minimum: int) -> str:
+    # takes the text of ``e`` so that to_text recurses one frame per level
     return f"({text})" if _prec(e) < minimum else text
 
 
-# --- compilation -----------------------------------------------------------
+# --- code generation -------------------------------------------------------
 
-def emit(e: Expr, rename=None) -> str:
-    """Emit fully parenthesised Python source for an expression.
+# Parentheses in one printed expression before a node gets its own local;
+# CPython refuses source nested 200 deep.
+_INLINE_DEPTH = 50
 
-    ``rename`` maps a Var node to the local name used in generated code;
-    the default uses the variable's own name.
+_FORMATS = {Add: "({} + {})", Mul: "({} * {})", Div: "({} / {})", Neg: "(-{})"}
+
+
+def emit_block(exprs, rename, prefix: str = "_e"):
+    """Straight-line Python source for a list of expressions.
+
+    Returns ``(lines, results)``: assignment lines, and one Python expression
+    per input that reads its value after the lines.  ``rename`` maps a Var to
+    its text.  Each distinct operator node used more than once, and each node
+    printed ``_INLINE_DEPTH`` parentheses deep, gets one local
+    ``{prefix}{k}``; constants and variables stay inline.  Each node is
+    printed once, as its tree says, so the code computes the trees bit for
+    bit.  Nothing here recurses.
     """
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return rename(e) if rename is not None else e.name
-    if isinstance(e, Add):
-        return f"({emit(e.a, rename)} + {emit(e.b, rename)})"
-    if isinstance(e, Mul):
-        return f"({emit(e.a, rename)} * {emit(e.b, rename)})"
-    if isinstance(e, Div):
-        return f"({emit(e.a, rename)} / {emit(e.b, rename)})"
-    if isinstance(e, Neg):
-        return f"(-{emit(e.a, rename)})"
-    if isinstance(e, Pow):
-        return f"({emit(e.base, rename)} ** {e.exponent})"
-    if isinstance(e, Fun):
-        return f"{e.name}({emit(e.arg, rename)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    slot_of = {}  # id(node) -> slot; nodes stay alive in ``exprs``
+    slots = {}    # structural key -> slot, numbered children first
+    nodes, kids = [], []
+    for root in exprs:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in slot_of:
+                stack.pop()
+                continue
+            parts = _parts(e)
+            pending = [x for x in parts if isinstance(x, Expr) and id(x) not in slot_of]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            # the key keeps the sign of a zero constant apart: x + 0.0 and
+            # x + -0.0 differ at x = -0.0, although Const(0.0) == Const(-0.0)
+            key = (type(e), *(slot_of[id(x)] if isinstance(x, Expr) else
+                              (x, math.copysign(1.0, x)) if isinstance(x, float) else x
+                              for x in parts))
+            slot = slots.setdefault(key, len(nodes))
+            if slot == len(nodes):
+                nodes.append(e)
+                kids.append([slot_of[id(x)] for x in parts if isinstance(x, Expr)])
+            slot_of[id(e)] = slot
+    roots = [slot_of[id(e)] for e in exprs]
+    uses = Counter([*roots, *(k for ks in kids for k in ks)])
+
+    lines, text, depth = [], [], []
+    for slot, (e, ks) in enumerate(zip(nodes, kids)):
+        if not ks:  # constants and variables stay inline
+            text.append(repr(e.value) if isinstance(e, Const) else rename(e))
+            depth.append(0)
+            continue
+        args = [text[k] for k in ks]
+        if isinstance(e, Pow):
+            base = args[0]
+            # a negative literal base needs parentheses: -2.0 ** 2 is -(2.0 ** 2)
+            src = f"({f'({base})' if base.startswith('-') else base} ** {e.exponent})"
+        elif isinstance(e, Fun):
+            src = f"{e.name}({args[0]})"
+        else:
+            src = _FORMATS[type(e)].format(*args)
+        d = 1 + max(depth[k] for k in ks)
+        if uses[slot] > 1 or d >= _INLINE_DEPTH:
+            name = f"{prefix}{len(lines)}"
+            lines.append(f"{name} = {src}")
+            src, d = name, 0
+        text.append(src)
+        depth.append(d)
+    return lines, [text[r] for r in roots]
 
 
-# Namespace of generated scalar code; log raises a ValueError at x <= 0.
-_SCALAR_NS = {name: f.scalar for name, f in FUNCTIONS.items()}
+# Namespace of generated scalar code; log raises a ValueError at x <= 0, and a
+# non-finite constant (a literal such as 1e999) prints as inf or nan.
+_SCALAR_NS = dict({name: f.scalar for name, f in FUNCTIONS.items()}, inf=math.inf, nan=math.nan)
 
 
 def compile_source(source: str, name: str, namespace: dict):
@@ -556,24 +624,22 @@ def compile_source(source: str, name: str, namespace: dict):
     return ns[name]
 
 
-_BATCH_NS = dict(
-    {name: f.array for name, f in FUNCTIONS.items()}, asarray=np.asarray,
-    broadcast=lambda a, m: a if a.shape == (m,) else np.broadcast_to(a, (m,)))
+_BATCH_NS = dict(_SCALAR_NS, **{name: f.array for name, f in FUNCTIONS.items()}, empty=np.empty)
 
 
-def compile_batch(e: Expr, frame: CoordinateFrame):
-    """Compile to ``f(qs, ts) -> array`` over numpy arrays of points.
+def compile_batch(exprs, frame: CoordinateFrame):
+    """Compile to ``f(qs, ts) -> (m, k)`` over numpy arrays of points.
 
-    ``qs`` has shape (m, n); ``ts`` shape (m,).  Constant expressions are
-    broadcast to shape (m,).
+    ``qs`` has shape (m, n) and ``ts`` shape (m,); column j holds
+    ``exprs[j]``, so constant expressions are broadcast to every point.
     """
     def rename(v: Var) -> str:
         return "ts" if v.index == TIME_INDEX else f"qs[:, {v.index}]"
 
-    body = emit(e, rename)
-    source = (
-        "def _f(qs, ts):\n"
-        f"    res = {body}\n"
-        "    return broadcast(asarray(res, dtype=float), qs.shape[0])\n"
-    )
+    lines, results = emit_block(exprs, rename)
+    source = "".join(
+        ["def _f(qs, ts):\n", *(f"    {line}\n" for line in lines),
+         f"    out = empty((len(qs), {len(results)}))\n",
+         *(f"    out[:, {j}] = {r}\n" for j, r in enumerate(results)),
+         "    return out\n"])
     return compile_source(source, "_f", _BATCH_NS)

@@ -73,25 +73,25 @@ class FieldPack:
         c = self._compiled
         if c.F is None:
             return np.zeros((len(qs), c.n, c.n))
-        return np.stack([_columns(row, qs, ts) for row in c.F], axis=1)
+        return c.F(qs, _times(qs, ts)).reshape(len(qs), c.n, c.n)
 
     def vector_batch(self, qs, ts=None) -> np.ndarray:
         """The explicit force vector X at each point."""
-        return _columns(self._compiled.X, qs, ts)
+        return self._compiled.X(qs, _times(qs, ts))
 
     def reference_batch(self, qs, ts=None) -> np.ndarray:
         if self._compiled.K is None:
             raise geo.ValidationError("no reference field K in this pack")
-        return _columns(self._compiled.K, qs, ts)
+        return self._compiled.K(qs, _times(qs, ts))
 
     def potential_batch(self, qs, ts=None) -> np.ndarray:
         if self.potential is None:
             return np.zeros(len(qs))
-        return self._compiled.V(qs, np.zeros(len(qs)) if ts is None else ts)
+        return self._compiled.V(qs, _times(qs, ts))[:, 0]
 
     def potential_derivative_batch(self, qs, ts=None) -> np.ndarray:
         """Partial derivatives dV/dx_i at each point."""
-        return _columns(self._compiled.dV, qs, ts)
+        return self._compiled.dV(qs, _times(qs, ts))
 
     def force_matrix(self, q, t: float = 0.0) -> np.ndarray:
         """F as an n x n matrix at a point (zero matrix when F is absent)."""
@@ -106,26 +106,27 @@ def _one(q, t):
     return np.asarray(q, dtype=float)[None], np.array([float(t)])
 
 
-def _columns(fns, qs, ts) -> np.ndarray:
-    ts = np.zeros(len(qs)) if ts is None else ts
-    return np.column_stack([f(qs, ts) for f in fns])
+def _times(qs, ts):
+    return np.zeros(len(qs)) if ts is None else ts
 
 
 class _CompiledFields:
+    """One batch function per field over all its components, or None."""
+
     def __init__(self, fp: FieldPack):
         frame = fp.frame
         self.n = frame.dim
 
         def batch(exprs):
-            return None if exprs is None else [ex.compile_batch(e, frame) for e in exprs]
+            return None if exprs is None else ex.compile_batch(list(exprs), frame)
 
         F = fp.force_operator
-        self.F = None if F is None else [batch(row) for row in F]
+        self.F = None if F is None else batch(e for row in F for e in row)
         self.X = batch(fp.force_vector)
         self.K = batch(fp.reference_field)
         V = fp.potential
-        self.V = None if V is None else ex.compile_batch(V, frame)
-        self.dV = None if V is None else batch([ex.derive(V, name) for name in frame.names])
+        self.V = None if V is None else batch([V])
+        self.dV = None if V is None else batch(ex.derive(V, name) for name in frame.names)
 
 
 @dataclass(frozen=True)
@@ -225,14 +226,14 @@ def drive_vector(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> np.nd
 
 @lru_cache(maxsize=32)
 def _lie_system(m: geo.ManifoldSpec, K: tuple):
-    """Compiled upper-triangle entries of the Lie derivative of g along K."""
+    """Compiled Lie derivative of g along K, its n x n entries row-major."""
     frame = m.frame
     n = m.dim
     g = m.metric
     if len(K) != n:
         raise geo.ValidationError(f"vector field K must have {n} components")
     dK = [[ex.derive(K[l], frame.names[i]) for l in range(n)] for i in range(n)]
-    lie = {}  # upper triangle (i, j) -> compiled entry
+    lie = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = ex.ZERO
@@ -240,8 +241,8 @@ def _lie_system(m: geo.ManifoldSpec, K: tuple):
                 acc = ex.add(acc, ex.mul(K[l], ex.derive(g[i][j], frame.names[l])))
                 acc = ex.add(acc, ex.mul(g[l][j], dK[i][l]))
                 acc = ex.add(acc, ex.mul(g[i][l], dK[j][l]))
-            lie[i, j] = ex.compile_batch(acc, frame)
-    return lie
+            lie[i][j] = acc
+    return ex.compile_batch(geo.mirrored(lie, n), frame)
 
 
 def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
@@ -254,7 +255,7 @@ def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
     qs = np.asarray(qs, dtype=float)
     n = m.dim
     g = geo.metrics_at(m, qs)
-    L = geo.symmetric_batch(_lie_system(m, K), qs, (n, n))
+    L = _lie_system(m, K)(qs, np.zeros(len(qs))).reshape(len(qs), n, n)
     sigma = np.trace(np.linalg.solve(g, L), axis1=-2, axis2=-1) / (2 * n)
     residual = np.max(np.abs(L - 2.0 * sigma[:, None, None] * g), axis=(-2, -1))
     return sigma, residual

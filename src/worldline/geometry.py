@@ -2,8 +2,8 @@
 
 A manifold is a single coordinate chart with a symbolic metric matrix, an
 optional quotient (lattice translations or a scaling map) that encodes
-compactness structurally, and a chart domain predicate.  Metric entries and
-their derivatives are compiled once into numpy functions over arrays of
+compactness structurally, and a chart domain predicate.  The metric and its
+derivatives are each compiled once into one numpy function over arrays of
 points; the pointwise operations apply them to one point.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -78,8 +78,8 @@ class LatticeQuotient:
         if not any(p is not None for p in self.periods):
             raise ValidationError("lattice quotient needs at least one period")
         for p in self.periods:
-            if p is not None and not (p > 0):
-                raise ValidationError(f"lattice period must be positive, got {p}")
+            if p is not None and not (0 < p < math.inf):
+                raise ValidationError(f"lattice period must be positive and finite, got {p}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class ScalingQuotient:
     factor: float
 
     def __post_init__(self):
-        if not (self.factor > 1):
-            raise ValidationError(f"scaling factor must exceed 1, got {self.factor}")
+        if not (1 < self.factor < math.inf):
+            raise ValidationError(f"scaling factor must exceed 1 and be finite, got {self.factor}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,14 @@ def manifold_from_components(frame, components: dict, domain=None,
                         signature, quotient, declared_complete)
 
 
+def mirrored(rows, n):
+    """Row-major entries of a symmetric n x n array of expressions, the upper
+    triangle standing for both positions."""
+    return [rows[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
+
+
 class _CompiledMetric:
-    """Compiled metric entries and derivatives; symbolic Christoffels for the stepper."""
+    """Compiled metric and derivatives; symbolic Christoffels for the stepper."""
 
     def __init__(self, m: ManifoldSpec):
         frame = m.frame
@@ -176,11 +182,12 @@ class _CompiledMetric:
         self.n = n
         self.frame = frame
         g = m.metric
-        self.entries = {(i, j): ex.compile_batch(g[i][j], frame)
-                        for i in range(n) for j in range(i, n)}
-        # dg[k][i][j] = d g_ij / d x_k
-        self.dg = [[[ex.derive(g[i][j], frame.names[k]) for j in range(n)]
-                    for i in range(n)] for k in range(n)]
+        self.metric_fn = ex.compile_batch(mirrored(g, n), frame)
+        # dg[k][i][j] = d g_ij / d x_k; (i, j) and (j, i) share one expression
+        d = {(i, j): [ex.derive(g[i][j], name) for name in frame.names]
+             for i in range(n) for j in range(i, n)}
+        self.dg = [[[d[min(i, j), max(i, j)][k] for j in range(n)] for i in range(n)]
+                   for k in range(n)]
         if n <= _MAX_SYMBOLIC_DIM:
             self.ginv = _symbolic_inverse(g, _det(g, n), n)
             self.gamma = self._christoffel_exprs()
@@ -205,28 +212,16 @@ class _CompiledMetric:
         return gamma
 
     def batch(self, qs: np.ndarray) -> np.ndarray:
-        return symmetric_batch(self.entries, qs, (self.n, self.n))
+        return self.metric_fn(qs, np.zeros(len(qs))).reshape(len(qs), self.n, self.n)
 
     @cached_property
-    def _dg_entries(self):
-        n = self.n
-        return {(k, i, j): ex.compile_batch(self.dg[k][i][j], self.frame)
-                for k in range(n) for i in range(n) for j in range(i, n)}
+    def _dg_fn(self):
+        return ex.compile_batch([e for plane in self.dg for row in plane for e in row],
+                                self.frame)
 
     def dg_batch(self, qs: np.ndarray) -> np.ndarray:
         """Metric derivatives at an (m, n) array of points, indexed [m, k, i, j]."""
-        return symmetric_batch(self._dg_entries, qs, (self.n,) * 3)
-
-
-def symmetric_batch(entries: dict, qs: np.ndarray, shape: tuple) -> np.ndarray:
-    """Array of shape (m, *shape) from {index: compiled entry} at t = 0; the
-    last two positions of each index (i <= j) are mirrored to (j, i)."""
-    ts = np.zeros(len(qs))
-    out = np.empty((len(qs),) + shape)
-    for index, f in entries.items():
-        mirror = index[:-2] + index[:-3:-1]
-        out[(slice(None),) + index] = out[(slice(None),) + mirror] = f(qs, ts)
-    return out
+        return self._dg_fn(qs, np.zeros(len(qs))).reshape((len(qs),) + (self.n,) * 3)
 
 
 Half = ex.Const(0.5)
@@ -422,19 +417,24 @@ def sampling_box(m: ManifoldSpec, fallback_halfwidth: float = 10.0):
     return tuple(lo), tuple(hi)
 
 
-def sample_points(m: ManifoldSpec, count: int,
-                  fallback_halfwidth: float = 10.0) -> np.ndarray:
-    """Low-discrepancy points in the fundamental domain (chart domain respected)."""
-    lo, hi = sampling_box(m, fallback_halfwidth)
+def in_fundamental_domain(m: ManifoldSpec, q) -> bool:
+    """Is q in the chart domain and, for a scaling quotient, in the annulus
+    1 <= |q| < factor?"""
+    if isinstance(m.quotient, ScalingQuotient):
+        r = math.sqrt(sum(x * x for x in q))
+        if not (1.0 <= r < m.quotient.factor):
+            return False
+    return m.domain.contains(q)
 
-    def keep(q):
-        if isinstance(m.quotient, ScalingQuotient):
-            r = math.sqrt(sum(x * x for x in q))
-            if not (1.0 <= r < m.quotient.factor):
-                return False
-        return m.domain.contains(q)
 
-    return sampling.sample_predicate(count, lo, hi, keep)
+@lru_cache(maxsize=64)
+def sample_points(m: ManifoldSpec, count: int) -> np.ndarray:
+    """Low-discrepancy points in the fundamental domain, as a read-only array
+    shared by every caller asking for the same manifold and count."""
+    lo, hi = sampling_box(m)
+    pts = sampling.sample_predicate(count, lo, hi, partial(in_fundamental_domain, m))
+    pts.setflags(write=False)
+    return pts
 
 
 # --- validation ------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import worldline.catalog as cat
+import worldline.expr as ex
 from worldline import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -70,8 +71,10 @@ def _field_file(tmp_path, fields, metric=None):
 
 def test_non_finite_field_samples_are_refused(tmp_path, capsys):
     # log(x) is undefined on half of the unbounded chart; 1/(x-x) nowhere
+    # a literal beyond the float range is inf
     for fields, what in (({"V": "log(x)"}, "potential V"),
-                         ({"X": ["1/(x-x)", "0"]}, "force vector X")):
+                         ({"X": ["1/(x-x)", "0"]}, "force vector X"),
+                         ({"V": "1e999 * cos(x)"}, "potential V")):
         path = _field_file(tmp_path, fields)
         for command in ("check", "run"):
             code = cli.main([command, "--scenario", path])
@@ -231,3 +234,56 @@ def test_scenario_file_round_trip_through_cli(tmp_path, capsys):
     code, out = invoke(["run", "--scenario", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["classification"] == "BlowupAt"
+
+
+def _builtin_file(tmp_path, name, edit):
+    """A built-in scenario written to a file after ``edit(doc)``."""
+    doc = cat.scenario_to_dict(cat.builtin(name))
+    edit(doc)
+    path = tmp_path / f"{name}-edited.json"
+    path.write_text(json.dumps(doc))  # non-finite floats become Infinity
+    return str(path)
+
+
+def test_non_finite_quotients_are_refused(tmp_path, capsys):
+    for name, quotient in (("flat-lorentz-torus", {"lattice": [float("inf"), 1.0]}),
+                           ("clifton-pohl", {"scaling": float("inf")})):
+        path = _builtin_file(tmp_path, name, lambda doc: doc.update(quotient=quotient))
+        for command in ("check", "run"):
+            code = cli.main([command, "--scenario", path])
+            captured = capsys.readouterr()
+            assert code == 2, (name, command)
+            assert captured.out == ""
+            assert "finite" in captured.err
+
+
+def _division_chain(k):
+    """3 + sin(2 pi x)/(2 + cos(2 pi y))/... with k divisions, 7 + k levels
+    deep: sin(2*pi*x) is 4 deep, the first division 1 + 6 (its parenthesised
+    denominator), each further division 1 and the sum 1.  The derivative of
+    each division holds the derivative of the one before it three levels
+    down, so its derivatives and Christoffel symbols are about three times
+    as deep."""
+    return "3 + sin(2*pi*x)" + "/(2 + cos(2*pi*y))" * k
+
+
+def test_expression_depth_is_bounded_at_parse_time(tmp_path, capsys):
+    def metric(text):
+        return lambda doc: doc["metric"].update(g_1_1=text)
+
+    at_bound = _builtin_file(tmp_path, "riemann-flat-torus",
+                             metric(_division_chain(ex.MAX_DEPTH - 7)))
+    code, out = invoke(["check", "--scenario", at_bound], capsys)
+    assert code == 0 and json.loads(out)["prediction"] == "Complete"
+    code, out = invoke(["run", "--scenario", at_bound, "--t-max", "0.5"], capsys)
+    assert code == 0 and json.loads(out)["classification"] == "CompleteToHorizon"
+
+    too_deep = [metric(_division_chain(ex.MAX_DEPTH - 6)),
+                metric(" + ".join(["1"] + ["0.0001*x"] * 1499)),
+                lambda doc: doc["fields"].update(V="cos(" + "(" * 2000 + "x" + ")" * 2000 + ")")]
+    for edit in too_deep:
+        path = _builtin_file(tmp_path, "riemann-flat-torus", edit)
+        for command in ("check", "run"):
+            code = cli.main([command, "--scenario", path])
+            assert code == 2, command
+            assert f"more than {ex.MAX_DEPTH} levels" in capsys.readouterr().err

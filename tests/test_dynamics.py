@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -209,18 +210,46 @@ def test_config_validation():
                 dy.IntegrationConfig(**{field: value})
 
 
+CURVED_5D = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "curved-5d.json")
+
+
+def _reference_step(m, fp, t, h, y, k1, atol, rtol):
+    """One Dormand-Prince 5(4) step from the public tableau of scipy's RK45,
+    over the numeric right-hand side ``dy.rhs``: (err, y5, k7)."""
+    rk = pytest.importorskip("scipy.integrate").RK45
+    n = m.dim
+
+    def f(t, y):
+        return np.concatenate(dy.rhs(m, fp, geo.TrajectoryState(t, tuple(y[:n]), tuple(y[n:]))))
+
+    k = np.empty((7, 2 * n))
+    k[0] = k1
+    for s in range(1, 6):
+        k[s] = f(t + rk.C[s] * h, y + h * (rk.A[s, :s] @ k[:s]))
+    y5 = y + h * (rk.B @ k[:6])
+    k[6] = f(t + h, y5)
+    sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    return math.sqrt(np.mean((h * (rk.E @ k) / sc) ** 2)), y5, k[6]
+
+
 def test_generated_kernel_matches_generic():
-    s = cat.builtin("t3-magnetic")
-    sysd = dy.compiled_system(s.manifold, s.fields)
-    generic = dy._generic_kernel(sysd.rhs_flat)
-    y = np.array([0.0, 0.25, 0.0, 1.0, 0.4, -0.3])
-    k1 = np.asarray(sysd.rhs_flat(0.0, y))
-    for h in (1e-3, 1e-2, 0.1):
-        err_a, y5_a, k7_a = sysd.kernel(0.0, h, y, k1, 1e-12, 1e-10)
-        err_b, y5_b, k7_b = generic(0.0, h, y, k1, 1e-12, 1e-10)
-        assert np.allclose(y5_a, y5_b, rtol=1e-14, atol=1e-15)
-        assert np.allclose(k7_a, k7_b, rtol=1e-13, atol=1e-14)
-        assert err_a == pytest.approx(err_b, rel=1e-10, abs=1e-13)
+    # the generated fused kernel of every built-in and of a dimension-5 file
+    # against a Dormand-Prince step that shares no code with it
+    rng = np.random.default_rng(5)
+    scenarios = [cat.builtin(name) for name in cat.list_builtins()] + [cat.load(CURVED_5D)]
+    for s in scenarios:
+        m, fp = s.manifold, s.fields
+        sysd = dy.compiled_system(m, fp)
+        for q in geo.sample_points(m, 4):
+            y = np.concatenate([q, rng.uniform(-1, 1, m.dim)])
+            k1 = np.asarray(sysd.rhs_flat(0.3, tuple(y)))
+            for h in (1e-3, 1e-2):
+                err, y5, k7 = sysd.kernel(0.3, h, tuple(y), tuple(k1), 1e-6, 1e-6)
+                err_ref, y5_ref, k7_ref = _reference_step(m, fp, 0.3, h, y, k1, 1e-6, 1e-6)
+                assert np.allclose(y5, y5_ref, rtol=1e-13, atol=1e-15), s.name
+                assert np.allclose(k7, k7_ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(k7_ref))), s.name
+                assert err == pytest.approx(err_ref, rel=1e-6, abs=1e-8), s.name
 
 
 def test_marginal_flag_near_threshold():

@@ -108,32 +108,71 @@ def test_constant_folding_keeps_zero_detectable():
     assert ex.derive(ex.parse("y", XY), "x") == ex.ZERO
 
 
+def _scalar_function(exprs, args):
+    """emit_block + compile_source over _SCALAR_NS: the path of the stepper."""
+    lines, results = ex.emit_block(exprs, lambda v: v.name)
+    source = "".join([f"def _f({', '.join(args)}):\n",
+                      *(f"    {line}\n" for line in lines),
+                      f"    return ({''.join(r + ', ' for r in results)})\n"])
+    return ex.compile_source(source, "_f", ex._SCALAR_NS), lines
+
+
 def test_scalar_source_matches_evaluate():
-    # emit + compile_source over _SCALAR_NS is the path of the generated stepper
     rng = np.random.default_rng(11)
     e = ex.parse("exp(x / (1 + x^2)) * cos(y) - y^3 + log(1 + x^2)", XY)
-    source = f"def _f(x, y):\n    return {ex.emit(e)}\n"
-    f = ex.compile_source(source, "_f", ex._SCALAR_NS)
+    f, _ = _scalar_function([e], ("x", "y"))
     for _ in range(50):
         q = tuple(rng.uniform(-3, 3, size=2))
-        assert f(*q) == pytest.approx(ex.evaluate(e, q), rel=1e-15)
-    g = ex.compile_source("def _g(x):\n    return log(x)\n", "_g", ex._SCALAR_NS)
+        assert f(*q)[0] == pytest.approx(ex.evaluate(e, q), rel=1e-15)
+    g, _ = _scalar_function([ex.parse("log(x)", XY)], ("x",))
     with pytest.raises(ex.EvaluationDomainError):
         g(0.0)
+
+
+def test_emitter_shares_nodes_but_not_signed_zeros():
+    x = ex.Var("x", 0)
+    shared = ex.Fun("sin", ex.Mul(x, x))
+    plus, minus = ex.Add(x, ex.Const(0.0)), ex.Add(x, ex.Const(-0.0))
+    assert plus == minus  # dataclass equality cannot tell 0.0 from -0.0
+    f, lines = _scalar_function(
+        [ex.Add(shared, ex.Fun("sin", ex.Mul(x, x))), plus, minus], ("x",))
+    assert lines == ["_e0 = sin((x * x))"]  # one local, for the repeated node
+    total, p, m = f(-0.0)
+    assert total == 0.0
+    assert math.copysign(1.0, p) == 1.0 and math.copysign(1.0, m) == -1.0
+    # a negative literal raised to a power keeps its sign inside the power
+    f, _ = _scalar_function([ex.Pow(ex.Const(-2.0), 2)], ())
+    assert f() == (4.0,) == (ex.evaluate(ex.Pow(ex.Const(-2.0), 2), ()),)
+
+
+def test_emitter_splits_deep_trees():
+    # far deeper than Python's recursion limit and its 200 nested parentheses
+    x = ex.Var("x", 0)
+    e = x
+    for k in range(5000):
+        e = ex.Add(ex.Mul(e, ex.Const(0.5)), x) if k % 2 else ex.Fun("cos", e)
+    f, lines = _scalar_function([e], ("x",))
+    want = 0.3
+    for k in range(5000):
+        want = want * 0.5 + 0.3 if k % 2 else math.cos(want)
+    assert f(0.3) == (want,)
+    assert max(line.count("(") for line in lines) <= 2 * ex._INLINE_DEPTH
+    batch = ex.compile_batch([e], ex.CoordinateFrame(("x",)))
+    assert batch(np.array([[0.3]]), np.zeros(1))[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_compile_batch_matches_scalar():
     # the batch compiler against the scalar interpreter ``evaluate``
     e = ex.parse("x * t + sin(x) - exp(cos(x)) / log(2 + x^2)", XT)
-    batch = ex.compile_batch(e, XT)
     rng = np.random.default_rng(3)
     qs = rng.uniform(-2, 2, size=(40, 1))
     ts = rng.uniform(-2, 2, size=40)
-    got = batch(qs, ts)
+    got = ex.compile_batch([e, ex.parse("2", XT)], XT)(qs, ts)
     want = np.array([ex.evaluate(e, tuple(q), t) for q, t in zip(qs, ts)])
-    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    assert got.shape == (40, 2)
+    assert np.allclose(got[:, 0], want, rtol=1e-14, atol=0)
     # constants broadcast to one value per point
-    assert np.array_equal(ex.compile_batch(ex.parse("2", XT), XT)(qs, ts), np.full(40, 2.0))
+    assert np.array_equal(got[:, 1], np.full(40, 2.0))
 
 
 def test_function_table_drives_parser_and_derivatives():
@@ -211,3 +250,132 @@ def test_random_derivatives_match_finite_differences():
         scale = 1.0 + abs(sym)
         assert abs(sym - fd) <= 1e-5 * scale, ex.to_text(e)
         checked += 1
+
+
+# --- property tests of the emitter and the printer --------------------------
+
+hyp = pytest.importorskip("hypothesis")
+st = hyp.strategies
+
+XYT = ex.CoordinateFrame(("x", "y"), time_dependent=True)
+_VARS = (ex.Var("x", 0), ex.Var("y", 1), ex.Var("t", ex.TIME_INDEX))
+_BINARY = (ex.Add, ex.Mul, ex.Div)
+
+_consts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5]),
+                    st.floats(-4, 4).map(lambda v: round(v, 3))).map(ex.Const)
+_leaves = st.one_of(st.sampled_from(_VARS), _consts)
+
+
+def _binary(op, a, b):
+    # divide by 1 + b^2, so that most examples stay defined
+    return op(a, ex.Add(ex.ONE, ex.Pow(b, 2)) if op is ex.Div else b)
+
+
+def _power(a, k):
+    # negative powers of 1 + a^2 only
+    return ex.Pow(ex.Add(ex.ONE, ex.Pow(a, 2)) if k < 0 else a, k)
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(_binary, st.sampled_from(_BINARY), children, children),
+        # the same subtree twice: a node used more than once
+        st.builds(lambda op, a: _binary(op, a, a), st.sampled_from(_BINARY), children),
+        # negating a literal parses as a literal, so Neg never wraps a Const
+        children.map(lambda a: ex.Const(-a.value) if isinstance(a, ex.Const) else ex.Neg(a)),
+        st.builds(_power, children, st.integers(-2, 4)),
+        st.builds(_function, st.sampled_from(sorted(ex.FUNCTIONS)), children))
+
+
+def _function(name, a):
+    # log of 1 + a^2, so that most examples stay in its domain
+    return ex.Fun(name, ex.Add(ex.ONE, ex.Pow(a, 2)) if name == "log" else a)
+
+
+_trees = st.recursive(_leaves, _grow, max_leaves=24)
+_small = st.recursive(_leaves, _grow, max_leaves=3)
+
+
+def _chain(parts):
+    head, rest = parts
+    for op, term in rest:
+        head = _binary(op, head, term)
+    return head
+
+
+# left-deep chains nested past the emitter's inline depth
+_chains = st.tuples(_trees, st.lists(st.tuples(st.sampled_from(_BINARY[:2]), _small),
+                                     min_size=ex._INLINE_DEPTH, max_size=80)).map(_chain)
+_exprs = st.one_of(_trees, _chains)
+_coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
+_points = st.tuples(_coords, _coords, _coords)
+# generating the long chains is slow on a loaded machine
+_SETTINGS = hyp.settings(max_examples=60, deadline=None,
+                         suppress_health_check=[hyp.HealthCheck.too_slow])
+
+
+def _evaluate(e, point):
+    try:
+        return ex.evaluate(e, point[:2], point[2])
+    except ex.EvaluationDomainError:
+        return None
+
+
+@_SETTINGS
+@hyp.given(st.lists(_exprs, min_size=1, max_size=2), _points)
+def test_emitted_scalar_code_equals_evaluate(exprs, point):
+    wants = [_evaluate(e, point) for e in exprs]
+    hyp.assume(all(w is not None for w in wants))
+    f, _ = _scalar_function(exprs, ("x", "y", "t"))
+    for got, want in zip(f(*point), wants):
+        # the same operations in the same order: equal to the last bit and sign
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+
+def _error_scale(e, point):
+    """(value, scale) with |roundoff of any evaluation| <~ eps * scale: the
+    magnitude of each node weighted by how much the result amplifies an
+    error in it (first order), so a last-bit difference of numpy's elementary
+    functions from libm's moves the result by a few eps * scale."""
+    if isinstance(e, ex.Const):
+        return e.value, abs(e.value)
+    if isinstance(e, ex.Var):
+        v = point[2] if e.index == ex.TIME_INDEX else point[e.index]
+        return v, abs(v)
+    if isinstance(e, ex.Neg):
+        a, ea = _error_scale(e.a, point)
+        return -a, ea
+    if isinstance(e, ex.Pow):
+        a, ea = _error_scale(e.base, point)
+        v = a ** e.exponent
+        return v, (abs(e.exponent * v / a) * ea if a else ea) + 4 * abs(v)
+    if isinstance(e, ex.Fun):
+        a, ea = _error_scale(e.arg, point)
+        v = ex.FUNCTIONS[e.name].scalar(a)
+        gain = abs(v) if e.name == "exp" else 1.0 / abs(a) if e.name == "log" else 1.0
+        return v, gain * ea + 4 * abs(v)
+    (a, ea), (b, eb) = _error_scale(e.a, point), _error_scale(e.b, point)
+    if isinstance(e, ex.Add):
+        return a + b, ea + eb + abs(a + b)
+    if isinstance(e, ex.Mul):
+        return a * b, ea * abs(b) + abs(a) * eb + abs(a * b)
+    return a / b, (ea + abs(a / b) * eb) / abs(b) + abs(a / b)
+
+
+@_SETTINGS
+@hyp.given(st.lists(_exprs, min_size=1, max_size=2), st.lists(_points, min_size=1, max_size=5))
+def test_batch_code_matches_evaluate(exprs, points):
+    wants = np.array([[_evaluate(e, p) for e in exprs] for p in points], dtype=float)
+    ok = ~np.isnan(wants).any(axis=1)
+    hyp.assume(ok.any())
+    pts = np.array(points, dtype=float)[ok]
+    with np.errstate(all="ignore"):
+        got = ex.compile_batch(exprs, XYT)(pts[:, :2], pts[:, 2])
+        scales = np.array([[_error_scale(e, p)[1] for e in exprs] for p in pts])
+    assert np.all(np.abs(got - wants[ok]) <= 1e-12 * scales)
+
+
+@_SETTINGS
+@hyp.given(_exprs)
+def test_to_text_round_trip_property(e):
+    assert ex.parse(ex.to_text(e), XYT) == e
