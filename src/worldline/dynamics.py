@@ -268,7 +268,7 @@ def _accel_template(m, fp):
         F, dV, X = fp.force_operator, None, fp.force_vector
         if fp.potential is not None:
             dV, X = [ex.derive(fp.potential, name) for name in m.frame.names], None
-        groups = [v, geo.mirrored(m.metric, n),
+        groups = [v, geo.mirrored(m.metric),
                   [e for plane in m._sys.dg for row in plane for e in row],
                   None if F is None else [e for row in F for e in row], dV, X]
 

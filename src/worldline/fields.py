@@ -242,7 +242,7 @@ def _lie_system(m: geo.ManifoldSpec, K: tuple):
                 acc = ex.add(acc, ex.mul(g[l][j], dK[i][l]))
                 acc = ex.add(acc, ex.mul(g[i][l], dK[j][l]))
             lie[i][j] = acc
-    return ex.compile_batch(geo.mirrored(lie, n), frame)
+    return ex.compile_batch(geo.mirrored(lie), frame)
 
 
 def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):

@@ -167,9 +167,10 @@ def manifold_from_components(frame, components: dict, domain=None,
                         signature, quotient, declared_complete)
 
 
-def mirrored(rows, n):
-    """Row-major entries of a symmetric n x n array of expressions, the upper
+def mirrored(rows):
+    """Row-major entries of a symmetric square array of expressions, the upper
     triangle standing for both positions."""
+    n = len(rows)
     return [rows[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
 
 
@@ -182,18 +183,16 @@ class _CompiledMetric:
         self.n = n
         self.frame = frame
         g = m.metric
-        self.metric_fn = ex.compile_batch(mirrored(g, n), frame)
+        self.metric_fn = ex.compile_batch(mirrored(g), frame)
         # dg[k][i][j] = d g_ij / d x_k; (i, j) and (j, i) share one expression
         d = {(i, j): [ex.derive(g[i][j], name) for name in frame.names]
              for i in range(n) for j in range(i, n)}
         self.dg = [[[d[min(i, j), max(i, j)][k] for j in range(n)] for i in range(n)]
                    for k in range(n)]
+        self.ginv = self.gamma = None  # numeric Christoffels above the limit
         if n <= _MAX_SYMBOLIC_DIM:
             self.ginv = _symbolic_inverse(g, _det(g, n), n)
             self.gamma = self._christoffel_exprs()
-        else:
-            self.ginv = None
-            self.gamma = None
 
     def _christoffel_exprs(self):
         n = self.n
