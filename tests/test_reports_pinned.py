@@ -1,11 +1,14 @@
-"""Byte pins of the check and run reports of every built-in scenario and of
-a dimension-5 scenario file.
+"""Byte pins of the check, run and sweep reports of every built-in scenario
+and of a dimension-5 scenario file.
 
 Each input is checked and run at its own configuration.  The check report
 and the run report must match the stored files byte for byte; the run's
-trajectory CSV is pinned by its sha256 and row count.  A change that moves
-bytes on purpose regenerates the files and shows the moved values in the
-diff of ``tests/data/reports``:
+trajectory CSV is pinned by its sha256 and row count.  Each input is also
+swept once with a small ensemble: sweeps draw their start points as numpy
+floats, which ``run`` never does.  The sweep report is pinned byte for byte
+and ``sweep.csv`` by its sha256 and row count.  A change that moves bytes on
+purpose regenerates the files and shows the moved values in the diff of
+``tests/data/reports``:
 
     PYTHONPATH=src python tests/test_reports_pinned.py
 """
@@ -23,13 +26,33 @@ from worldline import cli
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 REPORTS = os.path.join(DATA, "reports")
 CSV_PINS = os.path.join(REPORTS, "trajectory_csv.json")
+SWEEP_CSV_PINS = os.path.join(REPORTS, "sweep_csv.json")
 # The dimension-5 file is the only input stepped above the symbolic limit.
 INPUTS = [*cat.list_builtins(), os.path.join(DATA, "curved-5d.json")]
+# Sweep arguments per input, small enough to keep the test to a few seconds.
+SWEEPS = {
+    "t3-magnetic": ["-n", "2", "--t-max", "30"],
+    "clifton-pohl": ["-n", "10", "--seed", "5"],
+    "flat-lorentz-torus": ["-n", "3"],
+    "riemann-flat-torus": ["-n", "3", "--t-max", "20"],
+    "null-plane-cubic": ["-n", "5"],
+    "riemann-superlinear": ["-n", "5"],
+    "curved-5d": ["-n", "1"],
+}
 
 
 def _name(source):
     """Pin name of an input: the built-in name or the file's stem."""
     return os.path.splitext(os.path.basename(source))[0]
+
+
+def _pin(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "rows": data.count(b"\n") - 1}
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _outputs(source, workdir):
@@ -39,15 +62,18 @@ def _outputs(source, workdir):
     run_dir = os.path.join(workdir, name, "run")
     cli.main(["check", "--scenario", source, "--output", check_dir])
     assert cli.main(["run", "--scenario", source, "--output", run_dir]) == 0
-    with open(os.path.join(check_dir, "check_report.json"), "rb") as fh:
-        check = fh.read()
-    with open(os.path.join(run_dir, "run_report.json"), "rb") as fh:
-        run = fh.read()
-    with open(os.path.join(run_dir, "run_trajectory.csv"), "rb") as fh:
-        csv = fh.read()
-    pin = {"sha256": hashlib.sha256(csv).hexdigest(),
-           "rows": csv.count(b"\n") - 1}
-    return check, run, pin
+    return (_read(os.path.join(check_dir, "check_report.json")),
+            _read(os.path.join(run_dir, "run_report.json")),
+            _pin(_read(os.path.join(run_dir, "run_trajectory.csv"))))
+
+
+def _sweep_outputs(source, workdir):
+    """(sweep report bytes, sweep csv pin) of one input."""
+    out = os.path.join(workdir, _name(source), "sweep")
+    assert cli.main(["sweep", "--scenario", source, *SWEEPS[_name(source)],
+                     "--output", out]) == 0
+    return (_read(os.path.join(out, "sweep_report.json")),
+            _pin(_read(os.path.join(out, "sweep.csv"))))
 
 
 @pytest.mark.parametrize("source", INPUTS, ids=_name)
@@ -55,30 +81,43 @@ def test_reports_match_pins(source, tmp_path, capsys):
     name = _name(source)
     check, run, pin = _outputs(source, str(tmp_path))
     capsys.readouterr()
-    with open(os.path.join(REPORTS, f"{name}_check.json"), "rb") as fh:
-        assert check == fh.read(), name
-    with open(os.path.join(REPORTS, f"{name}_run.json"), "rb") as fh:
-        assert run == fh.read(), name
+    assert check == _read(os.path.join(REPORTS, f"{name}_check.json")), name
+    assert run == _read(os.path.join(REPORTS, f"{name}_run.json")), name
     with open(CSV_PINS) as fh:
         assert pin == json.load(fh)[name], name
+
+
+@pytest.mark.parametrize("source", INPUTS, ids=_name)
+def test_sweeps_match_pins(source, tmp_path, capsys):
+    name = _name(source)
+    report, pin = _sweep_outputs(source, str(tmp_path))
+    capsys.readouterr()
+    assert report == _read(os.path.join(REPORTS, f"{name}_sweep.json")), name
+    with open(SWEEP_CSV_PINS) as fh:
+        assert pin == json.load(fh)[name], name
+
+
+def _dump_pins(path, pins):
+    with open(path, "w") as fh:
+        json.dump(pins, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _regenerate():
     import tempfile
 
     os.makedirs(REPORTS, exist_ok=True)
-    pins = {}
+    pins, sweep_pins = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for source in INPUTS:
             name = _name(source)
             check, run, pins[name] = _outputs(source, workdir)
-            with open(os.path.join(REPORTS, f"{name}_check.json"), "wb") as fh:
-                fh.write(check)
-            with open(os.path.join(REPORTS, f"{name}_run.json"), "wb") as fh:
-                fh.write(run)
-    with open(CSV_PINS, "w") as fh:
-        json.dump(pins, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            sweep, sweep_pins[name] = _sweep_outputs(source, workdir)
+            for kind, data in (("check", check), ("run", run), ("sweep", sweep)):
+                with open(os.path.join(REPORTS, f"{name}_{kind}.json"), "wb") as fh:
+                    fh.write(data)
+    _dump_pins(CSV_PINS, pins)
+    _dump_pins(SWEEP_CSV_PINS, sweep_pins)
 
 
 if __name__ == "__main__":
