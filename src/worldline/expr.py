@@ -237,7 +237,10 @@ def power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
-        return Const(base.value ** exponent)
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:  # the IEEE result: infinity, negative for odd powers
+            return Const(math.copysign(math.inf, base.value) if exponent % 2 else math.inf)
     return Pow(base, exponent)
 
 

@@ -263,7 +263,11 @@ def finite(what: str, qs, fn, *args) -> np.ndarray:
     with numpy warnings off; ValidationError names the first point at which
     a value is not finite."""
     with np.errstate(all="ignore"):
-        values = np.asarray(fn(qs, *args))
+        try:
+            values = np.asarray(fn(qs, *args))
+        except OverflowError:  # a power of constants beyond the float range
+            raise ValidationError(
+                f"{what} is not finite at {tuple(qs[0].tolist())}") from None
     bad = ~np.isfinite(values.reshape(len(qs), -1)).all(axis=1)
     if bad.any():
         raise ValidationError(

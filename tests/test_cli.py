@@ -71,10 +71,11 @@ def _field_file(tmp_path, fields, metric=None):
 
 def test_non_finite_field_samples_are_refused(tmp_path, capsys):
     # log(x) is undefined on half of the unbounded chart; 1/(x-x) nowhere
-    # a literal beyond the float range is inf
+    # a literal beyond the float range is inf, and so is a power of literals
     for fields, what in (({"V": "log(x)"}, "potential V"),
                          ({"X": ["1/(x-x)", "0"]}, "force vector X"),
-                         ({"V": "1e999 * cos(x)"}, "potential V")):
+                         ({"V": "1e999 * cos(x)"}, "potential V"),
+                         ({"V": "cos(x)*(1e200)^3"}, "potential V")):
         path = _field_file(tmp_path, fields)
         for command in ("check", "run"):
             code = cli.main([command, "--scenario", path])

@@ -108,6 +108,15 @@ def test_constant_folding_keeps_zero_detectable():
     assert ex.derive(ex.parse("y", XY), "x") == ex.ZERO
 
 
+def test_constant_power_overflow_folds_to_signed_infinity():
+    # Python's float ** raises OverflowError where IEEE arithmetic gives inf
+    assert ex.power(ex.Const(1e200), 2) == ex.Const(math.inf)
+    assert ex.power(ex.Const(-1e200), 2) == ex.Const(math.inf)
+    assert ex.power(ex.Const(-1e200), 3) == ex.Const(-math.inf)
+    assert ex.power(ex.Const(-1e-200), -3) == ex.Const(-math.inf)
+    assert ex.derive(ex.parse("x*(1e200)^3", XY), "y") == ex.ZERO
+
+
 def _scalar_function(exprs, args):
     """emit_block + compile_source over _SCALAR_NS: the path of the stepper."""
     lines, results = ex.emit_block(exprs, lambda v: v.name)
