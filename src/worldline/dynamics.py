@@ -5,8 +5,10 @@ The second-order equation is integrated as a first-order system on
 step control.  The right-hand side, the speed and a fused step are generated
 as flat Python functions in every dimension, each stage one block printed by
 ``expr.emit_block``.  Up to dimension 4 the Christoffel symbols are symbolic;
-above it each stage hands g, its derivatives and the forces to one numeric
-contraction, ``_numeric_accel``.
+above it each stage calls one generated helper, ``_accel``, which computes g,
+its derivatives and the forces and hands them to one numeric contraction,
+``_numeric_accel``.  The step loop runs on plain floats and keeps its samples
+in one flat buffer per direction.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed escape time.
@@ -15,6 +17,9 @@ collapse become classifications with a bracketed escape time.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
@@ -54,6 +59,8 @@ _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+_FAC_LO = 1.0 / _FAC_MAX
+_FAC_HI = 1.0 / _FAC_MIN
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,33 @@ class DirectionReport:
     rejected: int
 
 
-class TrajectoryResult:
-    """Normalized samples (strictly increasing t) plus both direction verdicts."""
+class _States(Sequence):
+    """Read-only view of sample rows ``(t, q..., v...)``: its length reads the
+    row count, and an index builds one TrajectoryState."""
 
-    def __init__(self, states, forward: DirectionReport, backward: DirectionReport,
-                 cfg: IntegrationConfig, speed_mode: str):
-        self.states = states
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+        self._n = (rows.shape[1] - 1) // 2
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        t, *qv = self._rows[operator.index(i)].tolist()
+        return TrajectoryState(t, tuple(qv[:self._n]), tuple(qv[self._n:]))
+
+
+class TrajectoryResult:
+    """Normalized samples (strictly increasing t) plus both direction verdicts.
+
+    ``rows`` holds one sample per row, ``(t, q..., v...)``; ``arrays()``
+    splits it into columns and ``states`` reads it one state at a time.
+    """
+
+    def __init__(self, rows: np.ndarray, forward: DirectionReport,
+                 backward: DirectionReport, cfg: IntegrationConfig, speed_mode: str):
+        self._rows = rows
+        self.states = _States(rows)
         self.forward = forward
         self.backward = backward
         self.cfg = cfg
@@ -118,12 +146,13 @@ class TrajectoryResult:
         return replace(fwd, marginal=fwd.marginal or self.backward.classification.marginal)
 
     def arrays(self):
-        """(ts, qs, vs) as numpy arrays, cached."""
+        """(ts, qs, vs) as contiguous numpy arrays, cached.  Contiguous, so
+        numpy picks the loops, and so the rounding, it always picked for the
+        monitors."""
         if self._arrays is None:
-            ts = np.array([s.t for s in self.states])
-            qs = np.array([s.q for s in self.states])
-            vs = np.array([s.v for s in self.states])
-            self._arrays = (ts, qs, vs)
+            r = self._rows
+            n = (r.shape[1] - 1) // 2
+            self._arrays = (r[:, 0].copy(), r[:, 1:1 + n].copy(), r[:, 1 + n:].copy())
         return self._arrays
 
 
@@ -155,12 +184,26 @@ class _System:
         self.fp = fp
         self.n = m.dim
         self.use_reference_speed = _reference_speed_usable(m, fp)
-        self.rhs_source, self.kernel_source, self.speed_source = _generate_sources(
-            m, fp, self.use_reference_speed)
         ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _numeric_accel=_numeric_accel)
+        if m._sys.gamma is None:
+            ns["_accel"] = ex.compile_source(_accel_source(m, fp), "_accel", ns)
+        self.rhs_source, self.kernel_source = _generate_sources(m, fp)
+        self.speed_source = _speed_source(m, fp, self.use_reference_speed)
         self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
         self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
         self.kernel = ex.compile_source(self.kernel_source, "_kernel", ns)
+        # The step into the fundamental domain: lattice charts wrap with a
+        # generated function; the scaling quotient, whose deck maps also move
+        # v and call for a fresh right-hand side, keeps normalize_qv.
+        wrap = _wrap_source(m)
+        self.wrap = None if wrap is None else ex.compile_source(wrap, "_wrap", ns)
+        self.scaling = isinstance(m.quotient, geo.ScalingQuotient)
+        # Accepted states are finite, so a chart that is all of R^n holds them.
+        d = m.domain
+        whole = (d.exclude_origin_radius is None
+                 and all(x == -math.inf for x in d.lower)
+                 and all(x == math.inf for x in d.upper))
+        self.contains = None if whole else d.contains
 
 
 @lru_cache(maxsize=16)
@@ -255,44 +298,68 @@ def _accel_exprs(m, fp, v):
 
 
 def _accel_template(m, fp):
-    """Lines computing the 2n components of the RHS at a stage, one block of
-    shared subexpressions; the format fields {0}..{2n-1} are the stage point,
-    {2n}..{4n-1} the names of the outputs and {t} the time.  Above the
-    symbolic limit the block computes g, dg, F and dV (or X), and
-    _numeric_accel contracts them."""
+    """Lines computing the 2n components of the RHS at a stage; the format
+    fields {0}..{2n-1} are the stage point, {2n}..{4n-1} the names of the
+    outputs and {t} the time.  Up to the symbolic limit this is one block of
+    shared subexpressions; above it, one call of the generated ``_accel``."""
     n = m.dim
+    state = [f"{{{c}}}" for c in range(2 * n)]
+    out = [f"{{{c}}}" for c in range(2 * n, 4 * n)]
+    if m._sys.gamma is None:
+        return [f"{o} = {s}" for o, s in zip(out, state[n:])] + [
+            f"{_tuple(out[n:])} = _accel({{t}}, {', '.join(state)})"]
     v = _velocities(n)
-    if m._sys.gamma is not None:
-        groups = [v, _accel_exprs(m, fp, v)]
-    else:
-        F, dV, X = fp.force_operator, None, fp.force_vector
-        if fp.potential is not None:
-            dV, X = [ex.derive(fp.potential, name) for name in m.frame.names], None
-        groups = [v, geo.mirrored(m.metric),
-                  [e for plane in m._sys.dg for row in plane for e in row],
-                  None if F is None else [e for row in F for e in row], dV, X]
 
     def rename(var: ex.Var) -> str:
         return "{t}" if var.index == ex.TIME_INDEX else f"{{{var.index}}}"
 
+    lines, results = ex.emit_block(v + _accel_exprs(m, fp, v), rename, "_a")
+    return lines + [f"{o} = {r}" for o, r in zip(out, results)]
+
+
+def _accel_source(m, fp):
+    """``_accel(t, y_0, ..., y_{2n-1})`` above the symbolic limit: one block
+    computing g, dg, F and dV (or X) at the state, contracted by
+    ``_numeric_accel`` into dv."""
+    n = m.dim
+    F, dV, X = fp.force_operator, None, fp.force_vector
+    if fp.potential is not None:
+        dV, X = [ex.derive(fp.potential, name) for name in m.frame.names], None
+    groups = [geo.mirrored(m.metric),
+              [e for plane in m._sys.dg for row in plane for e in row],
+              None if F is None else [e for row in F for e in row], dV, X]
+
+    def rename(var: ex.Var) -> str:
+        return "t" if var.index == ex.TIME_INDEX else f"y_{var.index}"
+
     lines, results = ex.emit_block(
         [e for group in groups if group is not None for e in group], rename, "_a")
     results = iter(results)
-    texts = [None if group is None else [next(results) for _ in group] for group in groups]
-    state = [f"{{{c}}}" for c in range(2 * n)]
-    out = [f"{{{c}}}" for c in range(2 * n, 4 * n)]
-    if m._sys.gamma is not None:
-        return lines + [f"{o} = {r}" for o, r in zip(out, texts[0] + texts[1])]
-    args = ", ".join("None" if t is None else _tuple(t) for t in texts[1:])
-    return lines + [f"{o} = {r}" for o, r in zip(out, texts[0])] + [
-        f"{_tuple(out[n:])} = _numeric_accel({_tuple(state[:n])}, {_tuple(state[n:])}, {args})"]
+    args = ", ".join("None" if group is None else _tuple([next(results) for _ in group])
+                     for group in groups)
+    names = [f"y_{c}" for c in range(2 * n)]
+    return "".join([f"def _accel(t, {', '.join(names)}):\n",
+                    *(f"    {line}\n" for line in lines),
+                    f"    return _numeric_accel({_tuple(names[:n])}, {_tuple(names[n:])}, "
+                    f"{args})\n"])
 
 
 def _tuple(items):
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-def _generate_sources(m, fp, use_reference):
+def _wrap_source(m):
+    """``_wrap(y)`` on lattice charts: y with each periodic coordinate taken
+    modulo its period, the operations of ``geometry.normalize_qv``; else None."""
+    if not isinstance(m.quotient, geo.LatticeQuotient):
+        return None
+    items = [f"y[{c}]" if c >= m.dim or L is None else f"y[{c}] % {L!r}"
+             for c, L in enumerate(m.quotient.periods + (None,) * m.dim)]
+    return f"def _wrap(y):\n    return {_tuple(items)}\n"
+
+
+def _generate_sources(m, fp):
+    """Sources of ``_rhs(t, y)`` and of the fused step ``_kernel``."""
     n = m.dim
     N = 2 * n
 
@@ -341,7 +408,7 @@ def _generate_sources(m, fp, use_reference):
     lines.append("    return err, (" + ", ".join(f"y5_{c}" for c in range(N))
                  + "), (" + ", ".join(f"k7_{c}" for c in range(N)) + ")")
     kernel_source = "\n".join(lines) + "\n"
-    return rhs_source, kernel_source, _speed_source(m, fp, use_reference)
+    return rhs_source, kernel_source
 
 
 def _speed_source(m, fp, use_reference):
@@ -389,30 +456,40 @@ def _initial_step(y, k1, cfg, h_max):
 
 def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
                    sign: float):
+    """Integrate one direction to the horizon or to a verdict.  Returns the
+    kept samples, ``t, q..., v...`` per sample in one flat buffer, and the
+    direction's report."""
     m = sysd.m
     n = sysd.n
     kernel = sysd.kernel
+    rhs_flat = sysd.rhs_flat
     speed_sq = sysd.speed_sq
-    contains = m.domain.contains
-    h_max = cfg.t_max / 10.0
-    scaling = isinstance(m.quotient, geo.ScalingQuotient)
+    wrap = sysd.wrap
+    scaling = sysd.scaling
+    contains = sysd.contains
+    T, atol, rtol = float(cfg.t_max), float(cfg.atol), float(cfg.rtol)
+    v_max, h_min, stride = float(cfg.v_max), float(cfg.h_min), cfg.stride
+    h_max = T / 10.0
+    end_gap = max(h_min, 1e-12 * T)
 
-    q, v, _ = geo.normalize_qv(m, s0.q, s0.v)
-    if not contains(q):
+    # Plain floats from here on: sampled start points arrive as numpy
+    # scalars, and every operation of the loop would run on them.
+    t0 = float(s0.t)
+    q, v, _ = geo.normalize_qv(m, tuple(map(float, s0.q)), tuple(map(float, s0.v)))
+    if not m.domain.contains(q):
         raise geo.OutsideDomainError(f"initial point {q} is outside the chart domain")
     y = q + v
     try:
-        k1 = sysd.rhs_flat(s0.t, y)
+        k1 = rhs_flat(t0, y)
         spd = math.sqrt(max(speed_sq(y), 0.0))
     except _EVAL_ERRORS as err:
         raise geo.ValidationError(
             f"cannot evaluate the equation at the initial state: {err}") from err
-    if spd > cfg.v_max:
+    if spd > v_max:
         raise geo.ValidationError("initial speed already exceeds the blowup threshold")
 
-    samples = [TrajectoryState(s0.t, q, v)]
+    samples = array("d", (t0, *y))
     tau = 0.0  # progress toward the horizon, always >= 0
-    T = cfg.t_max
     h = _initial_step(y, k1, cfg, h_max)
     err_old = 1e-4
     max_speed = spd
@@ -427,25 +504,29 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         return Classification(kind, t_star, half, marginal, detail)
 
     while True:
-        if T - tau <= max(cfg.h_min, 1e-12 * T):
+        rest = T - tau
+        if rest <= end_gap:
             if pending is not None:
                 verdict = finish(BLOWUP, *_mid(pending), marginal=True,
                                  detail="speed crossed threshold; horizon before confirmation")
             else:
                 verdict = finish(COMPLETE)
             break
-        h = min(h, T - tau, h_max)
+        if rest < h:
+            h = rest
+        if h_max < h:
+            h = h_max
         hs = sign * h
         t = sign * tau
         try:
-            err, y_new, k_new = kernel(t, hs, y, k1, cfg.atol, cfg.rtol)
+            err, y_new, k_new = kernel(t, hs, y, k1, atol, rtol)
             ok = math.isfinite(err) and all(map(math.isfinite, y_new))
         except _EVAL_ERRORS:
             ok = False
         if not ok:
             rejected += 1
             h *= 0.5
-            if h < cfg.h_min:
+            if h < h_min:
                 if pending is not None:
                     verdict = finish(BLOWUP, *_mid(pending),
                                      detail="speed crossed threshold; step collapse confirmed")
@@ -456,13 +537,13 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
             continue
         if err > 1.0:
             rejected += 1
-            h = h / min(1.0 / _FAC_MIN, err ** _EXPO / _SAFETY)
-            if h < cfg.h_min:
+            h = h / min(_FAC_HI, err ** _EXPO / _SAFETY)
+            if h < h_min:
                 if pending is not None:
                     verdict = finish(BLOWUP, *_mid(pending),
                                      detail="speed crossed threshold; step collapse confirmed")
                 else:
-                    verdict = finish(BLOWUP, t, max(h, cfg.h_min),
+                    verdict = finish(BLOWUP, t, max(h, h_min),
                                      detail="step collapse under error control")
                 break
             continue
@@ -471,22 +552,31 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         tau += h
         t = sign * tau
         accepted += 1
-        min_h = min(min_h, h)
-        qn, vn, changed = geo.normalize_qv(m, tuple(y_new[:n]), tuple(y_new[n:]))
-        y = qn + vn
-        if changed and scaling:
-            try:
-                k_new = sysd.rhs_flat(t, y)
-            except _EVAL_ERRORS:
-                verdict = finish(STALLED, t, h, detail="evaluation failure after renormalization")
-                break
+        if h < min_h:
+            min_h = h
+        if scaling:
+            q, v, changed = geo.normalize_qv(m, y_new[:n], y_new[n:])
+            y = q + v
+            if changed:
+                try:
+                    k_new = rhs_flat(t, y)
+                except _EVAL_ERRORS:
+                    verdict = finish(STALLED, t, h,
+                                     detail="evaluation failure after renormalization")
+                    break
+        elif wrap is not None:
+            y = wrap(y_new)
+        else:
+            y = y_new
         k1 = k_new
         try:
-            spd = math.sqrt(max(speed_sq(y), 0.0))
+            spd = speed_sq(y)
+            spd = math.sqrt(0.0 if spd < 0.0 else spd)
         except _EVAL_ERRORS:
             spd = math.inf
-        max_speed = max(max_speed, spd)
-        if not contains(qn):
+        if spd > max_speed:
+            max_speed = spd
+        if contains is not None and not contains(y[:n]):
             if pending is not None:
                 verdict = finish(BLOWUP, *_mid(pending), marginal=True,
                                  detail="speed crossed threshold; left domain during confirmation")
@@ -495,38 +585,44 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
                                  detail="left chart domain")
             break
         since_sample += 1
-        if since_sample >= cfg.stride:
-            samples.append(TrajectoryState(t, qn, vn))
+        if since_sample >= stride:
+            samples.append(t)
+            samples.extend(y)
             since_sample = 0
-        if spd > cfg.v_max:
+        if spd > v_max:
             if pending is None:
                 pending = (t_prev, t)
                 pending_accepted = accepted
-            if spd >= 10.0 * cfg.v_max:
+            if spd >= 10.0 * v_max:
                 if since_sample:
-                    samples.append(TrajectoryState(t, qn, vn))
+                    samples.append(t)
+                    samples.extend(y)
                 verdict = finish(BLOWUP, *_mid(pending),
                                  detail="speed crossed threshold, confirmed at 10x")
                 break
             if accepted - pending_accepted >= _CONFIRM_STEPS:
                 if since_sample:
-                    samples.append(TrajectoryState(t, qn, vn))
+                    samples.append(t)
+                    samples.extend(y)
                 verdict = finish(BLOWUP, *_mid(pending), marginal=True,
                                  detail="speed crossed threshold without 10x confirmation")
                 break
         elif pending is not None:
             # dropped back below the threshold; treat the crossing as noise
             pending = None
-        fac11 = err ** _EXPO
-        fac = fac11 / (err_old ** _BETA)
-        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
+        fac = err ** _EXPO / err_old ** _BETA / _SAFETY
+        if fac > _FAC_HI:
+            fac = _FAC_HI
+        elif fac < _FAC_LO:
+            fac = _FAC_LO
         h = h / fac
-        err_old = max(err, 1e-4)
-    if since_sample and verdict is not None and verdict.kind == COMPLETE:
-        samples.append(TrajectoryState(sign * tau, tuple(y[:n]), tuple(y[n:])))
+        err_old = err if err > 1e-4 else 1e-4
+    if since_sample and verdict.kind == COMPLETE:
+        samples.append(sign * tau)
+        samples.extend(y)
     marginal = verdict.marginal
-    if verdict.kind == COMPLETE and (max_speed >= cfg.v_max / 10.0
-                                     or min_h <= 10.0 * cfg.h_min):
+    if verdict.kind == COMPLETE and (max_speed >= v_max / 10.0
+                                     or min_h <= 10.0 * h_min):
         marginal = True
     verdict = replace(verdict, marginal=marginal)
     return samples, DirectionReport(verdict, max_speed,
@@ -544,9 +640,12 @@ def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState
     sysd = compiled_system(m, fp)
     fwd_samples, fwd = _run_direction(sysd, s0, cfg, +1.0)
     back_samples, back = _run_direction(sysd, s0, cfg, -1.0)
-    merged = list(reversed(back_samples[1:])) + fwd_samples
+    width = 1 + 2 * sysd.n
+    back_rows = np.frombuffer(back_samples).reshape(-1, width)
+    # the start is the first row of both directions
+    rows = np.concatenate((back_rows[:0:-1], np.frombuffer(fwd_samples).reshape(-1, width)))
     mode = "reference" if sysd.use_reference_speed else "euclidean"
-    return TrajectoryResult(merged, fwd, back, cfg, mode)
+    return TrajectoryResult(rows, fwd, back, cfg, mode)
 
 
 # --- monitors --------------------------------------------------------------

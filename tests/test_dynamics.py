@@ -367,9 +367,90 @@ def test_stride_subsamples_but_keeps_endpoint():
                                  s.integration_config(t_max=5.0))
     sparse = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                   s.integration_config(t_max=5.0, stride=10))
+    # the last step of each direction is not a kept multiple of the stride
+    assert sparse.forward.accepted % 10 and sparse.backward.accepted % 10
     assert len(sparse.states) < len(dense.states)
     assert sparse.states[-1].t == pytest.approx(5.0)
     assert sparse.states[0].t == pytest.approx(-5.0)
+    assert sparse.states[-1] == dense.states[-1]
+    assert sparse.states[0] == dense.states[0]
+
+
+# --- the step loop -----------------------------------------------------------
+
+STEP_LOOP_INPUTS = ["t3-magnetic", "clifton-pohl", "riemann-superlinear",
+                    os.path.join(os.path.dirname(__file__), "data", "curved-5d.json")]
+
+
+@pytest.mark.parametrize("source", STEP_LOOP_INPUTS, ids=lambda x: os.path.basename(x))
+def test_numpy_start_data_steps_in_plain_floats(source, monkeypatch):
+    # a sweep draws its start points as numpy floats; the loop converts them
+    # once, so the kernel sees plain floats and the result is the same
+    from worldline import cli
+
+    s = cat.resolve(source)
+    m, fp = s.manifold, s.fields
+    rng = np.random.default_rng(5)
+    q = cli._sample_initial_point(m, rng)
+    v = cli._sample_velocity(m, fp, q, rng, 1.0)
+    assert all(type(c) is np.float64 for c in q + v)
+    drawn = geo.TrajectoryState(np.float64(0.0), q, v)
+    plain = geo.TrajectoryState(0.0, tuple(map(float, q)), tuple(map(float, v)))
+    sysd = dy.compiled_system(m, fp)
+    kernel = sysd.kernel
+
+    def checked(t, h, y, k1, atol, rtol):
+        assert all(type(c) is float for c in (t, h, *y, *k1, atol, rtol))
+        return kernel(t, h, y, k1, atol, rtol)
+
+    monkeypatch.setattr(sysd, "kernel", checked)
+    cfg = s.integration_config(t_max=2.0)
+    a = dy.integrate_maximal(m, fp, drawn, cfg)
+    b = dy.integrate_maximal(m, fp, plain, cfg)
+    assert a.forward.accepted > 0
+    for x, y in zip(a.arrays(), b.arrays()):
+        assert x.tobytes() == y.tobytes()
+    assert (a.forward, a.backward) == (b.forward, b.backward)
+
+
+def test_states_read_the_sample_rows():
+    s = cat.builtin("t3-magnetic")
+    res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
+                               s.integration_config(t_max=3.0))
+    ts, qs, vs = res.arrays()
+    assert len(res.states) == len(ts) == len(qs) == len(vs) > 2
+    assert np.all(np.diff(ts) > 0)
+    for i in (0, len(ts) // 2, -1):
+        st = res.states[i]
+        assert st == geo.TrajectoryState(ts[i], tuple(qs[i]), tuple(vs[i]))
+        assert all(type(c) is float for c in (st.t, *st.q, *st.v))
+    assert res.states[-1].t == ts[-1] == pytest.approx(3.0)
+    with pytest.raises(IndexError):
+        res.states[len(ts)]
+    assert [st.t for st in res.states] == ts.tolist()
+
+
+@pytest.mark.parametrize("periods", [(1.0, None), (None, 2.5), (0.75, 1.0)])
+def test_generated_wrap_matches_normalize_qv(periods):
+    m = euclid2(geo.LatticeQuotient(periods))
+    wrap = dy.compiled_system(m, fl.FieldPack(XY)).wrap
+    v = (0.5, -0.0)
+    for q in [(-0.3, -7.25), (2.5, 0.75), (-2.5, -1.0), (-0.75, 7.5), (0.0, -0.0),
+              (1e-17, -1e-17), (-1e-300, 3.0), (1e12 + 0.3, -1e12 - 0.3)]:
+        qn, vn, _ = geo.normalize_qv(m, q, v)
+        # repr tells the sign of a zero apart
+        assert repr(wrap(q + v)) == repr(qn + vn), q
+
+
+def test_step_loop_specialises_per_chart():
+    lattice = dy.compiled_system(euclid2(geo.LatticeQuotient((1.0, 1.0))), fl.FieldPack(XY))
+    assert lattice.wrap is not None and not lattice.scaling and lattice.contains is None
+    scaled = dy.compiled_system(euclid2(geo.ScalingQuotient(2.0)), fl.FieldPack(XY))
+    assert scaled.wrap is None and scaled.scaling
+    for domain in (geo.ChartDomain((-math.inf, -math.inf), (2.0, math.inf)),
+                   geo.ChartDomain.unbounded(2, exclude_origin_radius=0.5)):
+        bounded = dy.compiled_system(euclid2(domain=domain), fl.FieldPack(XY))
+        assert bounded.wrap is None and bounded.contains is not None
 
 
 def _curved_torus(names, with_potential):
