@@ -104,37 +104,36 @@ class DirectionReport:
 
 
 class _States(Sequence):
-    """Read-only view of sample rows ``(t, q..., v...)``: its length reads the
-    row count, and an index builds one TrajectoryState."""
+    """Read-only view of the sample arrays: its length is the sample count,
+    and an index builds one TrajectoryState."""
 
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
-        self._n = (rows.shape[1] - 1) // 2
+    def __init__(self, ts, qs, vs):
+        self._ts, self._qs, self._vs = ts, qs, vs
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._ts)
 
     def __getitem__(self, i):
-        t, *qv = self._rows[operator.index(i)].tolist()
-        return TrajectoryState(t, tuple(qv[:self._n]), tuple(qv[self._n:]))
+        i = operator.index(i)
+        return TrajectoryState(float(self._ts[i]), tuple(self._qs[i].tolist()),
+                               tuple(self._vs[i].tolist()))
 
 
 class TrajectoryResult:
     """Normalized samples (strictly increasing t) plus both direction verdicts.
 
-    ``rows`` holds one sample per row, ``(t, q..., v...)``; ``arrays()``
-    splits it into columns and ``states`` reads it one state at a time.
+    ``arrays()`` gives the samples as columns; ``states`` reads them one
+    state at a time.
     """
 
-    def __init__(self, rows: np.ndarray, forward: DirectionReport,
-                 backward: DirectionReport, cfg: IntegrationConfig, speed_mode: str):
-        self._rows = rows
-        self.states = _States(rows)
+    def __init__(self, arrays, forward: DirectionReport, backward: DirectionReport,
+                 cfg: IntegrationConfig, speed_mode: str):
+        self._arrays = arrays
+        self.states = _States(*arrays)
         self.forward = forward
         self.backward = backward
         self.cfg = cfg
         self.speed_mode = speed_mode  # "reference" or "euclidean"
-        self._arrays = None
 
     @property
     def classification(self) -> Classification:
@@ -146,13 +145,7 @@ class TrajectoryResult:
         return replace(fwd, marginal=fwd.marginal or self.backward.classification.marginal)
 
     def arrays(self):
-        """(ts, qs, vs) as contiguous numpy arrays, cached.  Contiguous, so
-        numpy picks the loops, and so the rounding, it always picked for the
-        monitors."""
-        if self._arrays is None:
-            r = self._rows
-            n = (r.shape[1] - 1) // 2
-            self._arrays = (r[:, 0].copy(), r[:, 1:1 + n].copy(), r[:, 1 + n:].copy())
+        """(ts, qs, vs): contiguous numpy arrays of shapes (m,), (m, n), (m, n)."""
         return self._arrays
 
 
@@ -640,12 +633,15 @@ def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState
     sysd = compiled_system(m, fp)
     fwd_samples, fwd = _run_direction(sysd, s0, cfg, +1.0)
     back_samples, back = _run_direction(sysd, s0, cfg, -1.0)
-    width = 1 + 2 * sysd.n
-    back_rows = np.frombuffer(back_samples).reshape(-1, width)
+    n = sysd.n
+    back_rows = np.frombuffer(back_samples).reshape(-1, 1 + 2 * n)
     # the start is the first row of both directions
-    rows = np.concatenate((back_rows[:0:-1], np.frombuffer(fwd_samples).reshape(-1, width)))
+    rows = np.concatenate((back_rows[:0:-1], np.frombuffer(fwd_samples).reshape(-1, 1 + 2 * n)))
+    # contiguous columns, so that numpy picks the loops, and so the rounding,
+    # that the monitors have always seen
+    arrays = (rows[:, 0].copy(), rows[:, 1:1 + n].copy(), rows[:, 1 + n:].copy())
     mode = "reference" if sysd.use_reference_speed else "euclidean"
-    return TrajectoryResult(rows, fwd, back, cfg, mode)
+    return TrajectoryResult(arrays, fwd, back, cfg, mode)
 
 
 # --- monitors --------------------------------------------------------------
