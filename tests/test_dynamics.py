@@ -9,6 +9,7 @@ import worldline.dynamics as dy
 import worldline.expr as ex
 import worldline.fields as fl
 import worldline.geometry as geo
+from worldline import cli
 
 XY = ex.CoordinateFrame(("x", "y"))
 X1 = ex.CoordinateFrame(("x",))
@@ -386,8 +387,6 @@ STEP_LOOP_INPUTS = ["t3-magnetic", "clifton-pohl", "riemann-superlinear",
 def test_numpy_start_data_steps_in_plain_floats(source, monkeypatch):
     # a sweep draws its start points as numpy floats; the loop converts them
     # once, so the kernel sees plain floats and the result is the same
-    from worldline import cli
-
     s = cat.resolve(source)
     m, fp = s.manifold, s.fields
     rng = np.random.default_rng(5)
