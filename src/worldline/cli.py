@@ -75,6 +75,11 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
+def _finite_or_nan(x):
+    x = _finite_or_none(x)
+    return math.nan if x is None else x
+
+
 def _config_doc(cfg: dy.IntegrationConfig) -> dict:
     return {"t_max": cfg.t_max, "rtol": cfg.rtol, "atol": cfg.atol,
             "v_max": cfg.v_max, "h_min": cfg.h_min, "stride": cfg.stride}
@@ -119,28 +124,23 @@ def _sample_table(s: cat.Scenario, result: dy.TrajectoryResult):
     m, fp = s.manifold, s.fields
     ts, qs, vs = result.arrays()
     n = m.dim
-    g = m.metric_batch(qs)
-    energy = np.einsum("mij,mi,mj->m", g, vs, vs) + 2.0 * fp.potential_batch(qs, ts)
-    if fp.reference_field is not None:
-        k = fp.reference_batch(qs, ts)
-        charge = np.einsum("mij,mi,mj->m", g, k, vs)
-    else:
-        charge = np.full(len(ts), math.nan)
+    series = dy.sample_series(m, fp, result)
+    charge = series.gkv if series.gkv is not None else np.full(len(ts), math.nan)
     speed = dy.speed_series(m, fp, result)
     columns = (["t"] + [f"q_{i + 1}" for i in range(n)]
                + [f"v_{i + 1}" for i in range(n)]
                + ["energy_c", "killing_charge", "gR_speed"])
-    rows = np.column_stack([ts, qs, vs, energy, charge, speed])
+    rows = np.column_stack([ts, qs, vs, series.energy, charge, speed])
     return columns, rows
 
 
 def _write_csv(path, columns, rows):
-    """Floats by repr, None as nan, strings as they are."""
+    """One line per row, a list of floats and strings: str of a float is its
+    repr."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else "nan" if x is None
-                              else repr(float(x)) for x in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _dump(doc: dict) -> str:
@@ -152,8 +152,7 @@ def _emit(doc: dict, outdir, report_name: str, table=None, fmt: str = "csv"):
     if table is not None and fmt == "json":
         columns, rows = table
         doc = dict(doc)
-        doc["samples"] = {"columns": columns,
-                          "rows": [[float(x) for x in row] for row in rows]}
+        doc["samples"] = {"columns": columns, "rows": [row.tolist() for row in rows]}
     sys.stdout.write(_dump(doc))
     if outdir is None:
         return
@@ -163,7 +162,9 @@ def _emit(doc: dict, outdir, report_name: str, table=None, fmt: str = "csv"):
     if table is not None and fmt == "csv":
         columns, rows = table
         base = report_name.rsplit("_", 1)[0]
-        _write_csv(os.path.join(outdir, f"{base}_trajectory.csv"), columns, rows)
+        # row by row: the whole table as lists would hold a float object per cell
+        _write_csv(os.path.join(outdir, f"{base}_trajectory.csv"), columns,
+                   (row.tolist() for row in rows))
 
 
 def _field_norm_maxima(s: cat.Scenario, count: int = 200) -> dict:
@@ -306,9 +307,9 @@ def cmd_sweep(args) -> int:
         if not cert.refused:
             max_bound = cert.bound if max_bound is None else max(max_bound, cert.bound)
             consistent = consistent and cert.consistent
-        rows.append([float(index), *q, *v, cls.kind,
-                     _finite_or_none(cls.t_star),
-                     _finite_or_none(cls.t_star_halfwidth),
+        rows.append([float(index), *map(float, q), *map(float, v), cls.kind,
+                     _finite_or_nan(cls.t_star),
+                     _finite_or_nan(cls.t_star_halfwidth),
                      float(cls.marginal), energy.max_drift,
                      killing.max_drift if killing.present else math.nan, speed])
         # the result and its sample arrays go out of scope here; trajectories

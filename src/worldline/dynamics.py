@@ -5,10 +5,12 @@ The second-order equation is integrated as a first-order system on
 step control.  The right-hand side, the speed and a fused step are generated
 as flat Python functions in every dimension, each stage one block printed by
 ``expr.emit_block``.  Up to dimension 4 the Christoffel symbols are symbolic;
-above it each stage calls one generated helper, ``_accel``, which computes g,
-its derivatives and the forces and hands them to one numeric contraction,
-``_numeric_accel``.  The step loop runs on plain floats and keeps its samples
-in one flat buffer per direction.
+above it each stage calls one generated helper, ``_accel``, which contracts
+the symbolic derivatives of g with the velocity and applies the inverse
+metric with ``_solve``, a Gaussian elimination on plain floats.  No numpy
+call runs inside a stage.  The step loop runs on plain floats and keeps its
+samples in one flat buffer per direction; the monitors, the certificate and
+the sample table read the samples through one ``SampleSeries`` per result.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed escape time.
@@ -21,7 +23,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -134,6 +136,7 @@ class TrajectoryResult:
         self.backward = backward
         self.cfg = cfg
         self.speed_mode = speed_mode  # "reference" or "euclidean"
+        self._series = None  # see sample_series
 
     @property
     def classification(self) -> Classification:
@@ -177,7 +180,7 @@ class _System:
         self.fp = fp
         self.n = m.dim
         self.use_reference_speed = _reference_speed_usable(m, fp)
-        ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _numeric_accel=_numeric_accel)
+        ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _finite=_finite)
         if m._sys.gamma is None:
             ns["_accel"] = ex.compile_source(_accel_source(m, fp), "_accel", ns)
         self.rhs_source, self.kernel_source = _generate_sources(m, fp)
@@ -215,25 +218,52 @@ def _reference_speed_usable(m: geo.ManifoldSpec, fp: fl.FieldPack) -> bool:
         return False
 
 
-def _numeric_accel(q, v, g, dg, F, dV, X):
-    """dv above the symbolic limit, from tuples of floats: flattened g,
-    dg[k][i][j] and F (or None), and dV/dx or X or neither.  Same numpy operations
-    in the same order as ``rhs``."""
-    n = len(v)
-    g = np.array(g).reshape(n, n)
-    v = np.array(v)
-    gam = geo.levi_civita(g, np.array(dg).reshape(n, n, n), q)
-    dv = -np.einsum("kij,i,j->k", gam, v, v)
-    if F is not None:
-        dv += np.array(F).reshape(n, n) @ v
-    if dV is not None:
-        dv += -np.linalg.solve(g, np.array(dV))
-    else:
-        dv += np.zeros(n) if X is None else np.array(X)
-    out = tuple(float(c) for c in dv)
-    if not all(map(math.isfinite, tuple(float(c) for c in v) + out)):
+def _solve(g, r, q):
+    """x with g x = r, for g flattened row-major and r of length n, by
+    Gaussian elimination with partial pivoting (a Lorentzian chart may have
+    g_00 = 0).  Raises DegenerateMetricError naming the point q when det g,
+    the product of the pivots, nearly vanishes, and OverflowError when it is
+    not finite."""
+    n = len(r)
+    rows = [[*g[i * n:i * n + n], r[i]] for i in range(n)]
+    det = 1.0
+    for c in range(n):
+        p, big = c, abs(rows[c][c])
+        for i in range(c + 1, n):
+            a = abs(rows[i][c])
+            if a > big:
+                p, big = i, a
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        det *= pivot[c]
+        if not big:  # a zero column: det is 0 (or nan), refused below
+            continue
+        tail = pivot[c + 1:]
+        for row in rows[c + 1:]:
+            if row[c]:
+                f = row[c] / pivot[c]
+                row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], tail)]
+    if abs(det) < geo._DEGENERACY_TOL:
+        raise geo.DegenerateMetricError(f"metric is degenerate at {q}")
+    if not math.isfinite(det):
+        raise OverflowError("non-finite metric")
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        s = row[n]
+        for j in range(i + 1, n):
+            if row[j]:
+                s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
+
+
+def _finite(dv, v):
+    """dv, once it and the velocity v are checked finite."""
+    if not all(map(math.isfinite, v + dv)):
         raise OverflowError("non-finite right-hand side")
-    return out
+    return dv
 
 
 # --- code generation -------------------------------------------------------
@@ -261,6 +291,13 @@ def _velocities(n):
     return [ex.Var(f"v{c}", n + c) for c in range(n)]
 
 
+def _force_terms(fp, v, k):
+    """F^k_j v^j for each nonzero F^k_j."""
+    if fp.force_operator is None:
+        return []
+    return [ex.Mul(e, v[j]) for j, e in enumerate(fp.force_operator[k]) if e != ex.ZERO]
+
+
 def _accel_exprs(m, fp, v):
     """dv^k = -Gamma^k_ij v^i v^j + F^k_j v^j + X^k with symbolic Christoffels,
     as trees in the order of operations of the generated code."""
@@ -281,9 +318,7 @@ def _accel_exprs(m, fp, v):
                 gamma_terms.append(ex.Mul(ex.Mul(e, v[i]), v[j]))
         if gamma_terms:
             terms.append(ex.Neg(_chain(gamma_terms)))
-        if fp.force_operator is not None:
-            terms += [ex.Mul(e, v[j]) for j, e in enumerate(fp.force_operator[k])
-                      if e != ex.ZERO]
+        terms += _force_terms(fp, v, k)
         if drive is not None and drive[k] != ex.ZERO:
             terms.append(drive[k])
         out.append(_chain(terms) if terms else ex.ZERO)
@@ -310,31 +345,64 @@ def _accel_template(m, fp):
     return lines + [f"{o} = {r}" for o, r in zip(out, results)]
 
 
-def _accel_source(m, fp):
-    """``_accel(t, y_0, ..., y_{2n-1})`` above the symbolic limit: one block
-    computing g, dg, F and dV (or X) at the state, contracted by
-    ``_numeric_accel`` into dv."""
+def _contraction_exprs(m, v):
+    """w_l = sum_ij (d_i g_jl - 1/2 d_l g_ij) v^i v^j, so that
+    Gamma^k_ij v^i v^j = g^kl w_l; zero derivatives are dropped and each
+    product v^i v^j is one tree, whichever order its factors come in."""
     n = m.dim
-    F, dV, X = fp.force_operator, None, fp.force_vector
-    if fp.potential is not None:
-        dV, X = [ex.derive(fp.potential, name) for name in m.frame.names], None
-    groups = [geo.mirrored(m.metric),
-              [e for plane in m._sys.dg for row in plane for e in row],
-              None if F is None else [e for row in F for e in row], dV, X]
+    dg = m._sys.dg  # dg[k][i][j] = d_k g_ij
+
+    def vv(i, j):
+        return ex.Mul(v[min(i, j)], v[max(i, j)])
+
+    out = []
+    for l in range(n):
+        terms = [ex.Mul(dg[i][j][l], vv(i, j))
+                 for i in range(n) for j in range(n) if dg[i][j][l] != ex.ZERO]
+        half = [ex.Mul(dg[l][i][j] if i == j else ex.Mul(ex.Const(2.0), dg[l][i][j]),
+                       vv(i, j))
+                for i in range(n) for j in range(i, n) if dg[l][i][j] != ex.ZERO]
+        if half:
+            terms.append(ex.Neg(ex.Mul(ex.Const(0.5), _chain(half))))
+        out.append(_chain(terms) if terms else ex.ZERO)
+    return out
+
+
+def _accel_source(m, fp):
+    """``_accel(t, y_0, ..., y_{2n-1})`` above the symbolic limit, in plain
+    floats: one block computing g, r = -w - dV/dx (w from
+    ``_contraction_exprs``) and F v + X, then dv = g^-1 r + F v + X with the
+    inverse applied by ``_solve``."""
+    n = m.dim
+    v = _velocities(n)
+    dV = [ex.ZERO] * n
+    if fp.potential is not None:  # a potential takes the place of X
+        dV = [ex.derive(fp.potential, name) for name in m.frame.names]
+    r = []
+    for pair in zip(_contraction_exprs(m, v), dV):
+        parts = [e for e in pair if e != ex.ZERO]
+        r.append(ex.Neg(_chain(parts)) if parts else ex.ZERO)
+    rest = []  # F v + X per component, zero entries dropped
+    for k in range(n):
+        terms = _force_terms(fp, v, k)
+        if (fp.potential is None and fp.force_vector is not None
+                and fp.force_vector[k] != ex.ZERO):
+            terms.append(fp.force_vector[k])
+        rest.append(_chain(terms) if terms else None)
 
     def rename(var: ex.Var) -> str:
         return "t" if var.index == ex.TIME_INDEX else f"y_{var.index}"
 
-    lines, results = ex.emit_block(
-        [e for group in groups if group is not None for e in group], rename, "_a")
-    results = iter(results)
-    args = ", ".join("None" if group is None else _tuple([next(results) for _ in group])
-                     for group in groups)
+    g = geo.mirrored(m.metric)
+    lines, results = ex.emit_block(g + r + [e for e in rest if e is not None], rename, "_a")
+    extra = iter(results[n * n + n:])
+    dv = [f"_x[{k}]" if e is None else f"_x[{k}] + {next(extra)}" for k, e in enumerate(rest)]
     names = [f"y_{c}" for c in range(2 * n)]
     return "".join([f"def _accel(t, {', '.join(names)}):\n",
                     *(f"    {line}\n" for line in lines),
-                    f"    return _numeric_accel({_tuple(names[:n])}, {_tuple(names[n:])}, "
-                    f"{args})\n"])
+                    f"    _x = _solve({_tuple(results[:n * n])}, "
+                    f"{_tuple(results[n * n:n * n + n])}, {_tuple(names[:n])})\n",
+                    f"    return _finite({_tuple(dv)}, {_tuple(names[n:])})\n"])
 
 
 def _tuple(items):
@@ -710,6 +778,51 @@ def _zero_grid(ts):
     return int(np.argmin(np.abs(ts)))
 
 
+class SampleSeries:
+    """The series the monitors, the certificate and the sample table read
+    along one result, each evaluated once: g(v,v) and the energy
+    g(v,v) + 2V, and with a reference field K the charge g(K,v), g(K,K) and
+    the rate identity.  Only (m,) series are kept, never the metric stack."""
+
+    def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, result: TrajectoryResult):
+        self.m, self.fp = m, fp
+        ts, qs, vs = result.arrays()
+        g = m.metric_batch(qs)
+        self.gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
+        self.energy = self.gvv + 2.0 * fp.potential_batch(qs, ts)
+        self.gkv = self.gkk = self._k_dot_grad = None
+        if fp.reference_field is not None:
+            k = fp.reference_batch(qs, ts)
+            self.gkv = np.einsum("mij,mi,mj->m", g, k, vs)
+            self.gkk = np.einsum("mij,mi,mj->m", g, k, k)
+            if fp.potential is not None:  # g(K, grad V) = dV(K)
+                self._k_dot_grad = np.einsum("mi,mi->m", k,
+                                             fp.potential_derivative_batch(qs, ts))
+            else:
+                self._k_dot_grad = np.zeros(len(ts))
+        self._qs = qs
+
+    @cached_property
+    def rate(self):
+        """d/dt g(K, v) = -dV(K) + sigma g(v, v) along the samples."""
+        m, fp = self.m, self.fp
+        if _conformal_cached(m, fp)[1] <= 1e-9:
+            sigma = np.zeros(len(self.gvv))
+        else:
+            sigma = fl.conformal_factors(m, fp.reference_field, self._qs)[0]
+        return -self._k_dot_grad + sigma * self.gvv
+
+
+def sample_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
+                  result: TrajectoryResult) -> SampleSeries:
+    """The series of ``result`` under (m, fp), evaluated on the first call
+    and kept with the result."""
+    series = result._series
+    if series is None or series.m is not m or series.fp is not fp:
+        series = result._series = SampleSeries(m, fp, result)
+    return series
+
+
 def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
                    result: TrajectoryResult) -> EnergyRecord:
     """Drift of g(v,v) + 2V along the samples.
@@ -717,10 +830,8 @@ def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     The quantity is a constant of motion when F is skew-adjoint and the only
     extra force is -grad V; otherwise the record is informational.
     """
-    ts, qs, vs = result.arrays()
-    g = m.metric_batch(qs)
-    gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
-    energy = gvv + 2.0 * fp.potential_batch(qs, ts)
+    ts = result.arrays()[0]
+    energy = sample_series(m, fp, result).energy
     c = float(energy[_zero_grid(ts)])
     drift = float(np.max(np.abs(energy - c)))
     skew = _skew_cached(m, fp)
@@ -728,13 +839,6 @@ def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     applicable = bool(skew.passed and gradient_force)
     note = "" if applicable else "not conserved - informational"
     return EnergyRecord(applicable, c, drift, note)
-
-
-def _charge_series(m, fp, result):
-    ts, qs, vs = result.arrays()
-    g = m.metric_batch(qs)
-    k = fp.reference_batch(qs, ts)
-    return ts, qs, vs, g, np.einsum("mij,mi,mj->m", g, k, vs)
 
 
 def _nonuniform_derivative(ts, ys):
@@ -746,26 +850,14 @@ def _nonuniform_derivative(ts, ys):
             + h1 / (h2 * (h1 + h2)) * ys[2:])
 
 
-def _rate_identity(m, fp, ts, qs, k, gvv):
-    """d/dt g(K, v) = -dV(K) + sigma g(v, v) along the samples."""
-    if fp.potential is not None:
-        dv = fp.potential_derivative_batch(qs, ts)
-        k_dot_grad = np.einsum("mi,mi->m", k, dv)  # g(K, grad V) = dV(K)
-    else:
-        k_dot_grad = np.zeros(len(ts))
-    if _conformal_cached(m, fp)[1] <= 1e-9:
-        sigma = np.zeros(len(ts))
-    else:
-        sigma = fl.conformal_factors(m, fp.reference_field, qs)[0]
-    return -k_dot_grad + sigma * gvv
-
-
 def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
                            result: TrajectoryResult) -> KillingRecord:
     """Conservation or rate identity for the charge g(K, v) along the run."""
     if fp.reference_field is None:
         return KillingRecord(False, False, 0.0, 0.0, None, 0.0, "no reference field")
-    ts, qs, vs, g, charge = _charge_series(m, fp, result)
+    ts = result.arrays()[0]
+    series = sample_series(m, fp, result)
+    charge = series.gkv
     q0 = float(charge[_zero_grid(ts)])
     drift = float(np.max(np.abs(charge - q0)))
     bound = float(np.max(np.abs(charge)))
@@ -777,10 +869,7 @@ def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     rate_residual = None
     if len(ts) >= 3:
         dq_num = _nonuniform_derivative(ts, charge)
-        k = fp.reference_batch(qs, ts)
-        gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
-        ident = _rate_identity(m, fp, ts, qs, k, gvv)
-        rate_residual = float(np.max(np.abs(dq_num - ident[1:-1])))
+        rate_residual = float(np.max(np.abs(dq_num - series.rate[1:-1])))
     return KillingRecord(True, constant_case, q0, drift, rate_residual, bound)
 
 
@@ -796,18 +885,15 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
     inv_norm = _inverse_norm_bound(m, fp)
     if inv_norm is None:
         return Certificates(True, "reference field is not timelike everywhere sampled")
-    ts, qs, vs, g, charge = _charge_series(m, fp, result)
-    k = fp.reference_batch(qs, ts)
-    gkk = np.einsum("mij,mi,mj->m", g, k, k)
+    series = sample_series(m, fp, result)
+    gvv, gkv, gkk = series.gvv, series.gkv, series.gkk
     if np.max(gkk) >= -1e-10:
         return Certificates(True, "reference field not timelike along the trajectory")
-    gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
-    gkv = charge
     gr_form = gvv + 2.0 * gkv * gkv / (-gkk)
-    c2 = float(np.max(np.abs(charge)))
+    c2 = float(np.max(np.abs(gkv)))
     mc2 = inv_norm * c2
     # c1 from the smooth side of the rate identity
-    c1 = float(np.max(np.abs(_rate_identity(m, fp, ts, qs, k, gvv))))
+    c1 = float(np.max(np.abs(series.rate)))
     g_vv_max = float(np.max(gvv))
     gr_max = float(np.max(gr_form))
     bound = g_vv_max + 2.0 * mc2 * mc2
@@ -818,12 +904,9 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
 def speed_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
                  result: TrajectoryResult) -> np.ndarray:
     """The classification speed (not squared) at every sample."""
-    ts, qs, vs = result.arrays()
     if result.speed_mode == "euclidean":
+        vs = result.arrays()[2]
         return np.sqrt(np.einsum("mi,mi->m", vs, vs))
-    g = m.metric_batch(qs)
-    k = fp.reference_batch(qs, ts)
-    gkk = np.einsum("mij,mi,mj->m", g, k, k)
-    gkv = np.einsum("mij,mi,mj->m", g, k, vs)
-    gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
+    series = sample_series(m, fp, result)
+    gvv, gkv, gkk = series.gvv, series.gkv, series.gkk
     return np.sqrt(np.maximum(gvv + 2.0 * gkv * gkv / (-gkk), 0.0))

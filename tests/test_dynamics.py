@@ -253,6 +253,51 @@ def test_generated_kernel_matches_generic():
                 assert err == pytest.approx(err_ref, rel=1e-6, abs=1e-8), s.name
 
 
+def test_rhs_above_dimension_four_refuses_degenerate_and_non_finite_states():
+    # g_00 = a vanishes on a = 0: the plain-float solve names the point, as
+    # the numeric Christoffels do; a NaN state is a failed evaluation
+    frame = ex.CoordinateFrame(("a", "b", "c", "d", "e"))
+    entries = {(i, i): ex.ONE for i in range(1, 5)}
+    entries[0, 0] = ex.parse("a", frame)
+    m = geo.manifold_from_components(frame, entries)
+    rhs_flat = dy.compiled_system(m, fl.FieldPack(frame)).rhs_flat
+    assert rhs_flat(0.0, (1.0,) * 10)[:5] == (1.0,) * 5
+    for a in (0.0, 1e-13):
+        q = (a, 0.5, 0.0, 0.0, 0.0)
+        with pytest.raises(geo.DegenerateMetricError, match=rf"degenerate at \({a!r}, 0\.5,"):
+            rhs_flat(0.0, q + (1.0,) * 5)
+        with pytest.raises(geo.DegenerateMetricError):
+            dy.rhs(m, fl.FieldPack(frame), geo.TrajectoryState(0.0, q, (1.0,) * 5))
+    with pytest.raises(OverflowError):
+        rhs_flat(0.0, (math.nan,) * 10)
+    with pytest.raises(OverflowError):  # v_e enters no term of dv
+        rhs_flat(0.0, (1.0,) * 9 + (math.inf,))
+
+
+def test_dimension_five_endpoint_matches_dop853():
+    # the forward endpoint of the dimension-5 file against scipy's DOP853
+    # over the numeric right-hand side, which shares no code with the stepper
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    s = cat.load(CURVED_5D)
+    m, fp = s.manifold, s.fields
+    cfg = s.integration_config()
+    res = dy.integrate_maximal(m, fp, s.initial, cfg)
+    assert res.forward.classification.kind == dy.COMPLETE
+
+    def f(t, y):
+        return np.concatenate(dy.rhs(m, fp, geo.TrajectoryState(t, tuple(y[:5]), tuple(y[5:]))))
+
+    ref = solve_ivp(f, (0.0, cfg.t_max), np.concatenate([s.initial.q, s.initial.v]),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert ref.success
+    ts, qs, vs = res.arrays()
+    assert ts[-1] == cfg.t_max
+    dq = qs[-1] - ref.y[:5, -1]
+    dq -= np.round(dq)  # the lattice has period 1 in every coordinate
+    assert np.max(np.abs(dq)) < 1e-6
+    assert np.max(np.abs(vs[-1] - ref.y[5:, -1])) < 1e-6
+
+
 def test_marginal_flag_near_threshold():
     s = cat.builtin("flat-lorentz-torus")
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
@@ -349,6 +394,34 @@ def test_certificate_refusals():
     spacelike = fl.FieldPack(s.fields.frame,
                              reference_field=(ex.ZERO, ex.ONE))
     assert dy.certificate(s.manifold, spacelike, res).refused
+
+
+def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
+    # the monitors, the certificate, the speed series and the sample table
+    # read g and K along the samples once per result and field pack
+    s = cat.builtin("t3-magnetic")
+    m, fp = s.manifold, s.fields
+    res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=5.0))
+    rows = len(res.states)
+    calls = []
+    for owner, attr in ((geo.ManifoldSpec, "metric_batch"), (fl.FieldPack, "reference_batch")):
+        def counted(self, qs, *rest, _f=getattr(owner, attr), _name=attr):
+            if len(qs) == rows:
+                calls.append(_name)
+            return _f(self, qs, *rest)
+        monkeypatch.setattr(owner, attr, counted)
+    records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
+               dy.certificate(m, fp, res))
+    _, table = cli._sample_table(s, res)
+    assert sorted(calls) == ["metric_batch", "reference_batch"]
+    # the series equal a fresh evaluation, and another field pack gets its own
+    fresh = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=5.0))
+    assert records == (dy.energy_monitor(m, fp, fresh), dy.killing_charge_monitor(m, fp, fresh),
+                       dy.certificate(m, fp, fresh))
+    assert np.array_equal(table[:, -1], dy.speed_series(m, fp, fresh))
+    no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
+    assert dy.certificate(m, no_k, res).refused
+    assert dy.sample_series(m, no_k, res).gkv is None
 
 
 def test_speed_series_uses_reference_form():
@@ -452,11 +525,13 @@ def test_step_loop_specialises_per_chart():
         assert bounded.wrap is None and bounded.contains is not None
 
 
-def _curved_torus(names, with_potential):
+def _curved_torus(names, with_potential, null=False):
     """A Lorentzian torus with a curved, non-diagonal spatial metric, a force
-    operator and either a potential or an explicit force vector."""
+    operator and either a potential or an explicit force vector.  With
+    ``null`` the first coordinate is null (g_00 = 0, g_01 = 1)."""
     n = len(names)
-    metric = {"g_0_0": "-1", "g_1_2": f"0.1 * sin(2 * pi * {names[-1]})"}
+    metric = {"g_0_1": "1"} if null else {"g_0_0": "-1"}
+    metric["g_1_2"] = f"0.1 * sin(2 * pi * {names[-1]})"
     for i in range(1, n):
         metric[f"g_{i}_{i}"] = f"1 + 0.2 * cos(2 * pi * {names[i % (n - 1) + 1]})"
     F = [["0"] * n for _ in range(n)]
@@ -478,11 +553,15 @@ def _curved_torus(names, with_potential):
 
 def test_generated_rhs_matches_numeric_oracle():
     # the generated right-hand side (symbolic Christoffels up to dimension 4,
-    # the numeric contraction above) against rhs, whose Christoffels come
-    # from g and its derivatives in every dimension
+    # a contraction of the symbolic derivatives of g and a plain-float solve
+    # above) against rhs, whose Christoffels come from g and its derivatives
+    # numerically in every dimension; in null coordinates (g_00 = 0) the
+    # solve has to swap rows
     scenarios = [cat.builtin(name) for name in cat.list_builtins()]
-    for names in (("s", "x", "y"), ("s", "x", "y", "z", "w")):
+    five = ("s", "x", "y", "z", "w")
+    for names in (("s", "x", "y"), five):
         scenarios += [_curved_torus(names, True), _curved_torus(names, False)]
+    scenarios += [_curved_torus(five, True, null=True), _curved_torus(five, False, null=True)]
     rng = np.random.default_rng(8)
     for s in scenarios:
         m, fp = s.manifold, s.fields
