@@ -4,16 +4,22 @@ The second-order equation is integrated as a first-order system on
 (position, velocity) pairs with an embedded Dormand-Prince 5(4) pair and PI
 step control.  The right-hand side, the speed and a fused step are generated
 as flat Python functions in every dimension, each stage one block printed by
-``expr.emit_block``.  Up to dimension 4 the Christoffel symbols are symbolic;
-above it each stage calls one generated helper, ``_accel``, which contracts
-the symbolic derivatives of g with the velocity and applies the inverse
-metric with ``_solve``, a Gaussian elimination on plain floats.  No numpy
-call runs inside a stage.  The step loop runs on plain floats and keeps its
-samples in one flat buffer per direction; the monitors, the certificate and
-the sample table read the samples through one ``SampleSeries`` per result.
+``expr.emit_block`` from trees that ``expr.simplify`` has rewritten exactly.
+Up to dimension 4 the Christoffel symbols are symbolic; above it each stage
+calls one generated helper, ``_accel``, which contracts the symbolic
+derivatives of g with the velocity and applies the inverse metric with
+``_solve``, a Gaussian elimination on plain floats.  No numpy call runs
+inside a stage.  The fused step emits only the arithmetic a step reads (see
+``_generate_sources``) and returns the state already wrapped into the
+fundamental domain of a lattice chart.  The step loop runs on plain floats
+and keeps its samples in one flat buffer per direction; the monitors, the
+certificate and the sample table read the samples through one
+``SampleSeries`` per result.
 
 A run never raises on dynamical failure: divergence, domain exit and step
-collapse become classifications with a bracketed escape time.
+collapse become classifications with a bracketed time.  For a blow-up the
+bracket is the accepted step in which the speed crossed v_max; the escape
+time itself comes later, and in general outside the bracket.
 """
 
 from __future__ import annotations
@@ -181,18 +187,16 @@ class _System:
         self.n = m.dim
         self.use_reference_speed = _reference_speed_usable(m, fp)
         ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _finite=_finite)
-        if m._sys.gamma is None:
-            ns["_accel"] = ex.compile_source(_accel_source(m, fp), "_accel", ns)
-        self.rhs_source, self.kernel_source = _generate_sources(m, fp)
+        self.rhs_source, self.kernel_source, accel_source = _generate_sources(m, fp)
+        if accel_source is not None:
+            ns["_accel"] = ex.compile_source(accel_source, "_accel", ns)
         self.speed_source = _speed_source(m, fp, self.use_reference_speed)
         self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
         self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
         self.kernel = ex.compile_source(self.kernel_source, "_kernel", ns)
-        # The step into the fundamental domain: lattice charts wrap with a
-        # generated function; the scaling quotient, whose deck maps also move
-        # v and call for a fresh right-hand side, keeps normalize_qv.
-        wrap = _wrap_source(m)
-        self.wrap = None if wrap is None else ex.compile_source(wrap, "_wrap", ns)
+        # The step into the fundamental domain: the kernel wraps lattice
+        # charts itself; the scaling quotient, whose deck maps also move v
+        # and call for a fresh right-hand side, keeps normalize_qv.
         self.scaling = isinstance(m.quotient, geo.ScalingQuotient)
         # Accepted states are finite, so a chart that is all of R^n holds them.
         d = m.domain
@@ -326,23 +330,34 @@ def _accel_exprs(m, fp, v):
 
 
 def _accel_template(m, fp):
-    """Lines computing the 2n components of the RHS at a stage; the format
-    fields {0}..{2n-1} are the stage point, {2n}..{4n-1} the names of the
-    outputs and {t} the time.  Up to the symbolic limit this is one block of
-    shared subexpressions; above it, one call of the generated ``_accel``."""
+    """The RHS at one stage point as ``(lines, reads, timed, helper)``.
+
+    The format fields are {0}..{2n-1}, the stage point, {2n}..{4n-1}, the
+    names of the outputs, and {t}, the time.  ``lines`` compute the stage.
+    ``reads[c]`` is the text of component c when it is one name or literal,
+    which is read in place (a velocity copy, or the literal 0.0 of a
+    structurally zero slope); it is None when ``lines`` assign output
+    {2n+c}.  ``timed`` tells whether the stage reads {t}.  Up to the symbolic
+    limit the lines are one block of shared subexpressions and ``helper`` is
+    None; above it they are one call of ``_accel``, and ``helper`` is the
+    source of that function."""
     n = m.dim
     state = [f"{{{c}}}" for c in range(2 * n)]
     out = [f"{{{c}}}" for c in range(2 * n, 4 * n)]
     if m._sys.gamma is None:
-        return [f"{o} = {s}" for o, s in zip(out, state[n:])] + [
-            f"{_tuple(out[n:])} = _accel({{t}}, {', '.join(state)})"]
+        helper, timed = _accel_source(m, fp)
+        args = ", ".join(["{t}"] * timed + state)
+        return [f"{_tuple(out[n:])} = _accel({args})"], state[n:] + [None] * n, timed, helper
     v = _velocities(n)
+    trees = ex.simplify(v + _accel_exprs(m, fp, v))
 
     def rename(var: ex.Var) -> str:
         return "{t}" if var.index == ex.TIME_INDEX else f"{{{var.index}}}"
 
-    lines, results = ex.emit_block(v + _accel_exprs(m, fp, v), rename, "_a")
-    return lines + [f"{o} = {r}" for o, r in zip(out, results)]
+    lines, results = ex.emit_block(trees, rename, "_a")
+    reads = [r if isinstance(e, (ex.Var, ex.Const)) else None for e, r in zip(trees, results)]
+    lines += [f"{o} = {r}" for o, r, read in zip(out, results, reads) if read is None]
+    return lines, reads, any(map(ex.references_time, trees)), None
 
 
 def _contraction_exprs(m, v):
@@ -372,7 +387,8 @@ def _accel_source(m, fp):
     """``_accel(t, y_0, ..., y_{2n-1})`` above the symbolic limit, in plain
     floats: one block computing g, r = -w - dV/dx (w from
     ``_contraction_exprs``) and F v + X, then dv = g^-1 r + F v + X with the
-    inverse applied by ``_solve``."""
+    inverse applied by ``_solve``.  Returns the source and whether it reads
+    t; when it does not, the function takes no t."""
     n = m.dim
     v = _velocities(n)
     dV = [ex.ZERO] * n
@@ -393,83 +409,98 @@ def _accel_source(m, fp):
     def rename(var: ex.Var) -> str:
         return "t" if var.index == ex.TIME_INDEX else f"y_{var.index}"
 
-    g = geo.mirrored(m.metric)
-    lines, results = ex.emit_block(g + r + [e for e in rest if e is not None], rename, "_a")
+    trees = ex.simplify(geo.mirrored(m.metric) + r + [e for e in rest if e is not None])
+    lines, results = ex.emit_block(trees, rename, "_a")
     extra = iter(results[n * n + n:])
     dv = [f"_x[{k}]" if e is None else f"_x[{k}] + {next(extra)}" for k, e in enumerate(rest)]
     names = [f"y_{c}" for c in range(2 * n)]
-    return "".join([f"def _accel(t, {', '.join(names)}):\n",
-                    *(f"    {line}\n" for line in lines),
-                    f"    _x = _solve({_tuple(results[:n * n])}, "
-                    f"{_tuple(results[n * n:n * n + n])}, {_tuple(names[:n])})\n",
-                    f"    return _finite({_tuple(dv)}, {_tuple(names[n:])})\n"])
+    timed = any(map(ex.references_time, trees))
+    source = "".join([f"def _accel({', '.join(['t'] * timed + names)}):\n",
+                      *(f"    {line}\n" for line in lines),
+                      f"    _x = _solve({_tuple(results[:n * n])}, "
+                      f"{_tuple(results[n * n:n * n + n])}, {_tuple(names[:n])})\n",
+                      f"    return _finite({_tuple(dv)}, {_tuple(names[n:])})\n"])
+    return source, timed
 
 
 def _tuple(items):
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-def _wrap_source(m):
-    """``_wrap(y)`` on lattice charts: y with each periodic coordinate taken
-    modulo its period, the operations of ``geometry.normalize_qv``; else None."""
-    if not isinstance(m.quotient, geo.LatticeQuotient):
-        return None
-    items = [f"y[{c}]" if c >= m.dim or L is None else f"y[{c}] % {L!r}"
-             for c, L in enumerate(m.quotient.periods + (None,) * m.dim)]
-    return f"def _wrap(y):\n    return {_tuple(items)}\n"
+def _combo(weights, slopes, c):
+    """a1*k1_c + a2*k2_c + ... over the nonzero weights, summed left to right."""
+    return " + ".join(f"{a!r}*{k[c]}" for a, k in zip(weights, slopes) if a != 0.0)
 
 
 def _generate_sources(m, fp):
-    """Sources of ``_rhs(t, y)`` and of the fused step ``_kernel``."""
+    """Sources of ``_rhs(t, y)``, of the fused step ``_kernel`` and, above
+    the symbolic limit, of the ``_accel`` helper they call (else None).
+
+    The kernel is the Dormand-Prince step, written out for the work it
+    needs; each omission keeps every bit:
+    - a stage time t_s is computed only when the right-hand side reads t;
+    - a structurally zero component, whose right-hand side is the literal
+      0.0 in ``_rhs`` and in the kernel alike, has every slope +0.0, k1
+      included.  Each row of _A and _B starts with a positive weight, so its
+      sum over the slopes is +0.0, and every stage value of the component is
+      y_c + h*0.0, computed once with the sign of zero it always had.  Its
+      error term is (h*0.0/sc)**2 = +0.0 for finite y and h, and adding +0.0
+      to a sum of squares, which is >= +0.0, changes nothing; a non-finite
+      y_c makes y5_c non-finite, which the step loop rejects whatever err is;
+    - a slope that is one name or literal (a velocity copy) is read in place;
+    - max(a, b) is ``b if b > a else a``: max returns b only when b > a,
+      so it keeps the first of equal values and a nan in either place.
+    On lattice charts the returned state is y5 with each periodic coordinate
+    taken modulo its period, the operation of ``geometry.normalize_qv``,
+    while k7, the first slope of the next step, is evaluated at y5 itself.
+    """
     n = m.dim
     N = 2 * n
+    template, reads, timed, helper = _accel_template(m, fp)
 
-    # flat RHS: used for the first stage and after renormalization
-    lines = ["def _rhs(t, y):"]
+    def stage(state, k, t_name):
+        """The lines of the RHS at one stage point and the text of its slopes."""
+        outs = [f"{k}_{c}" for c in range(N)]
+        lines = [f"    {line.format(*state, *outs, t=t_name)}\n" for line in template]
+        return lines, [o if r is None else r.format(*state, t=t_name)
+                       for o, r in zip(outs, reads)]
+
     names = [f"y_{c}" for c in range(N)]
-    for c in range(N):
-        lines.append(f"    {names[c]} = y[{c}]")
-    out = [f"f_{c}" for c in range(N)]
-    template = _accel_template(m, fp)
+    body, f = stage(names, "f", "t")
+    rhs_source = "".join(["def _rhs(t, y):\n", f"    {_tuple(names)} = y\n", *body,
+                          f"    return {_tuple(f)}\n"])
 
-    def stage(state, out, t_name):  # the template at one stage point
-        return [f"    {line.format(*state, *out, t=t_name)}" for line in template]
-
-    lines += stage(names, out, "t")
-    lines.append("    return (" + ", ".join(out) + ")")
-    rhs_source = "\n".join(lines) + "\n"
-
-    # fused Dormand-Prince step
-    lines = ["def _kernel(t, h, y, k1, atol, rtol):"]
+    zero = [r == "0.0" for r in reads]
+    assert all(row[0] > 0.0 for row in (*_A, _B))  # the zero sums are +0.0
+    lines = ["def _kernel(t, h, y, k1, atol, rtol):\n", f"    {_tuple(names)} = y\n",
+             f"    {_tuple('_' if z else f'k1_{c}' for c, z in enumerate(zero))} = k1\n"]
+    if any(zero):
+        lines.append("    hz = h*0.0\n")
+    lines += [f"    y5_{c} = y_{c} + hz\n" for c in range(N) if zero[c]]
+    slopes = [[f"k1_{c}" for c in range(N)]]
+    for s, (cs, row) in enumerate(zip((*_C, 1.0), (*_A, _B)), start=2):
+        point = [f"y5_{c}" if s == 7 or zero[c] else f"s{s}_{c}" for c in range(N)]
+        lines += [f"    {point[c]} = y_{c} + h*({_combo(row, slopes, c)})\n"
+                  for c in range(N) if not zero[c]]
+        if timed:
+            lines.append(f"    t{s} = t + {cs!r}*h\n" if cs != 1.0 else f"    t{s} = t + h\n")
+        body, k = stage(point, f"k{s}", f"t{s}")
+        lines += body
+        slopes.append(k)
+    terms = []
     for c in range(N):
-        lines.append(f"    y_{c} = y[{c}]")
-        lines.append(f"    k1_{c} = k1[{c}]")
-    ks = ["k1"]
-    for s, (cs, row) in enumerate(zip(_C, _A), start=2):
-        for c in range(N):
-            combo = " + ".join(f"{a!r}*{kn}_{c}" for a, kn in zip(row, ks) if a != 0.0)
-            lines.append(f"    s{s}_{c} = y_{c} + h*({combo})")
-        lines.append(f"    t{s} = t + {cs!r}*h")
-        kn = f"k{s}"
-        lines += stage([f"s{s}_{c}" for c in range(N)], [f"{kn}_{c}" for c in range(N)],
-                       f"t{s}")
-        ks.append(kn)
-    for c in range(N):
-        combo = " + ".join(f"{b!r}*{kn}_{c}" for b, kn in zip(_B, ks) if b != 0.0)
-        lines.append(f"    y5_{c} = y_{c} + h*({combo})")
-    lines.append("    t7 = t + h")
-    lines += stage([f"y5_{c}" for c in range(N)], [f"k7_{c}" for c in range(N)], "t7")
-    ks.append("k7")
-    for c in range(N):
-        combo = " + ".join(f"{e!r}*{kn}_{c}" for e, kn in zip(_E, ks) if e != 0.0)
-        lines.append(f"    e_{c} = h*({combo})")
-        lines.append(f"    sc_{c} = atol + rtol*max(abs(y_{c}), abs(y5_{c}))")
-    norm = " + ".join(f"(e_{c}/sc_{c})**2" for c in range(N))
-    lines.append(f"    err = sqrt(({norm})/{float(N)!r})")
-    lines.append("    return err, (" + ", ".join(f"y5_{c}" for c in range(N))
-                 + "), (" + ", ".join(f"k7_{c}" for c in range(N)) + ")")
-    kernel_source = "\n".join(lines) + "\n"
-    return rhs_source, kernel_source
+        if zero[c]:
+            continue
+        lines += [f"    e_{c} = h*({_combo(_E, slopes, c)})\n",
+                  f"    a_{c} = abs(y_{c})\n", f"    b_{c} = abs(y5_{c})\n",
+                  f"    sc_{c} = atol + rtol*(b_{c} if b_{c} > a_{c} else a_{c})\n"]
+        terms.append(f"(e_{c}/sc_{c})**2")
+    lines.append(f"    err = sqrt(({' + '.join(terms)})/{float(N)!r})\n")
+    periods = m.quotient.periods if isinstance(m.quotient, geo.LatticeQuotient) else ()
+    y5 = [f"y5_{c}" if c >= len(periods) or periods[c] is None else f"y5_{c} % {periods[c]!r}"
+          for c in range(N)]
+    lines.append(f"    return err, {_tuple(y5)}, {_tuple(slopes[-1])}\n")
+    return rhs_source, "".join(lines), helper
 
 
 def _speed_source(m, fp, use_reference):
@@ -497,7 +528,7 @@ def _speed_source(m, fp, use_reference):
             raise geo.ValidationError("speed normalization cannot depend on t")
         return f"y[{var.index}]"
 
-    block, (result,) = ex.emit_block([speed], rename, "_s")
+    block, (result,) = ex.emit_block(ex.simplify([speed]), rename, "_s")
     return "".join(["def _speed_sq(y):\n", *(f"    {line}\n" for line in block),
                     f"    return {result}\n"])
 
@@ -525,7 +556,6 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     kernel = sysd.kernel
     rhs_flat = sysd.rhs_flat
     speed_sq = sysd.speed_sq
-    wrap = sysd.wrap
     scaling = sysd.scaling
     contains = sysd.contains
     T, atol, rtol = float(cfg.t_max), float(cfg.atol), float(cfg.rtol)
@@ -580,6 +610,7 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         hs = sign * h
         t = sign * tau
         try:
+            # y_new is wrapped on lattice charts: x % L is finite iff x is
             err, y_new, k_new = kernel(t, hs, y, k1, atol, rtol)
             ok = math.isfinite(err) and all(map(math.isfinite, y_new))
         except _EVAL_ERRORS:
@@ -625,8 +656,6 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
                     verdict = finish(STALLED, t, h,
                                      detail="evaluation failure after renormalization")
                     break
-        elif wrap is not None:
-            y = wrap(y_new)
         else:
             y = y_new
         k1 = k_new

@@ -6,7 +6,10 @@ and the functions of ``FUNCTIONS`` (sin, cos, exp, log).  They support exact
 symbolic partial derivatives.  ``emit_block``, the one printer of generated
 code, turns a list of them into straight-line Python with one local per
 shared subexpression: scalar code over math functions (``_SCALAR_NS``) for the
-stepper, or numpy code over arrays of points (``compile_batch``).
+stepper, or numpy code over arrays of points (``compile_batch``).  The
+stepper first passes its trees through ``simplify``, an exact rewrite that
+folds constants, drops units and cancels negations without changing a bit of
+any result.
 
 Grammar (whitespace insignificant)::
 
@@ -24,6 +27,7 @@ reads as ``-(x^2)``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -538,6 +542,99 @@ def to_text(e: Expr) -> str:
 def _wrap(text: str, e: Expr, minimum: int) -> str:
     # takes the text of ``e`` so that to_text recurses one frame per level
     return f"({text})" if _prec(e) < minimum else text
+
+
+# --- exact simplification of scalar code -----------------------------------
+
+def simplify(exprs) -> list:
+    """The trees of ``exprs`` rewritten so that the scalar code ``emit_block``
+    prints for them does less arithmetic and gives the same result bit for
+    bit in IEEE double at every input, signed zeros, infinities and nan
+    included, and raises where the original code raises.  Constants fold,
+    the units 1.0, -1.0 and -0.0 drop out, and negations move out of
+    products and quotients, cancelling in pairs.  ``x + 0.0`` and ``0.0*x``
+    stay: they differ from x at x = -0.0 and x = inf.  The batch evaluator
+    keeps its trees, since numpy's functions need not round as Python's do.
+    Nothing here recurses.
+    """
+    done = {}  # id(node) -> rewritten node; nodes stay alive in ``exprs``
+    out = []
+    for root in exprs:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in done:
+                stack.pop()
+                continue
+            pending = [x for x in _parts(e) if isinstance(x, Expr) and id(x) not in done]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            done[id(e)] = _rewrite(e, [done[id(x)] if isinstance(x, Expr) else x
+                                       for x in _parts(e)])
+        out.append(done[id(root)])
+    return out
+
+
+# The Python operation of each node over constant operands.
+_OPS = {Add: operator.add, Mul: operator.mul, Div: operator.truediv,
+        Neg: operator.neg, Pow: operator.pow}
+
+
+def _fold(e: Expr, parts: list):
+    """The constant value of a node over constant children, or None when the
+    operation raises (overflow, x/0, log(-1), sin(inf)): the node then stays,
+    so that it still raises at run time.  Generated code runs the same Python
+    operation on the same floats, so a fold is exact."""
+    values = [x.value if isinstance(x, Const) else x for x in parts]
+    try:
+        if isinstance(e, Fun):
+            return Const(FUNCTIONS[values[0]].scalar(values[1]))
+        return Const(_OPS[type(e)](*values))
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _is_const(e: Expr, value: float) -> bool:
+    """e is the literal ``value``, the sign of a zero included."""
+    return (isinstance(e, Const) and e.value == value
+            and math.copysign(1.0, e.value) == math.copysign(1.0, value))
+
+
+def _rebuilt(e: Expr, parts: list) -> Expr:
+    """A node of e's type over ``parts``: e itself when they are its own."""
+    return e if all(x is y for x, y in zip(_parts(e), parts)) else type(e)(*parts)
+
+
+def _rewrite(e: Expr, parts: list) -> Expr:
+    """One node over its rewritten children."""
+    kids = [x for x in parts if isinstance(x, Expr)]
+    if kids and all(isinstance(x, Const) for x in kids):
+        folded = _fold(e, parts)
+        if folded is not None:
+            return folded
+    if isinstance(e, Neg):
+        return neg(parts[0])  # folds into a constant; -(-x) is x, a sign flip twice
+    if not isinstance(e, (Add, Mul, Div)):
+        return _rebuilt(e, parts)
+    a, b = parts
+    if isinstance(e, Add):
+        # x + -0.0 is x, at x = -0.0 and nan too; x + 0.0 is not: -0.0 + 0.0 is 0.0
+        if _is_const(b, -0.0):
+            return a
+        return b if _is_const(a, -0.0) else _rebuilt(e, parts)
+    # (-a)*b, a*(-b), (-a)/b and a/(-b) are -(a op b): rounding is symmetric
+    flip = isinstance(a, Neg) is not isinstance(b, Neg)
+    a, b = (x.a if isinstance(x, Neg) else x for x in (a, b))
+    unit, other = (a, b) if isinstance(e, Mul) and isinstance(a, Const) else (b, a)
+    if _is_const(unit, 1.0):  # 1.0*x, x*1.0 and x/1.0 are x, at inf, nan and -0.0 too
+        core = other
+    elif _is_const(unit, -1.0):  # -1.0*x, x*-1.0 and x/-1.0 are -x
+        core = neg(other)
+    else:  # 0.0*x stays (nan at x = inf), and so does x/0.0, which raises
+        core = _rebuilt(e, [a, b])
+    return neg(core) if flip else core
 
 
 # --- code generation -------------------------------------------------------

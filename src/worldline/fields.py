@@ -261,12 +261,6 @@ def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
     return sigma, residual
 
 
-def conformal_factor(m: geo.ManifoldSpec, K: tuple, p) -> tuple:
-    """(sigma, residual) of L_K g = 2 sigma g at a point."""
-    sigma, residual = conformal_factors(m, K, [p])
-    return float(sigma[0]), float(residual[0])
-
-
 def conformal_report(m: geo.ManifoldSpec, fp: FieldPack,
                      count: int = DEFAULT_POINTS):
     """Sampled conformal diagnostics of K.

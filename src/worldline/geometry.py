@@ -22,7 +22,6 @@ RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
 
 _DEGENERACY_TOL = 1e-12
-_NULL_BAND = 1e-12
 _MAX_SYMBOLIC_DIM = 4
 
 
@@ -140,10 +139,6 @@ class ManifoldSpec:
     @cached_property
     def _sys(self) -> "_CompiledMetric":
         return _CompiledMetric(self)
-
-    def metric_value(self, q) -> np.ndarray:
-        """Raw metric matrix at a point, no domain/signature checks."""
-        return self._sys.batch(np.asarray(q, dtype=float)[None])[0]
 
     def metric_batch(self, qs: np.ndarray) -> np.ndarray:
         """Metric matrices at an (m, n) array of points, shape (m, n, n)."""
@@ -305,24 +300,6 @@ def metric_at(m: ManifoldSpec, p) -> np.ndarray:
     return metrics_at(m, np.asarray(p, dtype=float)[None])[0]
 
 
-def inner(m: ManifoldSpec, p, u, v) -> float:
-    """g_p(u, v)."""
-    g = metric_at(m, p)
-    return float(np.asarray(u) @ g @ np.asarray(v))
-
-
-def causal_character(m: ManifoldSpec, p, v) -> str:
-    """One of 'timelike', 'null', 'spacelike', 'zero'."""
-    v = np.asarray(v, dtype=float)
-    norm_sq = float(v @ v)
-    if norm_sq == 0.0:
-        return "zero"
-    gvv = inner(m, p, v, v)
-    if abs(gvv) <= _NULL_BAND * norm_sq:
-        return "null"
-    return "timelike" if gvv < 0.0 else "spacelike"
-
-
 def levi_civita(g: np.ndarray, dg: np.ndarray, qs) -> np.ndarray:
     """Levi-Civita coefficients from g and its derivatives, indexed [k, i, j].
 
@@ -345,17 +322,6 @@ def christoffel_at(m: ManifoldSpec, p) -> np.ndarray:
     """Levi-Civita coefficients at p, shape (n, n, n) indexed [k, i, j]."""
     qs = np.asarray(p, dtype=float)[None]
     return levi_civita(m.metric_batch(qs), m._sys.dg_batch(qs), qs)[0]
-
-
-def auxiliary_riemannian(m: ManifoldSpec, p, z, v) -> float:
-    """Positive-definite companion form g(v,v) + 2 g(z,v)^2 for unit timelike z."""
-    g = metric_at(m, p)
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
-    gzz = float(z @ g @ z)
-    if abs(gzz + 1.0) > 1e-10:
-        raise ValidationError(f"reference vector is not unit timelike: g(z,z)={gzz!r}")
-    return float(v @ g @ v) + 2.0 * float(z @ g @ v) ** 2
 
 
 def normalize_qv(m: ManifoldSpec, q: tuple, v: tuple):

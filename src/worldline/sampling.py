@@ -18,25 +18,29 @@ DEFAULT_SEED = 20240811
 
 
 def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
-    """First ``count`` points of the unscrambled Halton sequence in [0,1)^dim."""
+    """First ``count`` points of the unscrambled Halton sequence in [0,1)^dim.
+
+    Coordinate j of point k is the radical inverse of k + 1 + skip in the
+    j-th prime base, built digit by digit for all points at once: ``denom
+    *= base; i, rem = divmod(i, base); x += rem / denom``.  Each element sees
+    the operations of the scalar digit loop in the same order, and a point
+    whose digits have run out adds +0.0, so the points are the same bit for
+    bit as one scalar loop per element.
+    """
     if dim > len(_PRIMES):
         raise ValueError(f"halton sampling supports at most {len(_PRIMES)} dimensions")
-    out = np.empty((count, dim))
+    out = np.zeros((count, dim))
+    index = np.arange(skip + 1, skip + 1 + count)
     for j in range(dim):
         base = _PRIMES[j]
-        for i in range(count):
-            out[i, j] = _van_der_corput(i + 1 + skip, base)
+        i = index
+        x = out[:, j]
+        denom = 1.0
+        while i.any():
+            denom *= base
+            i, rem = np.divmod(i, base)
+            x += rem / denom
     return out
-
-
-def _van_der_corput(i: int, base: int) -> float:
-    x = 0.0
-    denom = 1.0
-    while i > 0:
-        denom *= base
-        i, rem = divmod(i, base)
-        x += rem / denom
-    return x
 
 
 def sample_predicate(count: int, lo, hi, keep, max_batches: int = 64) -> np.ndarray:

@@ -144,8 +144,8 @@ def _fd_christoffel(m, q, h=1e-6):
         hi, lo = q.copy(), q.copy()
         hi[i] += h
         lo[i] -= h
-        dg[i] = (m.metric_value(tuple(hi)) - m.metric_value(tuple(lo))) / (2 * h)
-    ginv = np.linalg.inv(m.metric_value(tuple(q)))
+        dg[i] = (m.metric_batch(hi[None])[0] - m.metric_batch(lo[None])[0]) / (2 * h)
+    ginv = np.linalg.inv(m.metric_batch(q[None])[0])
     return 0.5 * np.einsum("kl,ijl->kij",
                            ginv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import worldline.catalog as cat
@@ -160,7 +161,7 @@ def test_clifton_pohl_scenario_structure():
     assert isinstance(m.quotient, geo.ScalingQuotient)
     assert m.quotient.factor == 2.0
     assert m.domain.exclude_origin_radius == 1e-8
-    g = m.metric_value((1.0, 1.0))
+    g = m.metric_batch(np.array([[1.0, 1.0]]))[0]
     assert g[0][1] == pytest.approx(0.5)  # 1/(u^2+v^2) off-diagonal
     assert g[0][0] == 0.0
     assert s.fields.reference_field is not None

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 
 import numpy as np
@@ -253,6 +255,78 @@ def test_generated_kernel_matches_generic():
                 assert err == pytest.approx(err_ref, rel=1e-6, abs=1e-8), s.name
 
 
+def _left_sum(terms):
+    # a1*k1 + a2*k2 + ... as Python adds it; sum() would start from int 0,
+    # and 0 + -0.0 is 0.0
+    return functools.reduce(operator.add, terms)
+
+
+def _tableau_step(sysd, t, h, y, k1, atol, rtol):
+    """One Dormand-Prince step written from _A, _B and _E over rhs_flat, in
+    the order of operations of the unsimplified kernel: (err, y5, k7), with
+    y5 taken into the fundamental domain of a lattice chart."""
+    m, N = sysd.m, len(y)
+    ks = [k1]
+    for cs, row in zip((*dy._C, 1.0), (*dy._A, dy._B)):
+        point = tuple(y[c] + h * _left_sum([a * k[c] for a, k in zip(row, ks) if a != 0.0])
+                      for c in range(N))
+        ks.append(sysd.rhs_flat(t + cs * h, point))
+    y5 = point
+    norm = _left_sum([(h * _left_sum([e * k[c] for e, k in zip(dy._E, ks) if e != 0.0])
+                       / (atol + rtol * max(abs(y[c]), abs(y5[c])))) ** 2 for c in range(N)])
+    if isinstance(m.quotient, geo.LatticeQuotient):
+        q, v, _ = geo.normalize_qv(m, y5[:m.dim], y5[m.dim:])
+        y5 = q + v
+    return math.sqrt(norm / float(N)), y5, ks[-1]
+
+
+def test_kernel_is_the_tableau_step_bit_for_bit():
+    # the simplified kernel against the step written from the tableau, by
+    # repr, which tells the sign of a zero apart: forward and backward, from
+    # signed-zero and random states, on every built-in and a dimension-5 file
+    rng = np.random.default_rng(17)
+    scenarios = [cat.builtin(name) for name in cat.list_builtins()] + [cat.load(CURVED_5D)]
+    # no built-in reads t: these do, through X or V, at and above the symbolic limit
+    scenarios += [_curved_torus(names, potential, timed=True) for potential in (True, False)
+                  for names in (("s", "x", "y"), ("s", "x", "y", "z", "w"))]
+    for s in scenarios:
+        m = s.manifold
+        sysd = dy.compiled_system(m, s.fields)
+        starts = []
+        for i, q in enumerate(geo.sample_points(m, 6)):
+            v = rng.uniform(-1, 1, m.dim)
+            signs = (np.arange(m.dim) + i // 2) % 2
+            if i % 2:  # signed zeros in the velocity and the position
+                v = np.where(signs, -0.0, 0.0)
+                q = np.where(signs, q, -0.0)
+            starts.append(tuple(map(float, q)) + tuple(map(float, v)))
+        starts.append(tuple(map(float, s.initial.q + s.initial.v)))
+        checked = 0
+        for y in starts:
+            for t in (0.0, -0.0, 0.3):
+                try:
+                    k1 = sysd.rhs_flat(t, y)
+                except (ZeroDivisionError, OverflowError, ValueError):
+                    continue
+                for h in (1e-3, -1e-3, 0.05, -0.05, 2.0, -0.0):
+                    for atol, rtol in ((1e-12, 1e-10), (1e-6, 1e-3)):
+                        got = sysd.kernel(t, h, y, k1, atol, rtol)
+                        want = _tableau_step(sysd, t, h, y, k1, atol, rtol)
+                        assert repr(got) == repr(want), (s.name, y, t, h)
+                        checked += 1
+        assert checked >= 100, s.name
+
+
+def test_kernel_leaves_out_the_work_a_step_never_reads():
+    # t3-magnetic is autonomous, has dv_0 = 0 and literal coefficients
+    src = dy.compiled_system(cat.builtin("t3-magnetic").manifold,
+                             cat.builtin("t3-magnetic").fields).kernel_source
+    for dead in ("t2 =", "t7 =", "k2_3", "k7_3 =", "e_3", "max(", "(1.0 *", "(-1.0 *",
+                 "(2.0 * 3.14", "(-sin(", "k2_0 ="):
+        assert dead not in src, dead
+    assert "hz = h*0.0" in src and "y5_0 % 1.0" in src
+
+
 def test_rhs_above_dimension_four_refuses_degenerate_and_non_finite_states():
     # g_00 = a vanishes on a = 0: the plain-float solve names the point, as
     # the numeric Christoffels do; a NaN state is a failed evaluation
@@ -502,33 +576,42 @@ def test_states_read_the_sample_rows():
     assert [st.t for st in res.states] == ts.tolist()
 
 
+def _held(sysd, y):
+    """The state the kernel returns for a step of length -0.0, which moves no
+    coordinate (x + -0.0 is x for every x): y in the fundamental domain."""
+    return sysd.kernel(0.0, -0.0, y, sysd.rhs_flat(0.0, y), 1e-12, 1e-10)[1]
+
+
 @pytest.mark.parametrize("periods", [(1.0, None), (None, 2.5), (0.75, 1.0)])
 def test_generated_wrap_matches_normalize_qv(periods):
     m = euclid2(geo.LatticeQuotient(periods))
-    wrap = dy.compiled_system(m, fl.FieldPack(XY)).wrap
+    sysd = dy.compiled_system(m, fl.FieldPack(XY))
     v = (0.5, -0.0)
     for q in [(-0.3, -7.25), (2.5, 0.75), (-2.5, -1.0), (-0.75, 7.5), (0.0, -0.0),
               (1e-17, -1e-17), (-1e-300, 3.0), (1e12 + 0.3, -1e12 - 0.3)]:
         qn, vn, _ = geo.normalize_qv(m, q, v)
         # repr tells the sign of a zero apart
-        assert repr(wrap(q + v)) == repr(qn + vn), q
+        assert repr(_held(sysd, q + v)) == repr(qn + vn), q
 
 
 def test_step_loop_specialises_per_chart():
     lattice = dy.compiled_system(euclid2(geo.LatticeQuotient((1.0, 1.0))), fl.FieldPack(XY))
-    assert lattice.wrap is not None and not lattice.scaling and lattice.contains is None
+    assert _held(lattice, (1.5, -0.25, 0.5, 0.5)) == (0.5, 0.75, 0.5, 0.5)
+    assert not lattice.scaling and lattice.contains is None
     scaled = dy.compiled_system(euclid2(geo.ScalingQuotient(2.0)), fl.FieldPack(XY))
-    assert scaled.wrap is None and scaled.scaling
+    assert _held(scaled, (3.0, 0.0, 0.5, 0.5)) == (3.0, 0.0, 0.5, 0.5) and scaled.scaling
     for domain in (geo.ChartDomain((-math.inf, -math.inf), (2.0, math.inf)),
                    geo.ChartDomain.unbounded(2, exclude_origin_radius=0.5)):
         bounded = dy.compiled_system(euclid2(domain=domain), fl.FieldPack(XY))
-        assert bounded.wrap is None and bounded.contains is not None
+        assert _held(bounded, (1.5, -0.25, 0.5, 0.5)) == (1.5, -0.25, 0.5, 0.5)
+        assert bounded.contains is not None
 
 
-def _curved_torus(names, with_potential, null=False):
+def _curved_torus(names, with_potential, null=False, timed=False):
     """A Lorentzian torus with a curved, non-diagonal spatial metric, a force
     operator and either a potential or an explicit force vector.  With
-    ``null`` the first coordinate is null (g_00 = 0, g_01 = 1)."""
+    ``null`` the first coordinate is null (g_00 = 0, g_01 = 1); with
+    ``timed`` the potential or the force vector depends on t."""
     n = len(names)
     metric = {"g_0_1": "1"} if null else {"g_0_0": "-1"}
     metric["g_1_2"] = f"0.1 * sin(2 * pi * {names[-1]})"
@@ -537,10 +620,10 @@ def _curved_torus(names, with_potential, null=False):
     F = [["0"] * n for _ in range(n)]
     F[1][2], F[2][1] = "1.1", "-1.1 * cos(2 * pi * s)"
     X = ["0"] * n
-    X[1], X[2] = "sin(2 * pi * y)", "x * y"
+    X[1], X[2] = "sin(2 * pi * y)", "x * y" + " * cos(t)" * timed
     fields = {"F": F, "K": ["1"] + ["0"] * (n - 1)}
     if with_potential:
-        fields["V"] = "0.05 * cos(2 * pi * x) * sin(2 * pi * s)"
+        fields["V"] = "0.05 * cos(2 * pi * x) * sin(2 * pi * s)" + " * cos(t)" * timed
     else:
         fields["X"] = X
     return cat.scenario_from_dict({
@@ -571,3 +654,48 @@ def test_generated_rhs_matches_numeric_oracle():
             got = np.asarray(rhs_flat(st.t, st.q + st.v))
             want = np.concatenate(dy.rhs(m, fp, st))
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), s.name
+
+
+# --- independent oracles -------------------------------------------------------
+
+def test_t3_magnetic_without_potential_follows_the_helix():
+    # with V = 0, dv = F v rotates the spatial velocity at rate b and q
+    # follows a helix in closed form; over both directions to t = 1000
+    b = 1.0
+    s = cat.builtin("t3-magnetic", b=b, potential_amplitude=0.0)
+    res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
+                               s.integration_config(t_max=1000.0))
+    assert res.forward.classification.kind == res.backward.classification.kind == dy.COMPLETE
+    ts, qs, vs = res.arrays()
+    (q0, q1, q2), (u0, u1, u2) = s.initial.q, s.initial.v
+    c, sn = np.cos(b * ts), np.sin(b * ts)
+    v_exact = np.column_stack([np.full_like(ts, u0), u1 * c + u2 * sn, -u1 * sn + u2 * c])
+    q_exact = np.column_stack([q0 + u0 * ts, q1 + (u1 * sn - u2 * (c - 1.0)) / b,
+                               q2 + (u1 * (c - 1.0) + u2 * sn) / b])
+    dq = qs - q_exact
+    dq -= np.round(dq)  # the lattice has period 1 in every coordinate
+    assert len(ts) > 10000 and ts[0] == -1000.0 and ts[-1] == 1000.0
+    assert np.max(np.abs(vs - v_exact)) < 1e-7
+    assert np.max(np.abs(dq)) < 1e-7
+
+
+def test_riemann_superlinear_bracket_holds_the_speed_crossing_time():
+    # x'' = x^2 from x = v = 1 keeps v^2/2 - x^3/3 = 1/6, so the time at
+    # which the speed reaches v_max, and the escape time, are quadratures;
+    # the blow-up bracket holds the crossing, and the escape comes later
+    quad = pytest.importorskip("scipy.integrate").quad
+    s = cat.builtin("riemann-superlinear")
+    cfg = s.integration_config()
+    cls = dy.integrate_maximal(s.manifold, s.fields, s.initial, cfg).classification
+    assert cls.kind == dy.BLOWUP
+
+    def dt_dx(x):
+        return 1.0 / math.sqrt(2.0 * x ** 3 / 3.0 + 1.0 / 3.0)
+
+    x_cross = (3.0 * (cfg.v_max ** 2 / 2.0 - 1.0 / 6.0)) ** (1.0 / 3.0)
+    t_cross = quad(dt_dx, 1.0, x_cross, limit=200, epsabs=1e-12, epsrel=1e-12)[0]
+    t_escape = quad(dt_dx, 1.0, math.inf, limit=200, epsabs=1e-12, epsrel=1e-12)[0]
+    assert t_cross == pytest.approx(2.3709381, abs=1e-7)
+    assert t_escape == pytest.approx(2.3758706, abs=1e-7)
+    assert abs(t_cross - cls.t_star) <= cls.t_star_halfwidth
+    assert t_escape >= cls.t_star - cls.t_star_halfwidth

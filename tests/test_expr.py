@@ -388,3 +388,80 @@ def test_batch_code_matches_evaluate(exprs, points):
 @hyp.given(_exprs)
 def test_to_text_round_trip_property(e):
     assert ex.parse(ex.to_text(e), XYT) == e
+
+
+# --- the exact simplification of scalar code ---------------------------------
+
+def test_simplify_rules():
+    x, y, c = ex.Var("x", 0), ex.Var("y", 1), ex.Const
+    sin = ex.Fun("sin", y)
+    rewritten = [
+        (ex.Mul(c(1.0), x), x), (ex.Mul(x, c(1.0)), x), (ex.Div(x, c(1.0)), x),
+        (ex.Mul(c(-1.0), x), ex.Neg(x)), (ex.Mul(x, c(-1.0)), ex.Neg(x)),
+        (ex.Div(x, c(-1.0)), ex.Neg(x)),
+        (ex.Add(x, c(-0.0)), x), (ex.Add(c(-0.0), x), x),
+        (ex.Neg(ex.Mul(c(0.1), ex.Mul(ex.Neg(sin), x))), ex.Mul(c(0.1), ex.Mul(sin, x))),
+        (ex.Div(ex.Neg(x), ex.Neg(y)), ex.Div(x, y)), (ex.Div(x, ex.Neg(y)), ex.Neg(ex.Div(x, y))),
+        (ex.Neg(ex.Neg(x)), x), (ex.Neg(c(2.0)), c(-2.0)),
+        (ex.Mul(c(2.0), c(math.pi)), c(2.0 * math.pi)), (ex.Add(c(0.1), c(0.2)), c(0.1 + 0.2)),
+        (ex.Div(c(1.0), c(3.0)), c(1.0 / 3.0)), (ex.Pow(c(3.0), -2), c(3.0 ** -2)),
+        (ex.Fun("sin", ex.Mul(c(0.5), c(3.0))), c(math.sin(1.5))),
+        (ex.Fun("log", c(-0.0 + 2.0)), c(math.log(2.0))),
+        (ex.Add(ex.Mul(c(-1.0), c(1.0)), x), ex.Add(c(-1.0), x)),
+    ]
+    for e, want in rewritten:
+        assert ex.simplify([e]) == [want], e
+    # each of these would change a value or lose an exception at run time
+    kept = [ex.Add(x, c(0.0)), ex.Add(c(0.0), x), ex.Mul(c(0.0), x), ex.Mul(x, c(-0.0)),
+            ex.Div(c(1.0), c(0.0)), ex.Div(c(1.0), c(-0.0)), ex.Pow(c(1e200), 2),
+            ex.Pow(c(0.0), -1), ex.Fun("log", c(-1.0)), ex.Fun("exp", c(1e3)),
+            ex.Fun("sin", c(math.inf)), ex.Mul(c(2.0), x), ex.Add(ex.Neg(x), y)]
+    for e in kept:
+        assert ex.simplify([e]) == [e], e
+    f, _ = _scalar_function(ex.simplify([ex.Add(x, c(-0.0)), ex.Add(x, c(0.0)),
+                                         ex.Mul(c(0.0), x)]), ("x",))
+    assert repr(f(-0.0)) == "(-0.0, 0.0, -0.0)" and repr(f(math.inf)) == "(inf, inf, nan)"
+    # a node shared by two roots is rewritten once, and the trees stay shared
+    a, b = ex.simplify([ex.Mul(c(1.0), sin), ex.Neg(ex.Neg(sin))])
+    assert a is b is sin
+
+
+_EDGE = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, math.inf, -math.inf, math.nan, 1e200, 1e-200]
+_edge_leaves = st.one_of(st.sampled_from(_VARS), st.sampled_from(_EDGE).map(ex.Const))
+
+
+def _edge_grow(children):
+    # raw nodes, unguarded: divisions by zero, logs of negatives and
+    # overflowing powers raise, and a literal may sit under a negation
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(_BINARY), children, children),
+        st.builds(lambda op, a: op(a, a), st.sampled_from(_BINARY), children),
+        children.map(ex.Neg),
+        st.builds(ex.Pow, children, st.integers(-3, 3)),
+        st.builds(ex.Fun, st.sampled_from(sorted(ex.FUNCTIONS)), children))
+
+
+_edge_trees = st.recursive(_edge_leaves, _edge_grow, max_leaves=16)
+_edge_coords = st.one_of(st.sampled_from(_EDGE), st.floats(-3, 3))
+
+
+def _outcome(exprs, point):
+    """repr of the emitted code's results at ``point``, or 'raises'."""
+    f, _ = _scalar_function(exprs, ("x", "y", "t"))
+    try:
+        return repr(f(*point))
+    except (ArithmeticError, ValueError):
+        return "raises"
+
+
+@hyp.settings(max_examples=300, deadline=None,
+              suppress_health_check=[hyp.HealthCheck.too_slow])
+@hyp.given(st.lists(st.one_of(_edge_trees, _exprs), min_size=1, max_size=3),
+           st.tuples(_edge_coords, _edge_coords, _edge_coords))
+# the inputs at which the rewrites the simplification must not make differ
+@hyp.example([ex.Add(_VARS[0], ex.Const(0.0)), ex.Add(ex.Const(0.0), _VARS[1])], (-0.0, -0.0, 0.0))
+@hyp.example([ex.Mul(ex.Const(0.0), _VARS[0]), ex.Mul(_VARS[1], ex.Const(-0.0))],
+             (math.inf, -math.inf, 0.0))
+def test_simplified_code_equals_the_original(exprs, point):
+    # by repr, which tells the sign of a zero apart
+    assert _outcome(ex.simplify(exprs), point) == _outcome(exprs, point)

@@ -110,7 +110,7 @@ def test_conformal_factor_homothety():
                                      geo.ChartDomain.unbounded(1),
                                      geo.RIEMANNIAN)
     # K = x d/dx scales the flat metric: L_K g = 2 g
-    sigma, residual = fl.conformal_factor(m, (ex.parse("x", frame),), (0.4,))
+    (sigma,), (residual,) = fl.conformal_factors(m, (ex.parse("x", frame),), [(0.4,)])
     assert sigma == pytest.approx(1.0)
     assert residual <= 1e-12
 
@@ -119,7 +119,7 @@ def test_conformal_factor_rotation_is_killing():
     m = euclid2()
     K = (ex.parse("-y", XY), ex.parse("x", XY))
     for p in [(1.0, 0.0), (0.3, -2.0)]:
-        sigma, residual = fl.conformal_factor(m, K, p)
+        (sigma,), (residual,) = fl.conformal_factors(m, K, [p])
         assert abs(sigma) <= 1e-12
         assert residual <= 1e-12
 

@@ -5,6 +5,7 @@ import pytest
 
 import worldline.expr as ex
 import worldline.geometry as geo
+import worldline.sampling as sampling
 
 XY = ex.CoordinateFrame(("x", "y"))
 
@@ -36,8 +37,8 @@ def fd_christoffel(m, q, h=1e-6):
         hi, lo = q.copy(), q.copy()
         hi[i] += h
         lo[i] -= h
-        dg[i] = (m.metric_value(tuple(hi)) - m.metric_value(tuple(lo))) / (2 * h)
-    ginv = np.linalg.inv(m.metric_value(tuple(q)))
+        dg[i] = (m.metric_batch(hi[None])[0] - m.metric_batch(lo[None])[0]) / (2 * h)
+    ginv = np.linalg.inv(m.metric_batch(q[None])[0])
     return 0.5 * np.einsum("kl,ijl->kij",
                            ginv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
@@ -92,18 +93,6 @@ def test_metric_at_signature_and_degeneracy():
         geo.metric_at(degenerate, (0.0, 1.0))
     with pytest.raises(geo.OutsideDomainError):
         geo.metric_at(flat2(domain=geo.ChartDomain((-1, -1), (1, 1))), (2.0, 0.0))
-
-
-def test_causal_character():
-    m = flat2(signature=geo.LORENTZIAN)
-    p = (0.0, 0.0)
-    assert geo.causal_character(m, p, (1.0, 0.0)) == "timelike"
-    assert geo.causal_character(m, p, (0.0, 1.0)) == "spacelike"
-    assert geo.causal_character(m, p, (1.0, 1.0)) == "null"
-    assert geo.causal_character(m, p, (0.0, 0.0)) == "zero"
-    # band scales with the Euclidean size of the vector
-    eps = 1e-7
-    assert geo.causal_character(m, p, (1.0, 1.0 + eps)) == "spacelike"
 
 
 def test_christoffel_polar_closed_form():
@@ -170,21 +159,6 @@ def test_christoffel_matches_finite_differences_clifton_pohl():
                            atol=1e-6)
 
 
-def test_inner_and_auxiliary_form():
-    m = flat2(signature=geo.LORENTZIAN)
-    p = (0.0, 0.0)
-    z = (1.0, 0.0)  # unit timelike
-    v = (0.0, 2.0)
-    assert geo.inner(m, p, v, v) == pytest.approx(4.0)
-    # g_R(v,v) = g(v,v) + 2 g(z,v)^2
-    assert geo.auxiliary_riemannian(m, p, z, v) == pytest.approx(4.0)
-    w = (3.0, 0.0)
-    # g(w,w) = -9, g(z,w) = -3
-    assert geo.auxiliary_riemannian(m, p, z, w) == pytest.approx(-9.0 + 2 * 9.0)
-    with pytest.raises(geo.ValidationError):
-        geo.auxiliary_riemannian(m, p, (2.0, 0.0), v)  # not unit
-
-
 def test_normalize_lattice():
     m = flat2(quotient=geo.LatticeQuotient((1.0, None)))
     q, v, changed = geo.normalize_qv(m, (2.25, 5.0), (3.0, -1.0))
@@ -239,3 +213,26 @@ def test_trajectory_state_is_immutable():
     s = geo.TrajectoryState(0.0, (1.0, 2.0), (0.5, 0.5))
     with pytest.raises(AttributeError):
         s.t = 1.0
+
+
+def _scalar_van_der_corput(i, base):
+    x = 0.0
+    denom = 1.0
+    while i > 0:
+        denom *= base
+        i, rem = divmod(i, base)
+        x += rem / denom
+    return x
+
+
+def test_halton_matches_the_scalar_digit_loop_bit_for_bit():
+    for dim in range(1, 9):
+        for skip in (20, 1020, 64020):
+            for count in (1, 7, 1000):
+                got = sampling.halton(count, dim, skip)
+                want = np.array([[_scalar_van_der_corput(k + 1 + skip, sampling._PRIMES[j])
+                                  for j in range(dim)] for k in range(count)])
+                assert got.shape == (count, dim)
+                assert got.tobytes() == want.tobytes(), (dim, skip, count)
+    with pytest.raises(ValueError):
+        sampling.halton(1, 9)
