@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from . import dynamics as dy
 from . import expr as ex
@@ -26,19 +26,27 @@ class Scenario:
     manifold: geo.ManifoldSpec
     fields: fl.FieldPack
     initial: geo.TrajectoryState
-    config: tuple = ()  # sorted (key, value) pairs; see config_dict()
+    config: tuple = ()  # sorted (key, value) pairs, as in the file
     expected_classification: str | None = None
     expected_prediction: str | None = None
     note: str = ""
+    # built from config once, so that no scenario holds settings it cannot run
+    _integration: dy.IntegrationConfig = field(init=False, repr=False, compare=False)
+    velocity_radius: float = field(init=False, compare=False)
 
-    def config_dict(self) -> dict:
-        return dict(self.config)
+    def __post_init__(self):
+        config = dict(self.config)
+        object.__setattr__(self, "_integration", dy.IntegrationConfig(
+            **{k: v for k, v in config.items() if k in _INTEGRATION_KEYS}))
+        radius = _number(config.get("sweep_velocity_radius", 1.0), "sweep_velocity_radius")
+        _require(0.0 <= radius < math.inf,
+                 f"sweep_velocity_radius must be finite and >= 0, got {radius!r}")
+        object.__setattr__(self, "velocity_radius", radius)
 
     def integration_config(self, **overrides) -> dy.IntegrationConfig:
         """Scenario defaults merged with explicit overrides."""
-        kw = {k: v for k, v in self.config if k in _INTEGRATION_KEYS}
-        kw.update({k: v for k, v in overrides.items() if v is not None})
-        return dy.IntegrationConfig(**kw)
+        return replace(self._integration,
+                       **{k: v for k, v in overrides.items() if v is not None})
 
     def validate(self):
         geo.validate_manifold(self.manifold)
@@ -59,7 +67,7 @@ def _bound_to_json(x: float):
 
 
 def _bound_from_json(x, sign: float) -> float:
-    return sign * math.inf if x is None else float(x)
+    return sign * math.inf if x is None else _number(x, "a domain bound")
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -118,37 +126,57 @@ def _require(cond, msg):
         raise geo.ValidationError(msg)
 
 
+def _number(x, what: str) -> float:
+    """A JSON number as a float; strings, booleans and the rest are refused."""
+    _require(isinstance(x, (int, float)) and not isinstance(x, bool),
+             f"{what} must be a JSON number, got {x!r}")
+    return float(x)
+
+
+def _object(doc: dict, key: str) -> dict:
+    """The JSON object under ``key``; absent or null reads as empty."""
+    value = doc.get(key)
+    _require(value is None or isinstance(value, dict), f"{key!r} must be a JSON object")
+    return value or {}
+
+
+def _parsed(texts, frame) -> tuple:
+    """A JSON array of expression texts, parsed."""
+    _require(isinstance(texts, list), f"expected a JSON array of expressions, got {texts!r}")
+    return tuple(ex.parse(e, frame) for e in texts)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
+    """A scenario from its JSON document.  The types built here check shapes,
+    ranges and values; this checks only keys, the dimension and JSON kinds."""
     _require(isinstance(doc, dict), "scenario document must be an object")
     for key in ("name", "dimension", "coordinates", "metric", "initial"):
         _require(key in doc, f"scenario is missing the {key!r} key")
+    _require(isinstance(doc["name"], str), f"name must be a string, got {doc['name']!r}")
     coords = doc["coordinates"]
-    n = doc["dimension"]
-    _require(isinstance(coords, list) and len(coords) == n,
+    _require(isinstance(coords, list) and len(coords) == doc["dimension"],
              "dimension does not match the coordinate list")
+    n = len(coords)
     frame = ex.CoordinateFrame(tuple(coords),
                                time_dependent=ex.TIME_NAME not in coords)
-    config = dict(doc.get("config") or {})
+    config = dict(_object(doc, "config"))
     signature = config.pop("signature", geo.RIEMANNIAN)
-    declared_complete = bool(config.pop("declared_complete", False))
+    declared_complete = config.pop("declared_complete", False)
+    _require(isinstance(declared_complete, bool),
+             f"declared_complete must be true or false, got {declared_complete!r}")
     expected_cls = config.pop("expected_classification", None)
     expected_pred = config.pop("expected_prediction", None)
     note = config.pop("note", "")
 
     components = {}
-    for key, text in (doc["metric"] or {}).items():
+    for key, text in _object(doc, "metric").items():
         parts = key.split("_")
-        _require(len(parts) == 3 and parts[0] == "g" and parts[1].isdigit()
-                 and parts[2].isdigit(), f"bad metric key {key!r}")
-        i, j = int(parts[1]), int(parts[2])
-        _require(0 <= i < n and 0 <= j < n, f"metric key {key!r} out of range")
+        _require(len(parts) == 3 and parts[0] == "g" and parts[1].isdecimal()
+                 and parts[2].isdecimal(), f"bad metric key {key!r}")
+        i, j = sorted((int(parts[1]), int(parts[2])))
         e = ex.parse(text, frame)
-        lo, hi = min(i, j), max(i, j)
-        if (lo, hi) in components and components[(lo, hi)] != e:
-            raise geo.ValidationError(
-                f"metric entries g_{lo}_{hi} and g_{hi}_{lo} disagree")
-        components[(lo, hi)] = e
-    _require(bool(components), "metric has no entries")
+        _require(components.setdefault((i, j), e) == e,
+                 f"metric entries g_{i}_{j} and g_{j}_{i} disagree")
 
     quot_doc = doc.get("quotient")
     quotient = None
@@ -156,63 +184,39 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _require(isinstance(quot_doc, dict) and len(quot_doc) == 1,
                  'quotient must be {"lattice": [periods]} or {"scaling": factor}')
         if "lattice" in quot_doc:
-            periods = quot_doc["lattice"]
-            _require(isinstance(periods, list) and len(periods) == n,
-                     "lattice periods must match the dimension")
             quotient = geo.LatticeQuotient(
-                tuple(None if p is None else float(p) for p in periods))
+                tuple(None if p is None else _number(p, "a lattice period")
+                      for p in quot_doc["lattice"]))
         elif "scaling" in quot_doc:
-            quotient = geo.ScalingQuotient(float(quot_doc["scaling"]))
+            quotient = geo.ScalingQuotient(_number(quot_doc["scaling"], "the scaling factor"))
         else:
             raise geo.ValidationError(
                 f"unknown quotient kind {sorted(quot_doc)!r}")
 
-    dom_doc = doc.get("domain") or {}
-    lower = dom_doc.get("lower") or [None] * n
-    upper = dom_doc.get("upper") or [None] * n
-    _require(len(lower) == n and len(upper) == n,
-             "domain bounds must match the dimension")
+    dom_doc = _object(doc, "domain")
+    lower, upper = ([None] * n if dom_doc.get(side) is None else dom_doc[side]
+                    for side in ("lower", "upper"))
     radius = dom_doc.get("exclude_origin_radius")
     domain = geo.ChartDomain(
         tuple(_bound_from_json(b, -1.0) for b in lower),
         tuple(_bound_from_json(b, +1.0) for b in upper),
-        None if radius is None else float(radius))
+        None if radius is None else _number(radius, "exclude_origin_radius"))
 
     manifold = geo.manifold_from_components(frame, components, domain,
                                             signature, quotient, declared_complete)
 
-    f_doc = doc.get("fields") or {}
-    F = f_doc.get("F")
-    if F is not None:
-        _require(isinstance(F, list) and len(F) == n
-                 and all(isinstance(r, list) and len(r) == n for r in F),
-                 f"force operator must be a {n}x{n} matrix of expressions")
-        F = tuple(tuple(ex.parse(e, frame) for e in row) for row in F)
-    X = f_doc.get("X")
-    if X is not None:
-        _require(isinstance(X, list) and len(X) == n,
-                 f"force vector must have {n} components")
-        X = tuple(ex.parse(e, frame) for e in X)
-    V = f_doc.get("V")
-    if V is not None:
-        V = ex.parse(V, frame)
-    K = f_doc.get("K")
-    if K is not None:
-        _require(isinstance(K, list) and len(K) == n,
-                 f"reference field must have {n} components")
-        K = tuple(ex.parse(e, frame) for e in K)
-    pack = fl.FieldPack(frame, force_operator=F, force_vector=X,
-                        potential=V, reference_field=K)
+    f_doc = _object(doc, "fields")
+    F, X, V, K = (f_doc.get(key) for key in "FXVK")
+    pack = fl.FieldPack(
+        frame,
+        force_operator=None if F is None else tuple(_parsed(row, frame) for row in F),
+        force_vector=None if X is None else _parsed(X, frame),
+        potential=None if V is None else ex.parse(V, frame),
+        reference_field=None if K is None else _parsed(K, frame))
 
-    init = doc["initial"]
-    q = init.get("q")
-    v = init.get("v")
-    _require(isinstance(q, list) and len(q) == n
-             and isinstance(v, list) and len(v) == n,
-             "initial q and v must match the dimension")
-    state = geo.TrajectoryState(0.0, tuple(float(c) for c in q),
-                                tuple(float(c) for c in v))
-    return Scenario(doc["name"], manifold, pack, state,
+    init = _object(doc, "initial")
+    q, v = (tuple(_number(c, f"initial {key}") for c in init.get(key) or ()) for key in "qv")
+    return Scenario(doc["name"], manifold, pack, geo.TrajectoryState(0.0, q, v),
                     tuple(sorted(config.items())), expected_cls, expected_pred, note)
 
 
@@ -223,13 +227,18 @@ def save(s: Scenario, path):
 
 
 def load(path) -> Scenario:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise geo.ValidationError(f"{path}: {err}") from err
-    s = scenario_from_dict(doc)
-    s.validate()
+    """Read and validate a scenario file.  Geometry and expression errors
+    pass through as raised; any other failure to read the document as a
+    scenario becomes a ValidationError naming the file."""
+    try:
+        with open(path) as fh:
+            s = scenario_from_dict(json.load(fh))
+        s.validate()
+    except (geo.GeometryError, ex.ExprError):
+        raise
+    except (TypeError, AttributeError, KeyError, ValueError, OverflowError,
+            RecursionError) as err:
+        raise geo.ValidationError(f"{path}: {err}") from err
     return s
 
 

@@ -268,9 +268,11 @@ def _sample_velocity(m: geo.ManifoldSpec, fp: fl.FieldPack, q, rng,
 def cmd_sweep(args) -> int:
     if args.n <= 0:
         raise geo.ValidationError("ensemble size -n must be positive")
+    if args.seed < 0:
+        raise geo.ValidationError("--seed must be non-negative")
     s = cat.resolve(args.scenario)
     cfg = _resolved_config(s, args)
-    radius = float(s.config_dict().get("sweep_velocity_radius", 1.0))
+    radius = s.velocity_radius
     rng = np.random.default_rng(args.seed)
     m, fp = s.manifold, s.fields
 

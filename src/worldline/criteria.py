@@ -27,21 +27,21 @@ NO_PREDICTION = "NoPrediction"
 
 _PROVENANCE = "sampled check, not a proof"
 
+# growth is sampled in a ball of this radius about the base point, and a
+# time-dependent field on this many parameter values in [-window, window]
+_REGION_HALFWIDTH = 100.0
+_T_WINDOW = 10.0
+_T_GRID = 11
+
 
 @dataclass(frozen=True)
 class CriteriaConfig:
     points: int = 1000
     directions: int = 8
-    region_halfwidth: float = 100.0
-    t_window: float = 10.0
-    t_grid: int = 11
-    base_point: tuple | None = None
 
     def __post_init__(self):
-        if self.points < 1 or self.directions < 1 or self.t_grid < 1:
+        if self.points < 1 or self.directions < 1:
             raise geo.ValidationError("sample counts must be positive")
-        if not (self.region_halfwidth > 0 and self.t_window > 0):
-            raise geo.ValidationError("region and window sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,10 @@ def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack,
 
 # --- Riemannian growth route ----------------------------------------------
 
-def _time_grid(cfg: CriteriaConfig, time_dependent: bool) -> np.ndarray:
+def _time_grid(time_dependent: bool) -> np.ndarray:
     if not time_dependent:
         return np.zeros(1)
-    return np.linspace(-cfg.t_window, cfg.t_window, cfg.t_grid)
+    return np.linspace(-_T_WINDOW, _T_WINDOW, _T_GRID)
 
 
 def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack,
@@ -149,7 +149,7 @@ def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack,
     L = np.linalg.cholesky(g)
     s_sup = -math.inf
     s_inf = math.inf
-    for t in _time_grid(cfg, fp.time_dependent):
+    for t in _time_grid(fp.time_dependent):
         F = geo.finite(f"force operator F at t={float(t)!r}", pts, fp.force_batch,
                        np.full(len(pts), float(t)))
         S = 0.5 * (F + fl.g_adjoint(g, F))
@@ -171,22 +171,16 @@ class GrowthReport:
     growth_class: str
     slope: float | None
     base_point: tuple
-    region_halfwidth: float
     samples: int
     note: str = "distances use the chart Euclidean proxy"
 
 
 def _region_points(m: geo.ManifoldSpec, cfg: CriteriaConfig):
-    p0 = cfg.base_point
-    if p0 is None:
-        n = m.dim
-        origin = (0.0,) * n
-        if m.domain.contains(origin):
-            p0 = origin
-        else:
-            lo, hi = geo.sampling_box(m, cfg.region_halfwidth)
-            p0 = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
-    h = cfg.region_halfwidth
+    p0 = (0.0,) * m.dim
+    if not m.domain.contains(p0):
+        lo, hi = geo.sampling_box(m, _REGION_HALFWIDTH)
+        p0 = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+    h = _REGION_HALFWIDTH
     lo = tuple(max(c - h, b) for c, b in zip(p0, m.domain.lower))
     hi = tuple(min(c + h, b) for c, b in zip(p0, m.domain.upper))
 
@@ -258,7 +252,7 @@ def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
     g = geo.finite("metric", pts, m.metric_batch)
     use_gradient = quantity == "gradient" or fp.force_vector is None
     y = np.zeros(len(pts))
-    for t in _time_grid(cfg, fp.time_dependent):
+    for t in _time_grid(fp.time_dependent):
         ts = np.full(len(pts), float(t))
         if use_gradient:
             if fp.potential is None:
@@ -274,13 +268,11 @@ def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
     d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
     A, C = _envelope_fit(d, y, 1)
     if np.max(y) <= 1e-12:
-        return GrowthReport("|X|_g", 0.0, 0.0, "linear", None, tuple(p0),
-                            cfg.region_halfwidth, len(pts),
+        return GrowthReport("|X|_g", 0.0, 0.0, "linear", None, tuple(p0), len(pts),
                             note="force vanishes on samples")
     slope = _loglog_slope(d, y)
     cls = _classify(slope, 0.8, 1.2, ("sublinear", "linear", "superlinear"))
-    return GrowthReport("|X|_g", A, C, cls, slope, tuple(p0),
-                        cfg.region_halfwidth, len(pts))
+    return GrowthReport("|X|_g", A, C, cls, slope, tuple(p0), len(pts))
 
 
 def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
@@ -292,7 +284,7 @@ def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
     positive part.
     """
     p0, pts = _region_points(m, cfg)
-    times = _time_grid(cfg, ex.references_time(u))
+    times = _time_grid(ex.references_time(u))
     f = ex.compile_batch([u], m.frame)
     y = np.full(len(pts), -math.inf)
     for t in times:
@@ -302,12 +294,10 @@ def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
     A, C = _envelope_fit(d, y, 2)
     if np.max(y) <= 1e-12:
         return GrowthReport(quantity, max(A, 0.0), C, "quadratic", None, tuple(p0),
-                            cfg.region_halfwidth, len(pts),
-                            note="bounded above by zero on samples")
+                            len(pts), note="bounded above by zero on samples")
     slope = _loglog_slope(d, np.maximum(y, 0.0))
     cls = _classify(slope, 1.8, 2.2, ("subquadratic", "quadratic", "superquadratic"))
-    return GrowthReport(quantity, A, C, cls, slope, tuple(p0),
-                        cfg.region_halfwidth, len(pts))
+    return GrowthReport(quantity, A, C, cls, slope, tuple(p0), len(pts))
 
 
 def _growth_hypothesis(name, rep: GrowthReport, bad: str) -> Hypothesis:

@@ -81,16 +81,18 @@ class IntegrationConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.t_max, self.rtol, self.atol,
-                                       self.v_max, self.h_min))):
-            raise geo.ValidationError("integration parameters must be finite")
+        for name in ("t_max", "rtol", "atol", "v_max", "h_min"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+                raise geo.ValidationError(f"{name} must be a finite number, got {x!r}")
         if not (self.t_max > 0 and self.atol > 0 and self.v_max > 0
                 and self.h_min > 0):
             raise geo.ValidationError("integration parameters must be positive")
         if self.rtol < 1e-14:
             raise geo.ValidationError("relative tolerance below 1e-14 is not resolvable")
-        if self.stride < 1:
-            raise geo.ValidationError("monitor stride must be >= 1")
+        if type(self.stride) is not int or self.stride < 1:
+            raise geo.ValidationError(
+                f"monitor stride must be an integer >= 1, got {self.stride!r}")
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,11 @@ class TrajectoryResult:
     """
 
     def __init__(self, arrays, forward: DirectionReport, backward: DirectionReport,
-                 cfg: IntegrationConfig, speed_mode: str):
+                 speed_mode: str):
         self._arrays = arrays
         self.states = _States(*arrays)
         self.forward = forward
         self.backward = backward
-        self.cfg = cfg
         self.speed_mode = speed_mode  # "reference" or "euclidean"
         self._series = None  # see sample_series
 
@@ -738,7 +739,7 @@ def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState
     # that the monitors have always seen
     arrays = (rows[:, 0].copy(), rows[:, 1:1 + n].copy(), rows[:, 1 + n:].copy())
     mode = "reference" if sysd.use_reference_speed else "euclidean"
-    return TrajectoryResult(arrays, fwd, back, cfg, mode)
+    return TrajectoryResult(arrays, fwd, back, mode)
 
 
 # --- monitors --------------------------------------------------------------
@@ -794,13 +795,12 @@ def _annihilates_cached(m, fp):
 @lru_cache(maxsize=32)
 def _inverse_norm_bound(m, fp):
     """max over fundamental-domain samples of 1/|K| (K timelike), or None."""
-    pts = geo.sample_points(m, 1000)
-    with np.errstate(all="ignore"):
-        k = fp.reference_batch(pts, np.zeros(len(pts)))
-        gkk = np.einsum("mi,mij,mj->m", k, m.metric_batch(pts), k)
-    if not np.all(gkk < -1e-10):  # also refuses non-finite values
+    try:
+        timelike = fl.is_timelike_everywhere(m, fp, count=1000)
+    except geo.ValidationError:  # a non-finite sample
         return None
-    return float(np.max(1.0 / np.sqrt(-gkk)))
+    # 1/sqrt(-x) rises with x, so its maximum is at the largest g(K,K)
+    return 1.0 / math.sqrt(-timelike.worst) if timelike.passed else None
 
 
 def _zero_grid(ts):

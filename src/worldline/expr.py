@@ -70,7 +70,7 @@ class CoordinateFrame:
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate coordinate names in {self.names}")
         for name in self.names:
-            if not name.isidentifier():
+            if not (isinstance(name, str) and name.isidentifier()):
                 raise ValueError(f"coordinate name {name!r} is not an identifier")
             if name in FUNCTIONS or name == "pi":
                 raise ValueError(f"coordinate name {name!r} is reserved")

@@ -198,13 +198,6 @@ def annihilates(m: geo.ManifoldSpec, fp: FieldPack,
     return SampledCheck(worst <= _ANNIHILATE_TOL, worst, count)
 
 
-def gradient(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> np.ndarray:
-    """Metric gradient of the potential, components g^{ij} dV/dx_j."""
-    if fp.potential is None:
-        raise geo.ValidationError("no potential in this pack")
-    return -drive_vector(m, fp, p, t)
-
-
 def drive_vectors(m: geo.ManifoldSpec, fp: FieldPack, qs, ts=None) -> np.ndarray:
     """drive_vector at an (k, n) array of points; the metric is checked as
     by metric_at."""

@@ -53,6 +53,11 @@ class ChartDomain:
     upper: tuple
     exclude_origin_radius: float | None = None
 
+    def __post_init__(self):
+        r = self.exclude_origin_radius
+        if r is not None and not 0.0 <= r < math.inf:
+            raise ValidationError(f"exclude_origin_radius must be finite and >= 0, got {r!r}")
+
     @staticmethod
     def unbounded(n: int, exclude_origin_radius: float | None = None) -> "ChartDomain":
         return ChartDomain((-math.inf,) * n, (math.inf,) * n, exclude_origin_radius)

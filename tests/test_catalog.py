@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import worldline.catalog as cat
 import worldline.expr as ex
@@ -80,7 +82,7 @@ def scenario_doc(**overrides):
     return doc
 
 
-def test_from_dict_validation_errors():
+def test_from_dict_validation_errors(tmp_path):
     with pytest.raises(geo.ValidationError):
         cat.scenario_from_dict(scenario_doc(dimension=3))
     with pytest.raises(geo.ValidationError):
@@ -98,17 +100,20 @@ def test_from_dict_validation_errors():
         cat.scenario_from_dict(scenario_doc(
             quotient={"lattice": [1.0], "scaling": 2.0}))
     with pytest.raises(geo.ValidationError):
-        cat.scenario_from_dict(scenario_doc(
-            initial={"q": [0.0], "v": [0.0, 0.0]}))
-    with pytest.raises(geo.ValidationError):
-        cat.scenario_from_dict(scenario_doc(metric={}))
-    with pytest.raises(geo.ValidationError):
         doc = scenario_doc()
         del doc["coordinates"]
         cat.scenario_from_dict(doc)
     with pytest.raises(geo.ValidationError):
         cat.scenario_from_dict(scenario_doc(
             metric={"g_5_0": "1", "g_1_1": "1"}))
+    # the initial arity and an empty metric are refused by validation, which
+    # every file gets on load
+    for doc in (scenario_doc(initial={"q": [0.0], "v": [0.0, 0.0]}),
+                scenario_doc(metric={})):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(geo.ValidationError):
+            cat.load(path)
 
 
 def test_mirrored_metric_keys_accept_equal_entries():
@@ -120,8 +125,12 @@ def test_mirrored_metric_keys_accept_equal_entries():
 
 def test_load_rejects_malformed_json(tmp_path):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    with pytest.raises(geo.ValidationError):
+    for text in ("{not json", "[" * 100000 + "]" * 100000):  # the second is too deep
+        p.write_text(text)
+        with pytest.raises(geo.ValidationError, match="broken.json"):
+            cat.load(p)
+    p.write_bytes(b"\xff\xfe{")  # not UTF-8
+    with pytest.raises(geo.ValidationError, match="broken.json"):
         cat.load(p)
     with pytest.raises(geo.ValidationError):
         # initial point far outside a bounded chart
@@ -180,3 +189,44 @@ def test_infinite_bounds_round_trip(tmp_path):
     assert out["domain"]["lower"] == [0.0, None]
     assert out["domain"]["upper"] == [None, 2.5]
     assert out["domain"]["exclude_origin_radius"] == 0.125
+
+
+@functools.cache
+def _builtin_text(name):
+    return json.dumps(cat.scenario_to_dict(cat.builtin(name)))
+
+
+def _leaf_paths(doc, path=()):
+    """Key paths of the values in a document that are neither objects nor arrays."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+# floats include NaN and the infinities, which json writes as NaN and Infinity
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_builds_any_edited_file_or_refuses_it(tmp_path, data):
+    doc = json.loads(_builtin_text(data.draw(st.sampled_from(cat.list_builtins()))))
+    paths = list(_leaf_paths(doc))
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(JSON_VALUES)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(doc))
+    try:
+        assert isinstance(cat.load(p), cat.Scenario)
+    except (geo.GeometryError, ex.ExprError):
+        pass

@@ -180,6 +180,9 @@ def test_check_report_file(tmp_path, capsys):
 def test_sweep_rejects_empty_ensemble(capsys):
     assert invoke(["sweep", "--scenario", "t3-magnetic", "-n", "0"], capsys)[0] == 2
     assert invoke(["sweep", "--scenario", "t3-magnetic", "-n", "-3"], capsys)[0] == 2
+    code, out = invoke(["sweep", "--scenario", "t3-magnetic", "-n", "1", "--seed", "-1"],
+                       capsys)
+    assert code == 2 and out == ""
 
 
 def test_sweep_deterministic_outputs(tmp_path, capsys):
@@ -288,3 +291,57 @@ def test_expression_depth_is_bounded_at_parse_time(tmp_path, capsys):
             code = cli.main([command, "--scenario", path])
             assert code == 2, command
             assert f"more than {ex.MAX_DEPTH} levels" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """An edit that puts ``value`` at the key path ``path`` of a document."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _as_pairs(key):
+    """An edit that gives the object under ``key`` as a list of pairs."""
+    return lambda doc: doc.update({key: [list(item) for item in doc[key].items()]})
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set(("config", "t_max"), "abc"),
+                 "t_max must be a finite number, got 'abc'", id="t_max-string"),
+    pytest.param(_set(("config", "stride"), "2"),
+                 "stride must be an integer >= 1, got '2'", id="stride-string"),
+    pytest.param(_set(("config", "stride"), 1.5),
+                 "stride must be an integer >= 1, got 1.5", id="stride-fraction"),
+    pytest.param(_set(("config", "sweep_velocity_radius"), "x"),
+                 "sweep_velocity_radius must be a JSON number, got 'x'", id="radius-string"),
+    pytest.param(_set(("initial", "q"), ["a"]),
+                 "initial q must be a JSON number, got 'a'", id="initial-string"),
+    pytest.param(_set(("coordinates",), [1]),
+                 "coordinate name 1 is not an identifier", id="coordinate-number"),
+    pytest.param(_set(("quotient",), {"lattice": ["a"]}),
+                 "lattice period must be a JSON number, got 'a'", id="period-string"),
+    pytest.param(_set(("domain", "lower"), ["a"]),
+                 "domain bound must be a JSON number, got 'a'", id="bound-string"),
+    pytest.param(_set(("domain", "lower"), []),
+                 "chart domain bounds must match the dimension", id="bounds-empty"),
+    pytest.param(_set(("domain", "exclude_origin_radius"), "x"),
+                 "exclude_origin_radius must be a JSON number, got 'x'", id="exclusion-string"),
+    pytest.param(_set(("domain", "exclude_origin_radius"), float("nan")),
+                 "exclude_origin_radius must be finite and >= 0, got nan", id="exclusion-nan"),
+    pytest.param(_set(("name",), [1]), "name must be a string, got [1]", id="name-list"),
+    pytest.param(_as_pairs("config"), "'config' must be a JSON object", id="config-list"),
+    pytest.param(_as_pairs("fields"), "'fields' must be a JSON object", id="fields-list"),
+    pytest.param(_as_pairs("initial"), "'initial' must be a JSON object", id="initial-list"),
+    pytest.param(_set(("config", "declared_complete"), "no"),
+                 "declared_complete must be true or false, got 'no'", id="declared-string"),
+])
+def test_malformed_files_exit_two_with_a_message(tmp_path, capsys, edit, message):
+    path = _builtin_file(tmp_path, "riemann-superlinear", edit)
+    for argv in (["run"], ["sweep", "-n", "1"], ["check"]):
+        code = cli.main(argv + ["--scenario", path])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert message in captured.err

@@ -205,10 +205,11 @@ def test_config_validation():
         dy.IntegrationConfig(t_max=-1.0)
     with pytest.raises(geo.ValidationError):
         dy.IntegrationConfig(rtol=1e-16)  # below the supported floor
-    with pytest.raises(geo.ValidationError):
-        dy.IntegrationConfig(stride=0)
+    for stride in (0, 1.5, "2", True):
+        with pytest.raises(geo.ValidationError):
+            dy.IntegrationConfig(stride=stride)
     for field in ("t_max", "rtol", "atol", "v_max", "h_min"):
-        for value in (math.inf, math.nan):
+        for value in (math.inf, math.nan, "1", True, None):
             with pytest.raises(geo.ValidationError):
                 dy.IntegrationConfig(**{field: value})
 

@@ -71,14 +71,15 @@ def test_is_skew_adjoint():
 
 
 def test_gradient_flat_and_curved():
+    # a potential drives X = -grad V
     m = euclid2()
     fp = fl.FieldPack(XY, potential=ex.parse("x", XY))
-    assert np.allclose(fl.gradient(m, fp, (3.0, 4.0)), [1.0, 0.0])
+    assert np.allclose(-fl.drive_vector(m, fp, (3.0, 4.0)), [1.0, 0.0])
     # null-plane metric dx dy: grad V has components g^{ij} dV_j
     null = geo.manifold_from_components(
         XY, {(0, 1): ex.ONE}, geo.ChartDomain.unbounded(2), geo.LORENTZIAN)
     fp2 = fl.FieldPack(XY, potential=ex.parse("x", XY))
-    assert np.allclose(fl.gradient(null, fp2, (0.0, 0.0)), [0.0, 1.0])
+    assert np.allclose(-fl.drive_vector(null, fp2, (0.0, 0.0)), [0.0, 1.0])
 
 
 def test_drive_vector_prefers_potential():
