@@ -312,8 +312,8 @@ def _doc_flat_lorentz_torus():
 
 
 def _doc_t3_magnetic(b: float = 1.0, potential_amplitude: float = 0.1):
-    b = float(b)
-    amp = float(potential_amplitude)
+    b = _number(b, "b")
+    amp = _number(potential_amplitude, "potential_amplitude")
     return {
         "name": "t3-magnetic",
         "dimension": 3,

@@ -257,7 +257,7 @@ def _sample_velocity(m: geo.ManifoldSpec, fp: fl.FieldPack, q, rng,
         g = geo.metric_at(m, q)
         k = fp.reference_value(q)
         gkk = float(k @ g @ k)
-        if gkk < -1e-10:
+        if gkk < fl._TIMELIKE_MARGIN:
             z = k / math.sqrt(-gkk)
             gz = g @ z
             form = g + 2.0 * np.outer(gz, gz)

@@ -107,7 +107,7 @@ def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack,
     else:
         res, _, _ = fl.conformal_report(m, fp, count=cfg.points)
         hyps.append(Hypothesis("reference-conformal",
-                               "pass" if res <= 1e-9 else "fail",
+                               "pass" if res <= fl._CONFORMAL_TOL else "fail",
                                measured=res, samples=cfg.points))
         tl = fl.is_timelike_everywhere(m, fp, count=cfg.points)
         hyps.append(Hypothesis("reference-timelike",

@@ -5,16 +5,17 @@ The second-order equation is integrated as a first-order system on
 step control.  The right-hand side, the speed and a fused step are generated
 as flat Python functions in every dimension, each stage one block printed by
 ``expr.emit_block`` from trees that ``expr.simplify`` has rewritten exactly.
-Up to dimension 4 the Christoffel symbols are symbolic; above it each stage
-calls one generated helper, ``_accel``, which contracts the symbolic
-derivatives of g with the velocity and applies the inverse metric with
-``_solve``, a Gaussian elimination on plain floats.  No numpy call runs
-inside a stage.  The fused step emits only the arithmetic a step reads (see
-``_generate_sources``) and returns the state already wrapped into the
-fundamental domain of a lattice chart.  The step loop runs on plain floats
-and keeps its samples in one flat buffer per direction; the monitors, the
-certificate and the sample table read the samples through one
-``SampleSeries`` per result.
+In every dimension the acceleration is one formula, dv = g^-1 r + F v + X
+with r_l = -(w_l + d_l V), where w contracts the symbolic derivatives of g
+with the velocity (``_accel_parts``).  Up to dimension 4 g^-1 is the
+symbolic inverse; above it each stage calls one generated helper,
+``_accel``, which applies the inverse metric with ``_solve``, a Gaussian
+elimination on plain floats.  No numpy call runs inside a stage.  The fused
+step emits only the arithmetic a step reads (see ``_generate_sources``) and
+returns the state already wrapped into the fundamental domain of a lattice
+chart.  The step loop runs on plain floats and keeps its samples in one flat
+buffer per direction; the monitors, the certificate and the sample table
+read the samples through one ``SampleSeries`` per result.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -186,7 +187,8 @@ class _System:
         self.m = m
         self.fp = fp
         self.n = m.dim
-        self.use_reference_speed = _reference_speed_usable(m, fp)
+        # the K-based positive form only where the certificate accepts K
+        self.use_reference_speed = _inverse_norm_bound(m, fp) is not None
         ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _finite=_finite)
         self.rhs_source, self.kernel_source, accel_source = _generate_sources(m, fp)
         if accel_source is not None:
@@ -210,17 +212,6 @@ class _System:
 @lru_cache(maxsize=16)
 def compiled_system(m: geo.ManifoldSpec, fp: fl.FieldPack) -> _System:
     return _System(m, fp)
-
-
-@lru_cache(maxsize=32)
-def _reference_speed_usable(m: geo.ManifoldSpec, fp: fl.FieldPack) -> bool:
-    """Use the K-based positive form only when K is timelike on samples."""
-    if fp.reference_field is None:
-        return False
-    try:
-        return fl.is_timelike_everywhere(m, fp, count=200).passed
-    except geo.ValidationError:
-        return False
 
 
 def _solve(g, r, q):
@@ -273,19 +264,6 @@ def _finite(dv, v):
 
 # --- code generation -------------------------------------------------------
 
-def _drive_exprs(m, fp):
-    """Symbolic components of the X that enters the equation, or None."""
-    n = m.dim
-    if fp.potential is not None:
-        ginv = m._sys.ginv
-        dv = [ex.derive(fp.potential, m.frame.names[j]) for j in range(n)]
-        return [ex.neg(reduce(ex.add, (ex.mul(ginv[k][j], dv[j]) for j in range(n)), ex.ZERO))
-                for k in range(n)]
-    if fp.force_vector is not None:
-        return list(fp.force_vector)
-    return None
-
-
 def _chain(terms):
     """Left-to-right sum of a non-empty list, as Python adds a + b + c."""
     return reduce(ex.Add, terms)
@@ -303,29 +281,38 @@ def _force_terms(fp, v, k):
     return [ex.Mul(e, v[j]) for j, e in enumerate(fp.force_operator[k]) if e != ex.ZERO]
 
 
-def _accel_exprs(m, fp, v):
-    """dv^k = -Gamma^k_ij v^i v^j + F^k_j v^j + X^k with symbolic Christoffels,
-    as trees in the order of operations of the generated code."""
+def _accel_parts(m, fp, v):
+    """``(r, rest)`` with dv = g^-1 r + rest: r_l = -(w_l + d_l V), w from
+    ``_contraction_exprs``, and rest^k = F^k_j v^j + X^k.  Zero terms are
+    dropped; an empty r_l is ZERO and an empty rest^k None."""
     n = m.dim
-    gamma = m._sys.gamma
-    drive = _drive_exprs(m, fp)
-    out = []
+    dV = [ex.ZERO] * n
+    if fp.potential is not None:  # a potential takes the place of X
+        dV = [ex.derive(fp.potential, name) for name in m.frame.names]
+    r = []
+    for pair in zip(_contraction_exprs(m, v), dV):
+        parts = [e for e in pair if e != ex.ZERO]
+        r.append(ex.Neg(_chain(parts)) if parts else ex.ZERO)
+    rest = []
     for k in range(n):
-        terms = []
-        gamma_terms = []
-        for i in range(n):
-            for j in range(i, n):
-                e = gamma[k][i][j]
-                if e == ex.ZERO:
-                    continue
-                if i < j:
-                    e = ex.Mul(ex.Const(2.0), e)
-                gamma_terms.append(ex.Mul(ex.Mul(e, v[i]), v[j]))
-        if gamma_terms:
-            terms.append(ex.Neg(_chain(gamma_terms)))
-        terms += _force_terms(fp, v, k)
-        if drive is not None and drive[k] != ex.ZERO:
-            terms.append(drive[k])
+        terms = _force_terms(fp, v, k)
+        if (fp.potential is None and fp.force_vector is not None
+                and fp.force_vector[k] != ex.ZERO):
+            terms.append(fp.force_vector[k])
+        rest.append(_chain(terms) if terms else None)
+    return r, rest
+
+
+def _accel_exprs(m, fp, v):
+    """dv^k = rest^k + g^kl r_l with the symbolic inverse g^kl, as trees in
+    the order of operations of the generated code."""
+    ginv = m._sys.ginv
+    r, rest = _accel_parts(m, fp, v)
+    out = []
+    for k, first in enumerate(rest):
+        terms = [] if first is None else [first]
+        terms += [ex.Mul(ginv[k][l], e) for l, e in enumerate(r)
+                  if e != ex.ZERO and ginv[k][l] != ex.ZERO]
         out.append(_chain(terms) if terms else ex.ZERO)
     return out
 
@@ -338,14 +325,16 @@ def _accel_template(m, fp):
     ``reads[c]`` is the text of component c when it is one name or literal,
     which is read in place (a velocity copy, or the literal 0.0 of a
     structurally zero slope); it is None when ``lines`` assign output
-    {2n+c}.  ``timed`` tells whether the stage reads {t}.  Up to the symbolic
-    limit the lines are one block of shared subexpressions and ``helper`` is
-    None; above it they are one call of ``_accel``, and ``helper`` is the
+    {2n+c}.  ``timed`` tells whether the stage reads {t}.  Both branches
+    compute dv = g^-1 r + F v + X from ``_accel_parts``.  Up to the symbolic
+    limit g^-1 is the symbolic inverse, the lines are one block of shared
+    subexpressions and ``helper`` is None; above it the lines are one call
+    of ``_accel``, which applies g^-1 with ``_solve``, and ``helper`` is the
     source of that function."""
     n = m.dim
     state = [f"{{{c}}}" for c in range(2 * n)]
     out = [f"{{{c}}}" for c in range(2 * n, 4 * n)]
-    if m._sys.gamma is None:
+    if m._sys.ginv is None:
         helper, timed = _accel_source(m, fp)
         args = ", ".join(["{t}"] * timed + state)
         return [f"{_tuple(out[n:])} = _accel({args})"], state[n:] + [None] * n, timed, helper
@@ -386,26 +375,12 @@ def _contraction_exprs(m, v):
 
 def _accel_source(m, fp):
     """``_accel(t, y_0, ..., y_{2n-1})`` above the symbolic limit, in plain
-    floats: one block computing g, r = -w - dV/dx (w from
-    ``_contraction_exprs``) and F v + X, then dv = g^-1 r + F v + X with the
-    inverse applied by ``_solve``.  Returns the source and whether it reads
-    t; when it does not, the function takes no t."""
+    floats: one block computing g and the parts r and F v + X of
+    ``_accel_parts``, then dv = g^-1 r + F v + X with the inverse applied by
+    ``_solve``.  Returns the source and whether it reads t; when it does
+    not, the function takes no t."""
     n = m.dim
-    v = _velocities(n)
-    dV = [ex.ZERO] * n
-    if fp.potential is not None:  # a potential takes the place of X
-        dV = [ex.derive(fp.potential, name) for name in m.frame.names]
-    r = []
-    for pair in zip(_contraction_exprs(m, v), dV):
-        parts = [e for e in pair if e != ex.ZERO]
-        r.append(ex.Neg(_chain(parts)) if parts else ex.ZERO)
-    rest = []  # F v + X per component, zero entries dropped
-    for k in range(n):
-        terms = _force_terms(fp, v, k)
-        if (fp.potential is None and fp.force_vector is not None
-                and fp.force_vector[k] != ex.ZERO):
-            terms.append(fp.force_vector[k])
-        rest.append(_chain(terms) if terms else None)
+    r, rest = _accel_parts(m, fp, _velocities(n))
 
     def rename(var: ex.Var) -> str:
         return "t" if var.index == ex.TIME_INDEX else f"y_{var.index}"
@@ -835,7 +810,7 @@ class SampleSeries:
     def rate(self):
         """d/dt g(K, v) = -dV(K) + sigma g(v, v) along the samples."""
         m, fp = self.m, self.fp
-        if _conformal_cached(m, fp)[1] <= 1e-9:
+        if _conformal_cached(m, fp)[1] <= fl._CONFORMAL_TOL:
             sigma = np.zeros(len(self.gvv))
         else:
             sigma = fl.conformal_factors(m, fp.reference_field, self._qs)[0]
@@ -891,7 +866,7 @@ def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     drift = float(np.max(np.abs(charge - q0)))
     bound = float(np.max(np.abs(charge)))
     res, max_sigma, _ = _conformal_cached(m, fp)
-    killing = res <= 1e-9 and max_sigma <= 1e-9
+    killing = res <= fl._CONFORMAL_TOL and max_sigma <= fl._CONFORMAL_TOL
     annihilated = (fp.force_operator is None or _annihilates_cached(m, fp).passed)
     no_potential = fp.potential is None and fp.force_vector is None
     constant_case = bool(killing and annihilated and no_potential)
@@ -916,7 +891,7 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
         return Certificates(True, "reference field is not timelike everywhere sampled")
     series = sample_series(m, fp, result)
     gvv, gkv, gkk = series.gvv, series.gkv, series.gkk
-    if np.max(gkk) >= -1e-10:
+    if np.max(gkk) >= fl._TIMELIKE_MARGIN:
         return Certificates(True, "reference field not timelike along the trajectory")
     gr_form = gvv + 2.0 * gkv * gkv / (-gkk)
     c2 = float(np.max(np.abs(gkv)))

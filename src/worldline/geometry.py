@@ -175,7 +175,8 @@ def mirrored(rows):
 
 
 class _CompiledMetric:
-    """Compiled metric and derivatives; symbolic Christoffels for the stepper."""
+    """Compiled metric and derivatives; the symbolic derivatives of g, and up
+    to dimension 4 its symbolic inverse, feed the generated stepper."""
 
     def __init__(self, m: ManifoldSpec):
         frame = m.frame
@@ -189,26 +190,9 @@ class _CompiledMetric:
              for i in range(n) for j in range(i, n)}
         self.dg = [[[d[min(i, j), max(i, j)][k] for j in range(n)] for i in range(n)]
                    for k in range(n)]
-        self.ginv = self.gamma = None  # numeric Christoffels above the limit
+        self.ginv = None  # applied by a plain-float solve above the limit
         if n <= _MAX_SYMBOLIC_DIM:
             self.ginv = _symbolic_inverse(g, _det(g, n), n)
-            self.gamma = self._christoffel_exprs()
-
-    def _christoffel_exprs(self):
-        n = self.n
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = ex.ZERO
-                    for l in range(n):
-                        term = ex.sub(ex.add(self.dg[i][j][l], self.dg[j][i][l]),
-                                      self.dg[l][i][j])
-                        acc = ex.add(acc, ex.mul(self.ginv[k][l], term))
-                    e = ex.mul(Half, acc)
-                    gamma[k][i][j] = e
-                    gamma[k][j][i] = e
-        return gamma
 
     def batch(self, qs: np.ndarray) -> np.ndarray:
         return self.metric_fn(qs, np.zeros(len(qs))).reshape(len(qs), self.n, self.n)
@@ -221,9 +205,6 @@ class _CompiledMetric:
     def dg_batch(self, qs: np.ndarray) -> np.ndarray:
         """Metric derivatives at an (m, n) array of points, indexed [m, k, i, j]."""
         return self._dg_fn(qs, np.zeros(len(qs))).reshape((len(qs),) + (self.n,) * 3)
-
-
-Half = ex.Const(0.5)
 
 
 def _det(g, n) -> ex.Expr:

@@ -65,6 +65,13 @@ def test_t3_parameters_are_injected():
     assert ex.to_text(s.fields.potential).startswith("0*")
 
 
+@pytest.mark.parametrize("params", [{"b": "x"}, {"b": True},
+                                    {"potential_amplitude": "0.1"}])
+def test_t3_parameters_must_be_numbers(params):
+    with pytest.raises(geo.ValidationError, match="must be a JSON number"):
+        cat.builtin("t3-magnetic", **params)
+
+
 def scenario_doc(**overrides):
     doc = {
         "name": "demo",

@@ -266,8 +266,8 @@ def _division_chain(k):
     deep: sin(2*pi*x) is 4 deep, the first division 1 + 6 (its parenthesised
     denominator), each further division 1 and the sum 1.  The derivative of
     each division holds the derivative of the one before it three levels
-    down, so its derivatives and Christoffel symbols are about three times
-    as deep."""
+    down, so its derivatives, and the accelerations built from them, are
+    about three times as deep."""
     return "3 + sin(2*pi*x)" + "/(2 + cos(2*pi*y))" * k
 
 

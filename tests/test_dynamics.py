@@ -515,6 +515,20 @@ def test_speed_series_uses_reference_form():
     assert np.allclose(speeds, want, atol=1e-9)
 
 
+@pytest.mark.parametrize("source", [*cat.list_builtins(), os.path.join(
+    os.path.dirname(__file__), "data", "curved-5d.json")], ids=os.path.basename)
+def test_reference_speed_exactly_when_the_certificate_takes_k(source):
+    # one sampled timelike check decides both the speed form and whether the
+    # certificate refuses K
+    s = cat.resolve(source)
+    m, fp = s.manifold, s.fields
+    res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=0.1))
+    reason = dy.certificate(m, fp, res).reason
+    taken = (fp.reference_field is not None
+             and reason != "reference field is not timelike everywhere sampled")
+    assert (res.speed_mode == "reference") is taken, reason
+
+
 def test_stride_subsamples_but_keeps_endpoint():
     s = cat.builtin("flat-lorentz-torus")
     dense = dy.integrate_maximal(s.manifold, s.fields, s.initial,
@@ -641,16 +655,16 @@ def _curved_torus(names, with_potential, null=False, timed=False):
 
 
 def test_generated_rhs_matches_numeric_oracle():
-    # the generated right-hand side (symbolic Christoffels up to dimension 4,
-    # a contraction of the symbolic derivatives of g and a plain-float solve
-    # above) against rhs, whose Christoffels come from g and its derivatives
-    # numerically in every dimension; in null coordinates (g_00 = 0) the
-    # solve has to swap rows
+    # the generated right-hand side (a contraction of the symbolic
+    # derivatives of g, with the symbolic inverse up to dimension 4 and a
+    # plain-float solve above) against rhs, whose Christoffels come from g
+    # and its derivatives numerically in every dimension; in null
+    # coordinates (g_00 = 0) g^-1 r sums several terms per component, and
+    # the solve has to swap rows
     scenarios = [cat.builtin(name) for name in cat.list_builtins()]
-    five = ("s", "x", "y", "z", "w")
-    for names in (("s", "x", "y"), five):
-        scenarios += [_curved_torus(names, True), _curved_torus(names, False)]
-    scenarios += [_curved_torus(five, True, null=True), _curved_torus(five, False, null=True)]
+    for names in (("s", "x", "y"), ("s", "x", "y", "z"), ("s", "x", "y", "z", "w")):
+        scenarios += [_curved_torus(names, potential, null=null)
+                      for potential in (True, False) for null in (False, True)]
     rng = np.random.default_rng(8)
     for s in scenarios:
         m, fp = s.manifold, s.fields

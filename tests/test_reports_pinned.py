@@ -14,6 +14,7 @@ purpose regenerates the files and shows the moved values in the diff of
 """
 
 import contextlib
+import difflib
 import hashlib
 import json
 import os
@@ -55,6 +56,15 @@ def _read(path) -> bytes:
         return fh.read()
 
 
+def _assert_pinned(got: bytes, path):
+    """``got`` equals the file at ``path`` byte for byte; a failure shows the
+    moved lines as a unified diff."""
+    want = _read(path)
+    assert got == want, "".join(difflib.unified_diff(
+        want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
+        path, "this run"))
+
+
 def _outputs(source, workdir):
     """(check report bytes, run report bytes, csv pin) of one input."""
     name = _name(source)
@@ -81,8 +91,8 @@ def test_reports_match_pins(source, tmp_path, capsys):
     name = _name(source)
     check, run, pin = _outputs(source, str(tmp_path))
     capsys.readouterr()
-    assert check == _read(os.path.join(REPORTS, f"{name}_check.json")), name
-    assert run == _read(os.path.join(REPORTS, f"{name}_run.json")), name
+    _assert_pinned(check, os.path.join(REPORTS, f"{name}_check.json"))
+    _assert_pinned(run, os.path.join(REPORTS, f"{name}_run.json"))
     with open(CSV_PINS) as fh:
         assert pin == json.load(fh)[name], name
 
@@ -92,7 +102,7 @@ def test_sweeps_match_pins(source, tmp_path, capsys):
     name = _name(source)
     report, pin = _sweep_outputs(source, str(tmp_path))
     capsys.readouterr()
-    assert report == _read(os.path.join(REPORTS, f"{name}_sweep.json")), name
+    _assert_pinned(report, os.path.join(REPORTS, f"{name}_sweep.json"))
     with open(SWEEP_CSV_PINS) as fh:
         assert pin == json.load(fh)[name], name
 
