@@ -182,7 +182,9 @@ def cmd_run(args) -> int:
     v = s.initial.v if args.v is None else _parse_vector(args.v, s.manifold.dim, "v")
     s0 = geo.TrajectoryState(0.0, q, v)
 
-    result = dy.integrate_maximal(s.manifold, s.fields, s0, cfg)
+    # the sample table goes to --output, or into the report with --format json
+    writes_table = args.output is not None or args.format == "json"
+    result = dy.integrate_maximal(s.manifold, s.fields, s0, cfg, table=writes_table)
     cls = result.classification
     energy = dy.energy_monitor(s.manifold, s.fields, result)
     killing = dy.killing_charge_monitor(s.manifold, s.fields, result)
@@ -216,7 +218,7 @@ def cmd_run(args) -> int:
         "provenance": "sampled check, not a proof",
     }
     _emit(doc, args.output, "run_report.json",
-          table=_sample_table(s, result), fmt=args.format)
+          table=_sample_table(s, result) if writes_table else None, fmt=args.format)
     return 0
 
 
@@ -292,7 +294,8 @@ def cmd_sweep(args) -> int:
     for index in range(args.n):
         q = _sample_initial_point(m, rng)
         v = _sample_velocity(m, fp, q, rng, radius)
-        result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg)
+        result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg,
+                                      table=False)
         cls = result.classification
         energy = dy.energy_monitor(m, fp, result)
         killing = dy.killing_charge_monitor(m, fp, result)
@@ -314,8 +317,6 @@ def cmd_sweep(args) -> int:
                      _finite_or_nan(cls.t_star_halfwidth),
                      float(cls.marginal), energy.max_drift,
                      killing.max_drift if killing.present else math.nan, speed])
-        # the result and its sample arrays go out of scope here; trajectories
-        # are never held simultaneously
 
     doc = {
         "scenario": s.name,

@@ -13,9 +13,16 @@ symbolic inverse; above it each stage calls one generated helper,
 elimination on plain floats.  No numpy call runs inside a stage.  The fused
 step emits only the arithmetic a step reads (see ``_generate_sources``) and
 returns the state already wrapped into the fundamental domain of a lattice
-chart.  The step loop runs on plain floats and keeps its samples in one flat
-buffer per direction; the monitors, the certificate and the sample table
-read the samples through one ``SampleSeries`` per result.
+chart.
+
+The step loop runs on plain floats and hands the samples it keeps to a sink
+in blocks of at most ``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold
+that evaluates each block once and keeps only the running values the
+monitors, the certificate and a sweep row read, so a run without a sample
+table holds memory that does not grow with the horizon.  Only a run that
+asks for the table (the library default, and ``run`` when it writes the
+table) also keeps the blocks; that is the one place the table exists in
+full.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -30,7 +37,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,6 +53,7 @@ STALLED = "StalledAt"
 
 _EVAL_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 _CONFIRM_STEPS = 200
+_BLOCK = 4096  # kept rows per block handed from the step loop to its sink
 
 # Dormand-Prince 5(4) tableau.  Rows 2..6 feed the stages, _B is the 5th
 # order combination (stage 7 is evaluated there: first-same-as-last).
@@ -131,20 +139,23 @@ class _States(Sequence):
 
 
 class TrajectoryResult:
-    """Normalized samples (strictly increasing t) plus both direction verdicts.
+    """Both direction verdicts, the fold of the samples and, when the run
+    kept it, the sample table.
 
-    ``arrays()`` gives the samples as columns; ``states`` reads them one
-    state at a time.
+    The monitors and the certificate read the fold (``sample_series``).
+    With a table, ``arrays()`` gives the normalized samples as columns in
+    strictly increasing t and ``states`` reads them one state at a time;
+    without one both have length 0.
     """
 
-    def __init__(self, arrays, forward: DirectionReport, backward: DirectionReport,
-                 speed_mode: str):
-        self._arrays = arrays
-        self.states = _States(*arrays)
+    def __init__(self, series: SampleSeries, forward: DirectionReport,
+                 backward: DirectionReport, speed_mode: str):
+        self._series = series  # see sample_series
+        self._arrays = series.ts, series.qs, series.vs
+        self.states = _States(*self._arrays)
         self.forward = forward
         self.backward = backward
         self.speed_mode = speed_mode  # "reference" or "euclidean"
-        self._series = None  # see sample_series
 
     @property
     def classification(self) -> Classification:
@@ -522,11 +533,21 @@ def _initial_step(y, k1, cfg, h_max):
     return max(cfg.h_min * 10.0, min(h, h_max))
 
 
+def _hand(sink, rows, n, backward):
+    """Pass the flat rows ``t, q..., v...`` to ``sink`` as contiguous
+    columns, so that numpy picks the loops, and so the rounding, that the
+    monitors have always seen."""
+    block = np.frombuffer(rows).reshape(-1, 1 + 2 * n)
+    sink(block[:, 0].copy(), block[:, 1:1 + n].copy(), block[:, 1 + n:].copy(), backward)
+
+
 def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
-                   sign: float):
-    """Integrate one direction to the horizon or to a verdict.  Returns the
-    kept samples, ``t, q..., v...`` per sample in one flat buffer, and the
-    direction's report."""
+                   sign: float, sink):
+    """Integrate one direction to the horizon or to a verdict, from the time
+    ``s0.t``.  The kept samples go to ``sink(ts, qs, vs, backward)`` in the
+    order they are taken, in blocks of at most ``_BLOCK`` rows; the start
+    row goes with the forward direction only.  Returns the direction's
+    report."""
     m = sysd.m
     n = sysd.n
     kernel = sysd.kernel
@@ -542,6 +563,7 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     # Plain floats from here on: sampled start points arrive as numpy
     # scalars, and every operation of the loop would run on them.
     t0 = float(s0.t)
+    base = t0 if t0 else -0.0  # x + -0.0 is x for every x, -0.0 included
     q, v, _ = geo.normalize_qv(m, tuple(map(float, s0.q)), tuple(map(float, s0.v)))
     if not m.domain.contains(q):
         raise geo.OutsideDomainError(f"initial point {q} is outside the chart domain")
@@ -555,7 +577,20 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     if spd > v_max:
         raise geo.ValidationError("initial speed already exceeds the blowup threshold")
 
-    samples = array("d", (t0, *y))
+    backward = sign < 0.0
+    full = _BLOCK * (1 + 2 * n)
+    rows = array("d")
+
+    def keep(t, y):
+        nonlocal rows
+        rows.append(t)
+        rows.extend(y)
+        if len(rows) == full:
+            _hand(sink, rows, n, backward)
+            rows = array("d")
+
+    if not backward:
+        keep(t0, y)
     tau = 0.0  # progress toward the horizon, always >= 0
     h = _initial_step(y, k1, cfg, h_max)
     err_old = 1e-4
@@ -584,7 +619,7 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         if h_max < h:
             h = h_max
         hs = sign * h
-        t = sign * tau
+        t = base + sign * tau
         try:
             # y_new is wrapped on lattice charts: x % L is finite iff x is
             err, y_new, k_new = kernel(t, hs, y, k1, atol, rtol)
@@ -618,7 +653,7 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         # accepted
         t_prev = t
         tau += h
-        t = sign * tau
+        t = base + sign * tau
         accepted += 1
         if h < min_h:
             min_h = h
@@ -652,8 +687,7 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
             break
         since_sample += 1
         if since_sample >= stride:
-            samples.append(t)
-            samples.extend(y)
+            keep(t, y)
             since_sample = 0
         if spd > v_max:
             if pending is None:
@@ -661,15 +695,13 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
                 pending_accepted = accepted
             if spd >= 10.0 * v_max:
                 if since_sample:
-                    samples.append(t)
-                    samples.extend(y)
+                    keep(t, y)
                 verdict = finish(BLOWUP, *_mid(pending),
                                  detail="speed crossed threshold, confirmed at 10x")
                 break
             if accepted - pending_accepted >= _CONFIRM_STEPS:
                 if since_sample:
-                    samples.append(t)
-                    samples.extend(y)
+                    keep(t, y)
                 verdict = finish(BLOWUP, *_mid(pending), marginal=True,
                                  detail="speed crossed threshold without 10x confirmation")
                 break
@@ -684,15 +716,16 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         h = h / fac
         err_old = err if err > 1e-4 else 1e-4
     if since_sample and verdict.kind == COMPLETE:
-        samples.append(sign * tau)
-        samples.extend(y)
+        keep(base + sign * tau, y)
+    if rows:
+        _hand(sink, rows, n, backward)
     marginal = verdict.marginal
     if verdict.kind == COMPLETE and (max_speed >= v_max / 10.0
                                      or min_h <= 10.0 * h_min):
         marginal = True
     verdict = replace(verdict, marginal=marginal)
-    return samples, DirectionReport(verdict, max_speed,
-                                    min_h if accepted else 0.0, accepted, rejected)
+    return DirectionReport(verdict, max_speed, min_h if accepted else 0.0, accepted,
+                           rejected)
 
 
 def _mid(bracket):
@@ -701,20 +734,19 @@ def _mid(bracket):
 
 
 def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState,
-                      cfg: IntegrationConfig) -> TrajectoryResult:
-    """Integrate both directions to the horizon and classify inextendibility."""
+                      cfg: IntegrationConfig, table: bool = True) -> TrajectoryResult:
+    """Integrate both directions to the horizon and classify inextendibility.
+
+    Every kept sample is folded into the result's ``SampleSeries`` under
+    (m, fp).  With ``table`` the result also keeps the samples; without it
+    the memory of the run does not grow with the horizon."""
     sysd = compiled_system(m, fp)
-    fwd_samples, fwd = _run_direction(sysd, s0, cfg, +1.0)
-    back_samples, back = _run_direction(sysd, s0, cfg, -1.0)
-    n = sysd.n
-    back_rows = np.frombuffer(back_samples).reshape(-1, 1 + 2 * n)
-    # the start is the first row of both directions
-    rows = np.concatenate((back_rows[:0:-1], np.frombuffer(fwd_samples).reshape(-1, 1 + 2 * n)))
-    # contiguous columns, so that numpy picks the loops, and so the rounding,
-    # that the monitors have always seen
-    arrays = (rows[:, 0].copy(), rows[:, 1:1 + n].copy(), rows[:, 1 + n:].copy())
+    series = SampleSeries(m, fp, keep=table)
+    fwd = _run_direction(sysd, s0, cfg, +1.0, series.add)
+    back = _run_direction(sysd, s0, cfg, -1.0, series.add)
+    series.close()
     mode = "reference" if sysd.use_reference_speed else "euclidean"
-    return TrajectoryResult(arrays, fwd, back, mode)
+    return TrajectoryResult(series, fwd, back, mode)
 
 
 # --- monitors --------------------------------------------------------------
@@ -778,52 +810,153 @@ def _inverse_norm_bound(m, fp):
     return 1.0 / math.sqrt(-timelike.worst) if timelike.passed else None
 
 
-def _zero_grid(ts):
-    return int(np.argmin(np.abs(ts)))
+def _evaluate(m: geo.ManifoldSpec, fp: fl.FieldPack, ts, qs, vs):
+    """``(gvv, energy, gkv, gkk, rate)`` at each row of a block: g(v,v), the
+    energy g(v,v) + 2V and, with a reference field K, the charge g(K,v),
+    g(K,K) and the rate d/dt g(K,v) = -dV(K) + sigma g(v,v); the last three
+    are None without K.  The per-block evaluator of the fold and so of the
+    sample table; a row's values do not depend on the rows it comes with,
+    and only (m,) series are made, never more than one block's metric
+    stack."""
+    g = m.metric_batch(qs)
+    gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
+    energy = gvv + 2.0 * fp.potential_batch(qs, ts)
+    if fp.reference_field is None:
+        return gvv, energy, None, None, None
+    k = fp.reference_batch(qs, ts)
+    gkv = np.einsum("mij,mi,mj->m", g, k, vs)
+    gkk = np.einsum("mij,mi,mj->m", g, k, k)
+    if fp.potential is not None:  # g(K, grad V) = dV(K)
+        k_dot_grad = np.einsum("mi,mi->m", k, fp.potential_derivative_batch(qs, ts))
+    else:
+        k_dot_grad = np.zeros(len(ts))
+    if _conformal_cached(m, fp)[1] <= fl._CONFORMAL_TOL:
+        sigma = np.zeros(len(ts))
+    else:
+        sigma = fl.conformal_factors(m, fp.reference_field, qs)[0]
+    return gvv, energy, gkv, gkk, -k_dot_grad + sigma * gvv
+
+
+def _fold_max(running, values):
+    """The running maximum after one more block; np.max and np.maximum
+    propagate a nan."""
+    top = np.max(values)
+    return top if running is None else np.maximum(running, top)
 
 
 class SampleSeries:
-    """The series the monitors, the certificate and the sample table read
-    along one result, each evaluated once: g(v,v) and the energy
-    g(v,v) + 2V, and with a reference field K the charge g(K,v), g(K,K) and
-    the rate identity.  Only (m,) series are kept, never the metric stack."""
+    """A fold over the sample blocks of one result under (m, fp).
 
-    def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, result: TrajectoryResult):
+    ``add`` evaluates each block once with ``_evaluate`` and keeps running
+    values only:
+    - ``energy_ref`` c and ``charge_ref`` q0, from the start row, which
+      comes first;
+    - the maxima ``energy_drift`` |E - c| and ``gvv_max`` g(v,v);
+    - with a reference field K, the maxima ``charge_drift`` |g(K,v) - q0|,
+      ``charge_bound`` |g(K,v)|, ``gkk_max`` g(K,K) and ``rate_max`` |rate|;
+      where the certificate takes K, ``gr_form_max`` of
+      g(v,v) + 2 g(K,v)^2 / -g(K,K); and ``rate_residual``, the largest
+      |d/dt g(K,v) - rate| with the three-point derivative over consecutive
+      rows, None below three rows.
+    A maximum over blocks is the maximum over all rows, so no value depends
+    on the block size.  Values a fold does not make are None.
+
+    With ``keep`` the fold is also the collect-everything sink: ``close``
+    joins the blocks into the sample table ``ts``, ``qs``, ``vs`` and the
+    columns ``gvv``, ``energy``, ``gkv``, ``gkk``, in increasing t.
+    Without it the table is empty and the columns are None.
+    """
+
+    def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, keep: bool = False):
         self.m, self.fp = m, fp
-        ts, qs, vs = result.arrays()
-        g = m.metric_batch(qs)
-        self.gvv = np.einsum("mij,mi,mj->m", g, vs, vs)
-        self.energy = self.gvv + 2.0 * fp.potential_batch(qs, ts)
-        self.gkv = self.gkk = self._k_dot_grad = None
-        if fp.reference_field is not None:
-            k = fp.reference_batch(qs, ts)
-            self.gkv = np.einsum("mij,mi,mj->m", g, k, vs)
-            self.gkk = np.einsum("mij,mi,mj->m", g, k, k)
-            if fp.potential is not None:  # g(K, grad V) = dV(K)
-                self._k_dot_grad = np.einsum("mi,mi->m", k,
-                                             fp.potential_derivative_batch(qs, ts))
-            else:
-                self._k_dot_grad = np.zeros(len(ts))
-        self._qs = qs
+        self.ts, self.qs, self.vs = np.empty(0), np.empty((0, m.dim)), np.empty((0, m.dim))
+        self.gvv = self.energy = self.gkv = self.gkk = None
+        self.start_index = 0  # of the start row in the table
+        self._blocks = ([], []) if keep else None  # forward, backward
+        self._gr_form = fp.reference_field is not None and _inverse_norm_bound(m, fp) is not None
+        self.energy_ref = self.energy_drift = self.gvv_max = None
+        self.charge_ref = self.charge_drift = self.charge_bound = None
+        self.gkk_max = self.rate_max = self.gr_form_max = self.rate_residual = None
+        # (t, g(K,v), rate) of the first two forward rows and the last two
+        # rows folded: the overlap of the three-point derivative
+        self._head = self._tail = (np.empty(0),) * 3
+        self._turned = False
 
-    @cached_property
-    def rate(self):
-        """d/dt g(K, v) = -dV(K) + sigma g(v, v) along the samples."""
-        m, fp = self.m, self.fp
-        if _conformal_cached(m, fp)[1] <= fl._CONFORMAL_TOL:
-            sigma = np.zeros(len(self.gvv))
-        else:
-            sigma = fl.conformal_factors(m, fp.reference_field, self._qs)[0]
-        return -self._k_dot_grad + sigma * self.gvv
+    def add(self, ts, qs, vs, backward: bool = False):
+        """Fold one block of contiguous rows, in the order the step loop took
+        them: the forward rows from the start row on, then the backward rows
+        in decreasing t."""
+        cols = _evaluate(self.m, self.fp, ts, qs, vs)
+        gvv, energy, gkv, gkk, rate = cols
+        if self.energy_ref is None:  # the start row
+            self.energy_ref = float(energy[0])
+            if gkv is not None:
+                self.charge_ref = float(gkv[0])
+        self.energy_drift = _fold_max(self.energy_drift, np.abs(energy - self.energy_ref))
+        self.gvv_max = _fold_max(self.gvv_max, gvv)
+        if gkv is not None:
+            self.charge_drift = _fold_max(self.charge_drift, np.abs(gkv - self.charge_ref))
+            self.charge_bound = _fold_max(self.charge_bound, np.abs(gkv))
+            self.gkk_max = _fold_max(self.gkk_max, gkk)
+            self.rate_max = _fold_max(self.rate_max, np.abs(rate))
+            if self._gr_form:
+                # a g(K,K) that is not negative makes the certificate refuse
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    form = gvv + 2.0 * gkv * gkv / (-gkk)
+                self.gr_form_max = _fold_max(self.gr_form_max, form)
+            self._fold_residual(ts, gkv, rate, backward)
+        if self._blocks is not None:
+            self._blocks[backward].append((ts, qs, vs, *(c for c in cols[:4] if c is not None)))
+
+    def _fold_residual(self, ts, gkv, rate, backward):
+        """Fold the residual over the triples of rows this block completes."""
+        if backward and not self._turned:
+            # the backward stream goes on from the start row, in decreasing t
+            self._turned = True
+            self._tail = tuple(a[1::-1] for a in self._head)
+        t, q, r = (np.concatenate(pair) for pair in zip(self._tail, (ts, gkv, rate)))
+        if not backward and len(self._head[0]) < 2:
+            self._head = tuple(a[:2].copy() for a in (t, q, r))
+        self._tail = tuple(a[-2:].copy() for a in (t, q, r))
+        if len(t) >= 3:
+            if backward:  # each triple in time order: its sum is not symmetric
+                t, q, r = t[::-1], q[::-1], r[::-1]
+            self.rate_residual = _fold_max(
+                self.rate_residual, np.abs(_nonuniform_derivative(t, q) - r[1:-1]))
+
+    def close(self):
+        """Join the kept blocks in increasing t: the backward blocks last to
+        first, each reversed, then the forward ones."""
+        if self._blocks is None:
+            return
+        forward, backward = self._blocks
+        self._blocks = None
+        self.start_index = sum(len(b[0]) for b in backward)
+        blocks = [[c[::-1] for c in b] for b in reversed(backward)] + forward
+        self.ts, self.qs, self.vs, self.gvv, self.energy, *charge = map(np.concatenate,
+                                                                        zip(*blocks))
+        if charge:
+            self.gkv, self.gkk = charge
 
 
 def sample_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
                   result: TrajectoryResult) -> SampleSeries:
-    """The series of ``result`` under (m, fp), evaluated on the first call
-    and kept with the result."""
+    """The fold of ``result`` under (m, fp).  The one made while integrating
+    is kept with the result; another (m, fp) folds the sample table again,
+    which a result without a table cannot do."""
     series = result._series
-    if series is None or series.m is not m or series.fp is not fp:
-        series = result._series = SampleSeries(m, fp, result)
+    if series.m is m and series.fp is fp:
+        return series
+    if not len(result.states):
+        raise ValueError("the result kept no sample table to fold under other fields")
+    ts, qs, vs = result.arrays()
+    i = series.start_index
+    series = SampleSeries(m, fp, keep=True)
+    series.add(ts[i:], qs[i:], vs[i:])
+    if i:
+        series.add(*(np.ascontiguousarray(a[i - 1::-1]) for a in (ts, qs, vs)), backward=True)
+    series.close()
+    result._series = series
     return series
 
 
@@ -834,15 +967,12 @@ def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     The quantity is a constant of motion when F is skew-adjoint and the only
     extra force is -grad V; otherwise the record is informational.
     """
-    ts = result.arrays()[0]
-    energy = sample_series(m, fp, result).energy
-    c = float(energy[_zero_grid(ts)])
-    drift = float(np.max(np.abs(energy - c)))
+    series = sample_series(m, fp, result)
     skew = _skew_cached(m, fp)
     gradient_force = fp.force_vector is None  # potential or nothing
     applicable = bool(skew.passed and gradient_force)
     note = "" if applicable else "not conserved - informational"
-    return EnergyRecord(applicable, c, drift, note)
+    return EnergyRecord(applicable, series.energy_ref, float(series.energy_drift), note)
 
 
 def _nonuniform_derivative(ts, ys):
@@ -859,22 +989,16 @@ def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     """Conservation or rate identity for the charge g(K, v) along the run."""
     if fp.reference_field is None:
         return KillingRecord(False, False, 0.0, 0.0, None, 0.0, "no reference field")
-    ts = result.arrays()[0]
     series = sample_series(m, fp, result)
-    charge = series.gkv
-    q0 = float(charge[_zero_grid(ts)])
-    drift = float(np.max(np.abs(charge - q0)))
-    bound = float(np.max(np.abs(charge)))
     res, max_sigma, _ = _conformal_cached(m, fp)
     killing = res <= fl._CONFORMAL_TOL and max_sigma <= fl._CONFORMAL_TOL
     annihilated = (fp.force_operator is None or _annihilates_cached(m, fp).passed)
     no_potential = fp.potential is None and fp.force_vector is None
     constant_case = bool(killing and annihilated and no_potential)
-    rate_residual = None
-    if len(ts) >= 3:
-        dq_num = _nonuniform_derivative(ts, charge)
-        rate_residual = float(np.max(np.abs(dq_num - series.rate[1:-1])))
-    return KillingRecord(True, constant_case, q0, drift, rate_residual, bound)
+    residual = series.rate_residual
+    return KillingRecord(True, constant_case, series.charge_ref, float(series.charge_drift),
+                         None if residual is None else float(residual),
+                         float(series.charge_bound))
 
 
 def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
@@ -890,16 +1014,14 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
     if inv_norm is None:
         return Certificates(True, "reference field is not timelike everywhere sampled")
     series = sample_series(m, fp, result)
-    gvv, gkv, gkk = series.gvv, series.gkv, series.gkk
-    if np.max(gkk) >= fl._TIMELIKE_MARGIN:
+    if series.gkk_max >= fl._TIMELIKE_MARGIN:
         return Certificates(True, "reference field not timelike along the trajectory")
-    gr_form = gvv + 2.0 * gkv * gkv / (-gkk)
-    c2 = float(np.max(np.abs(gkv)))
+    c2 = float(series.charge_bound)
     mc2 = inv_norm * c2
     # c1 from the smooth side of the rate identity
-    c1 = float(np.max(np.abs(series.rate)))
-    g_vv_max = float(np.max(gvv))
-    gr_max = float(np.max(gr_form))
+    c1 = float(series.rate_max)
+    g_vv_max = float(series.gvv_max)
+    gr_max = float(series.gr_form_max)
     bound = g_vv_max + 2.0 * mc2 * mc2
     return Certificates(False, "", c1, c2, inv_norm, mc2, g_vv_max, gr_max,
                         bound, bool(gr_max <= bound + 1e-6))
@@ -907,7 +1029,8 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
 
 def speed_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
                  result: TrajectoryResult) -> np.ndarray:
-    """The classification speed (not squared) at every sample."""
+    """The classification speed (not squared) at every row of the sample
+    table."""
     if result.speed_mode == "euclidean":
         vs = result.arrays()[2]
         return np.sqrt(np.einsum("mi,mi->m", vs, vs))

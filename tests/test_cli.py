@@ -137,6 +137,19 @@ def test_run_json_format_embeds_samples(tmp_path, capsys):
     assert not (out_dir / "run_trajectory.csv").exists()
 
 
+def test_run_builds_the_sample_table_only_to_write_it(tmp_path, capsys, monkeypatch):
+    argv = ["run", "--scenario", "clifton-pohl"]
+    code, written = invoke(argv + ["--output", str(tmp_path)], capsys)
+    assert code == 0 and (tmp_path / "run_trajectory.csv").exists()
+
+    def unused(*args):
+        raise AssertionError("the sample table was built but not written")
+
+    monkeypatch.setattr(cli, "_sample_table", unused)
+    code, bare = invoke(argv, capsys)
+    assert code == 0 and bare == written
+
+
 def test_csv_contract_for_every_builtin(tmp_path, capsys):
     for name in cat.list_builtins():
         out_dir = tmp_path / name

@@ -1,10 +1,12 @@
 import functools
+import json
 import math
 import operator
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import worldline.catalog as cat
 import worldline.dynamics as dy
@@ -478,26 +480,36 @@ def test_certificate_refusals():
 
 def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
     # the monitors, the certificate, the speed series and the sample table
-    # read g and K along the samples once per result and field pack
+    # read g and K at each sample once per result and field pack: the fold
+    # evaluates each block as the step loop hands it over, and nothing after
+    # the integration evaluates them again
     s = cat.builtin("t3-magnetic")
     m, fp = s.manifold, s.fields
-    res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=5.0))
-    rows = len(res.states)
-    calls = []
+    cfg = s.integration_config(t_max=5.0)
+
+    def read(res):
+        records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
+                   dy.certificate(m, fp, res))
+        return records, cli._sample_table(s, res)[1]
+
+    # a first result fills the caches of the sampled checks
+    fresh = dy.integrate_maximal(m, fp, s.initial, cfg)
+    fresh_records, fresh_table = read(fresh)
+    monkeypatch.setattr(dy, "_BLOCK", 7)
+    rows = {"metric_batch": [], "reference_batch": []}
     for owner, attr in ((geo.ManifoldSpec, "metric_batch"), (fl.FieldPack, "reference_batch")):
         def counted(self, qs, *rest, _f=getattr(owner, attr), _name=attr):
-            if len(qs) == rows:
-                calls.append(_name)
+            rows[_name].append(len(qs))
             return _f(self, qs, *rest)
         monkeypatch.setattr(owner, attr, counted)
-    records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
-               dy.certificate(m, fp, res))
-    _, table = cli._sample_table(s, res)
-    assert sorted(calls) == ["metric_batch", "reference_batch"]
-    # the series equal a fresh evaluation, and another field pack gets its own
-    fresh = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=5.0))
-    assert records == (dy.energy_monitor(m, fp, fresh), dy.killing_charge_monitor(m, fp, fresh),
-                       dy.certificate(m, fp, fresh))
+    res = dy.integrate_maximal(m, fp, s.initial, cfg)
+    records, table = read(res)
+    assert sum(rows["metric_batch"]) == sum(rows["reference_batch"]) == len(res.states)
+    assert max(rows["metric_batch"]) == max(rows["reference_batch"]) == 7
+    # the series equal an evaluation in larger blocks, and another field
+    # pack gets its own
+    assert records == fresh_records
+    assert table.tobytes() == fresh_table.tobytes()
     assert np.array_equal(table[:, -1], dy.speed_series(m, fp, fresh))
     no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
     assert dy.certificate(m, no_k, res).refused
@@ -594,6 +606,184 @@ def test_states_read_the_sample_rows():
     with pytest.raises(IndexError):
         res.states[len(ts)]
     assert [st.t for st in res.states] == ts.tolist()
+
+
+def test_step_loop_runs_from_the_start_time():
+    # an autonomous field takes the same steps from any start time, shifted
+    s = cat.builtin("t3-magnetic")
+    cfg = s.integration_config(t_max=1.0)
+    at0 = dy.integrate_maximal(s.manifold, s.fields, s.initial, cfg)
+    at5 = dy.integrate_maximal(s.manifold, s.fields,
+                               geo.TrajectoryState(5.0, s.initial.q, s.initial.v), cfg)
+    (ts0, qs0, vs0), (ts5, qs5, vs5) = at0.arrays(), at5.arrays()
+    assert np.all(np.diff(ts5) > 0)
+    assert ts5[0] == 4.0 and ts5[-1] == 6.0
+    assert np.allclose(ts5 - 5.0, ts0, rtol=0.0, atol=1e-14)
+    assert qs5.tobytes() == qs0.tobytes() and vs5.tobytes() == vs0.tobytes()
+    # a time-dependent potential started at t0 is the shifted one started at 0
+    t0 = 0.7
+    cfg = dy.IntegrationConfig(t_max=3.0)
+    frame = ex.CoordinateFrame(("x",), time_dependent=True)
+    m = geo.manifold_from_components(frame, {(0, 0): ex.ONE}, geo.ChartDomain.unbounded(1),
+                                     geo.RIEMANNIAN)
+
+    def potential(shift):
+        return fl.FieldPack(frame, potential=ex.parse(
+            f"x^2 / 2 * (1 + 0.5 * cos(t + {shift}))", frame))
+
+    late = dy.integrate_maximal(m, potential(0.0), geo.TrajectoryState(t0, (0.3,), (1.0,)), cfg)
+    shifted = dy.integrate_maximal(m, potential(t0), state((0.3,), (1.0,)), cfg)
+    # roundoff in the stage times moves the step grids apart, so compare
+    # the ends of both directions
+    for i in (0, -1):
+        a, b = late.states[i], shifted.states[i]
+        assert a.t - t0 == pytest.approx(b.t, abs=1e-9)
+        assert np.allclose(a.q + a.v, b.q + b.v, rtol=0.0, atol=1e-9)
+
+
+def test_backward_stall_at_the_start_keeps_negative_zero():
+    # exp(-1e300 t) overflows at every backward stage, so the backward
+    # direction stalls at its first step, at t = -0.0
+    frame = ex.CoordinateFrame(("x",), time_dependent=True)
+    m = geo.manifold_from_components(frame, {(0, 0): ex.ONE}, geo.ChartDomain.unbounded(1),
+                                     geo.RIEMANNIAN)
+    fp = fl.FieldPack(frame, force_vector=(ex.parse("exp(-1e300 * t)", frame),))
+    res = dy.integrate_maximal(m, fp, state((0.0,), (1.0,)), dy.IntegrationConfig(t_max=1.0))
+    cls = res.backward.classification
+    assert cls.kind == dy.STALLED and repr(cls.t_star) == "-0.0"
+    assert res.forward.classification.kind == dy.COMPLETE
+
+
+def _stride_3_torus(tmp_path):
+    doc = cat._doc_riemann_flat_torus()
+    doc["config"]["stride"] = 3
+    path = tmp_path / "riemann-flat-torus-stride-3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+BLOCK_INPUTS = [("t3-magnetic", ("--t-max", "20")), ("clifton-pohl", ()),
+                ("null-plane-cubic", ()), ("riemann-superlinear", ()),
+                (os.path.join(os.path.dirname(__file__), "data", "curved-5d.json"), ()),
+                (_stride_3_torus, ())]
+
+
+@pytest.mark.parametrize("source, args", BLOCK_INPUTS,
+                         ids=lambda x: getattr(x, "__name__", os.path.basename(str(x))))
+def test_block_size_changes_no_byte(source, args, tmp_path, capsys, monkeypatch):
+    # the fold over blocks of 1, 7 and the default number of rows: the same
+    # records, the same run and sweep output bytes
+    if callable(source):
+        source = source(tmp_path)
+    s = cat.resolve(source)
+    m, fp = s.manifold, s.fields
+    cfg = s.integration_config(**({"t_max": float(args[1])} if args else {}))
+    seen = []
+    for block in (1, 7, dy._BLOCK):
+        monkeypatch.setattr(dy, "_BLOCK", block)
+        res = dy.integrate_maximal(m, fp, s.initial, cfg)
+        records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
+                   dy.certificate(m, fp, res))
+        out = tmp_path / str(block)
+        outputs = []
+        for argv in (["run", "--scenario", source, *args, "--output", str(out / "run")],
+                     ["sweep", "--scenario", source, *args, "-n", "3", "--seed", "4",
+                      "--output", str(out / "sweep")]):
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        seen.append((repr(records), outputs, files))
+    assert len(files) == 4
+    assert seen[0] == seen[1] == seen[2]
+
+
+# arrays holding nan and the infinities, cut into blocks at random points
+_FOLD_VALUES = strategies.lists(
+    strategies.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.0])
+    | strategies.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_FOLD_VALUES, cuts=strategies.lists(strategies.integers(1, 39), max_size=8))
+def test_fold_over_blocks_is_the_max_over_the_whole(values, cuts):
+    xs = np.array(values)
+    running = None
+    for block in np.split(xs, sorted(c for c in set(cuts) if c < len(xs))):
+        running = dy._fold_max(running, block)
+    assert repr(running) == repr(np.max(xs))
+
+
+_STEPS = strategies.lists(strategies.floats(1e-3, 1.0), max_size=12)
+_VALUES = strategies.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forward=_STEPS, backward=_STEPS, data=strategies.data())
+def test_rate_residual_fold_takes_every_triple_in_time_order(forward, backward, data):
+    # the fold of the rate-identity residual over the forward stream from
+    # t = 0, then the backward stream in decreasing t, cut into random
+    # blocks, against one evaluation over the table in increasing t
+    t_fwd = np.cumsum([0.0, *forward])
+    t_back = -np.cumsum(backward)
+    rows = len(t_fwd) + len(t_back)
+    q = np.array(data.draw(strategies.lists(_VALUES, min_size=rows, max_size=rows)))
+    r = np.array(data.draw(strategies.lists(_VALUES, min_size=rows, max_size=rows)))
+    s = cat.builtin("t3-magnetic")
+    series = dy.SampleSeries(s.manifold, s.fields)
+    start = len(t_fwd)
+    for lo, hi, ts, back in ((0, start, t_fwd, False), (start, rows, t_back, True)):
+        cuts = data.draw(strategies.lists(strategies.integers(1, max(hi - lo - 1, 1)), max_size=4))
+        edges = [0, *sorted(c for c in set(cuts) if c < hi - lo), hi - lo]
+        for a, b in zip(edges, edges[1:]) if hi > lo else ():
+            series._fold_residual(ts[a:b], q[lo + a:lo + b], r[lo + a:lo + b], back)
+    order = np.r_[rows - 1:start - 1:-1, 0:start]  # the table in increasing t
+    t = np.concatenate((t_fwd, t_back))[order]
+    want = None
+    if rows >= 3:
+        want = np.max(np.abs(dy._nonuniform_derivative(t, q[order]) - r[order][1:-1]))
+    assert repr(series.rate_residual) == repr(want)
+
+
+def test_table_less_integration_holds_bounded_memory(monkeypatch):
+    # the peak of a t3 integration without a table, with its monitors, does
+    # not grow with the horizon; with a table the same run keeps every row
+    tracemalloc = pytest.importorskip("tracemalloc")
+    s = cat.builtin("t3-magnetic")
+    m, fp = s.manifold, s.fields
+    monkeypatch.setattr(dy, "_BLOCK", 64)
+
+    def peak(t_max):
+        cfg = s.integration_config(t_max=t_max)
+        tracemalloc.start()
+        try:
+            res = dy.integrate_maximal(m, fp, s.initial, cfg, table=False)
+            records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
+                       dy.certificate(m, fp, res))
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return top, res, records
+
+    peak(1.0)  # compiles the system and fills the sampled-check caches
+    short, _, _ = peak(50.0)
+    long, res, records = peak(400.0)
+    assert len(res.states) == 0 and res.forward.accepted > 20000
+    # without a table nothing is left to fold under other fields
+    no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
+    with pytest.raises(ValueError, match="no sample table"):
+        dy.energy_monitor(m, no_k, res)
+    # the table of the longer run alone would add over 2 MB; the slack
+    # covers the interpreter's free lists, which fill up to a fixed size
+    assert long <= short + 128 * 1024, (short, long)
+    kept = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=400.0))
+    ts, qs, vs = kept.arrays()
+    assert len(ts) == kept.forward.accepted + kept.backward.accepted + 1
+    assert [x.t for x in kept.states] == ts.tolist()
+    assert kept.states[-1] == geo.TrajectoryState(ts[-1], tuple(qs[-1]), tuple(vs[-1]))
+    assert repr(records) == repr((dy.energy_monitor(m, fp, kept),
+                                  dy.killing_charge_monitor(m, fp, kept),
+                                  dy.certificate(m, fp, kept)))
 
 
 def _held(sysd, y):
