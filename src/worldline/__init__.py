@@ -7,7 +7,7 @@ and checks sampled sufficient conditions for completeness.
 """
 
 from .catalog import Scenario, builtin, list_builtins, load, save
-from .criteria import CriteriaConfig, HypothesisReport, evaluate
+from .criteria import HypothesisReport, evaluate
 from .dynamics import (
     IntegrationConfig,
     TrajectoryResult,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChartDomain",
     "CoordinateFrame",
-    "CriteriaConfig",
     "Expr",
     "FieldPack",
     "HypothesisReport",

@@ -170,7 +170,7 @@ def _emit(doc: dict, outdir, report_name: str, table=None, fmt: str = "csv"):
 def _field_norm_maxima(s: cat.Scenario, count: int = 200) -> dict:
     pts = geo.sample_points(s.manifold, count)
     norms = fl.invariant_norms(s.manifold, s.fields, pts)
-    return {k: float(np.max(np.abs(v))) for k, v in sorted(norms.items())}
+    return {k: _finite_or_none(np.max(np.abs(v))) for k, v in sorted(norms.items())}
 
 
 # --- subcommands -----------------------------------------------------------

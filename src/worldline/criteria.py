@@ -35,16 +35,6 @@ _T_GRID = 11
 
 
 @dataclass(frozen=True)
-class CriteriaConfig:
-    points: int = 1000
-    directions: int = 8
-
-    def __post_init__(self):
-        if self.points < 1 or self.directions < 1:
-            raise geo.ValidationError("sample counts must be positive")
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     name: str
     verdict: str  # "pass" | "fail" | "not-applicable"
@@ -75,8 +65,7 @@ def _conclude(theorem, hyps) -> HypothesisReport:
 
 # --- Lorentzian route ------------------------------------------------------
 
-def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                             cfg: CriteriaConfig = CriteriaConfig()) -> HypothesisReport:
+def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
     """Compactness, autonomy, skew F, conformal timelike K with F(K) = 0,
     and a potential-only extra force."""
     hyps = []
@@ -93,7 +82,7 @@ def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack,
     autonomous = not fp.time_dependent  # the metric is autonomous by construction
     hyps.append(Hypothesis("autonomous", "pass" if autonomous else "fail"))
 
-    skew = fl.is_skew_adjoint(m, fp, count=cfg.points, directions=cfg.directions)
+    skew = fl.is_skew_adjoint(m, fp)
     hyps.append(Hypothesis("force-operator-skew", "pass" if skew.passed else "fail",
                            measured=skew.worst, samples=skew.points))
 
@@ -105,16 +94,16 @@ def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack,
         hyps.append(Hypothesis("force-annihilates-reference", "not-applicable",
                                note="no reference field"))
     else:
-        res, _, _ = fl.conformal_report(m, fp, count=cfg.points)
+        res, _, _ = fl.conformal_report(m, fp)
         hyps.append(Hypothesis("reference-conformal",
                                "pass" if res <= fl._CONFORMAL_TOL else "fail",
-                               measured=res, samples=cfg.points))
-        tl = fl.is_timelike_everywhere(m, fp, count=cfg.points)
+                               measured=res, samples=fl._POINTS))
+        tl = fl.is_timelike_everywhere(m, fp)
         hyps.append(Hypothesis("reference-timelike",
                                "pass" if tl.passed else "fail",
                                measured=tl.worst, samples=tl.points,
                                note="largest sampled g(K,K)"))
-        ann = fl.annihilates(m, fp, count=cfg.points)
+        ann = fl.annihilates(m, fp)
         hyps.append(Hypothesis("force-annihilates-reference",
                                "pass" if ann.passed else "fail",
                                measured=ann.worst, samples=ann.points))
@@ -133,8 +122,7 @@ def _time_grid(time_dependent: bool) -> np.ndarray:
     return np.linspace(-_T_WINDOW, _T_WINDOW, _T_GRID)
 
 
-def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                      cfg: CriteriaConfig = CriteriaConfig()):
+def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack):
     """(S_sup, S_inf, |S|) of the symmetric part over points and a t window.
 
     Extremes of g(v, Sv) over unit vectors are generalized eigenvalues of
@@ -144,7 +132,7 @@ def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack,
         raise geo.SignatureError("unit-sphere bounds need a Riemannian metric")
     if fp.force_operator is None:
         return 0.0, 0.0, 0.0
-    pts = geo.sample_points(m, cfg.points)
+    pts = geo.sample_points(m, fl._POINTS)
     g = geo.metrics_at(m, pts)  # positive definite at every point, for Cholesky
     L = np.linalg.cholesky(g)
     s_sup = -math.inf
@@ -175,7 +163,7 @@ class GrowthReport:
     note: str = "distances use the chart Euclidean proxy"
 
 
-def _region_points(m: geo.ManifoldSpec, cfg: CriteriaConfig):
+def _region_points(m: geo.ManifoldSpec):
     p0 = (0.0,) * m.dim
     if not m.domain.contains(p0):
         lo, hi = geo.sampling_box(m, _REGION_HALFWIDTH)
@@ -191,7 +179,7 @@ def _region_points(m: geo.ManifoldSpec, cfg: CriteriaConfig):
             return False
         return m.domain.contains(q)
 
-    pts = sampling.sample_predicate(cfg.points, lo, hi, keep)
+    pts = sampling.sample_predicate(fl._POINTS, lo, hi, keep)
     # the base point itself anchors the envelope at distance zero
     p0 = np.asarray(p0, dtype=float)
     return p0, np.vstack([p0[None, :], pts])
@@ -241,14 +229,13 @@ def _classify(slope, lower, upper, labels):
 
 
 def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                        cfg: CriteriaConfig = CriteriaConfig(),
                         quantity: str = "force") -> GrowthReport:
     """Envelope of the metric norm of the driving force against distance.
 
     quantity "force" measures the explicit X (or -grad V when only a
     potential is given); "gradient" forces the -grad V route.
     """
-    p0, pts = _region_points(m, cfg)
+    p0, pts = _region_points(m)
     g = geo.finite("metric", pts, m.metric_batch)
     use_gradient = quantity == "gradient" or fp.force_vector is None
     y = np.zeros(len(pts))
@@ -276,14 +263,13 @@ def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
 
 
 def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
-                           cfg: CriteriaConfig = CriteriaConfig(),
                            quantity: str = "U") -> GrowthReport:
     """Envelope of a scalar against squared distance (upper bound only).
 
     Negative values are trivially covered; the log-log class looks at the
     positive part.
     """
-    p0, pts = _region_points(m, cfg)
+    p0, pts = _region_points(m)
     times = _time_grid(ex.references_time(u))
     f = ex.compile_batch([u], m.frame)
     y = np.full(len(pts), -math.inf)
@@ -307,8 +293,7 @@ def _growth_hypothesis(name, rep: GrowthReport, bad: str) -> Hypothesis:
                       note=f"{rep.growth_class}; A={rep.bound_rate:.6g} C={rep.bound_offset:.6g}")
 
 
-def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                              cfg: CriteriaConfig = CriteriaConfig()) -> HypothesisReport:
+def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
     """Dispatch among the growth criteria for a complete Riemannian base."""
     hyps = []
     if m.signature != geo.RIEMANNIAN:
@@ -328,18 +313,18 @@ def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack,
                                note="compact base: complete for any F and X"))
         return _conclude("riemannian-compact", hyps)
 
-    s_sup, s_inf, s_norm = estimate_S_bounds(m, fp, cfg)
+    s_sup, s_inf, s_norm = estimate_S_bounds(m, fp)
     hyps.append(Hypothesis("symmetric-part-bounded", "pass", measured=s_norm,
-                           samples=cfg.points,
+                           samples=fl._POINTS,
                            note=f"S_sup={s_sup:.6g} S_inf={s_inf:.6g} on sampled region"))
 
     if fp.potential is not None:
-        grad_rep = check_linear_growth(m, fp, cfg, quantity="gradient")
+        grad_rep = check_linear_growth(m, fp, quantity="gradient")
         grad_h = _growth_hypothesis("gradient-linear-growth", grad_rep, "superlinear")
         if grad_h.verdict == "pass":
             hyps.append(grad_h)
             return _conclude("riemannian-gradient-linear", hyps)
-        neg_v = check_quadratic_growth(m, ex.neg(fp.potential), cfg, quantity="-V")
+        neg_v = check_quadratic_growth(m, ex.neg(fp.potential), quantity="-V")
         nv_h = _growth_hypothesis("minus-potential-quadratic-growth",
                                   neg_v, "superquadratic")
         hyps.append(dataclasses.replace(
@@ -347,19 +332,18 @@ def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack,
                                    "fell back to the quadratic route"))
         dV_dt = ex.derive(fp.potential, ex.TIME_NAME)
         for label, e in (("dV/dt", dV_dt), ("-dV/dt", ex.neg(dV_dt))):
-            rep = check_quadratic_growth(m, e, cfg, quantity=label)
+            rep = check_quadratic_growth(m, e, quantity=label)
             hyps.append(_growth_hypothesis(f"time-derivative-quadratic ({label})",
                                            rep, "superquadratic"))
         return _conclude("riemannian-potential-quadratic", hyps)
 
-    force_rep = check_linear_growth(m, fp, cfg, quantity="force")
+    force_rep = check_linear_growth(m, fp, quantity="force")
     hyps.append(_growth_hypothesis("force-linear-growth", force_rep, "superlinear"))
     return _conclude("riemannian-force-linear", hyps)
 
 
-def evaluate(m: geo.ManifoldSpec, fp: fl.FieldPack,
-             cfg: CriteriaConfig = CriteriaConfig()) -> HypothesisReport:
+def evaluate(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
     """Route to the checker matching the metric signature."""
     if m.signature == geo.LORENTZIAN:
-        return check_lorentzian_theorem(m, fp, cfg)
-    return check_riemannian_theorems(m, fp, cfg)
+        return check_lorentzian_theorem(m, fp)
+    return check_riemannian_theorems(m, fp)

@@ -522,10 +522,19 @@ def _speed_source(m, fp, use_reference):
 
 # --- the integrator --------------------------------------------------------
 
+def _scaled_rms(xs, sc):
+    """Root mean square of xs / sc; inf when a square overflows, as
+    ``x ** 2`` raises where ``x * x`` would give inf."""
+    try:
+        return math.sqrt(sum((c / s) ** 2 for c, s in zip(xs, sc)) / len(xs))
+    except OverflowError:
+        return math.inf
+
+
 def _initial_step(y, k1, cfg, h_max):
     sc = [cfg.atol + cfg.rtol * abs(c) for c in y]
-    d0 = math.sqrt(sum((c / s) ** 2 for c, s in zip(y, sc)) / len(y))
-    d1 = math.sqrt(sum((c / s) ** 2 for c, s in zip(k1, sc)) / len(y))
+    d0 = _scaled_rms(y, sc)
+    d1 = _scaled_rms(k1, sc)
     if d0 < 1e-8 or d1 < 1e-8:
         h = 1e-3
     else:
@@ -564,7 +573,10 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     # scalars, and every operation of the loop would run on them.
     t0 = float(s0.t)
     base = t0 if t0 else -0.0  # x + -0.0 is x for every x, -0.0 included
-    q, v, _ = geo.normalize_qv(m, tuple(map(float, s0.q)), tuple(map(float, s0.v)))
+    q, v = tuple(map(float, s0.q)), tuple(map(float, s0.v))
+    if not all(map(math.isfinite, q + v)):
+        raise geo.ValidationError(f"initial state is not finite: q = {q}, v = {v}")
+    q, v, _ = geo.normalize_qv(m, q, v)
     if not m.domain.contains(q):
         raise geo.OutsideDomainError(f"initial point {q} is outside the chart domain")
     y = q + v
@@ -574,8 +586,9 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     except _EVAL_ERRORS as err:
         raise geo.ValidationError(
             f"cannot evaluate the equation at the initial state: {err}") from err
-    if spd > v_max:
-        raise geo.ValidationError("initial speed already exceeds the blowup threshold")
+    if not spd <= v_max:  # a nan speed too
+        raise geo.ValidationError(
+            f"initial speed {spd!r} is not within the blowup threshold {v_max!r}")
 
     backward = sign < 0.0
     full = _BLOCK * (1 + 2 * n)
@@ -785,25 +798,10 @@ class Certificates:
 
 
 @lru_cache(maxsize=32)
-def _skew_cached(m, fp):
-    return fl.is_skew_adjoint(m, fp, count=200)
-
-
-@lru_cache(maxsize=32)
-def _conformal_cached(m, fp):
-    return fl.conformal_report(m, fp, count=200)
-
-
-@lru_cache(maxsize=32)
-def _annihilates_cached(m, fp):
-    return fl.annihilates(m, fp, count=200)
-
-
-@lru_cache(maxsize=32)
 def _inverse_norm_bound(m, fp):
     """max over fundamental-domain samples of 1/|K| (K timelike), or None."""
     try:
-        timelike = fl.is_timelike_everywhere(m, fp, count=1000)
+        timelike = fl.is_timelike_everywhere(m, fp)
     except geo.ValidationError:  # a non-finite sample
         return None
     # 1/sqrt(-x) rises with x, so its maximum is at the largest g(K,K)
@@ -830,7 +828,7 @@ def _evaluate(m: geo.ManifoldSpec, fp: fl.FieldPack, ts, qs, vs):
         k_dot_grad = np.einsum("mi,mi->m", k, fp.potential_derivative_batch(qs, ts))
     else:
         k_dot_grad = np.zeros(len(ts))
-    if _conformal_cached(m, fp)[1] <= fl._CONFORMAL_TOL:
+    if fl.conformal_report(m, fp)[1] <= fl._CONFORMAL_TOL:
         sigma = np.zeros(len(ts))
     else:
         sigma = fl.conformal_factors(m, fp.reference_field, qs)[0]
@@ -968,7 +966,7 @@ def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     extra force is -grad V; otherwise the record is informational.
     """
     series = sample_series(m, fp, result)
-    skew = _skew_cached(m, fp)
+    skew = fl.is_skew_adjoint(m, fp)
     gradient_force = fp.force_vector is None  # potential or nothing
     applicable = bool(skew.passed and gradient_force)
     note = "" if applicable else "not conserved - informational"
@@ -990,9 +988,9 @@ def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
     if fp.reference_field is None:
         return KillingRecord(False, False, 0.0, 0.0, None, 0.0, "no reference field")
     series = sample_series(m, fp, result)
-    res, max_sigma, _ = _conformal_cached(m, fp)
+    res, max_sigma, _ = fl.conformal_report(m, fp)
     killing = res <= fl._CONFORMAL_TOL and max_sigma <= fl._CONFORMAL_TOL
-    annihilated = (fp.force_operator is None or _annihilates_cached(m, fp).passed)
+    annihilated = (fp.force_operator is None or fl.annihilates(m, fp).passed)
     no_potential = fp.potential is None and fp.force_vector is None
     constant_case = bool(killing and annihilated and no_potential)
     residual = series.rate_residual

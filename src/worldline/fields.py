@@ -23,8 +23,11 @@ _ANNIHILATE_TOL = 1e-10
 _CONFORMAL_TOL = 1e-9
 _TIMELIKE_MARGIN = -1e-10
 
-DEFAULT_POINTS = 1000
-DEFAULT_DIRECTIONS = 8
+# The one sample of every sampled hypothesis: ``check`` prints its verdicts,
+# and the monitors and the certificate of ``run`` and ``sweep`` read the same
+# cached ones.
+_POINTS = 1000
+_DIRECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -161,41 +164,35 @@ def decompose(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> Decompos
     return DecompositionAt(0.5 * (F + Fstar), 0.5 * (F - Fstar))
 
 
-def _sample_set(m: geo.ManifoldSpec, count: int, directions: int,
-                seed: int = sampling.DEFAULT_SEED):
-    pts = geo.sample_points(m, count)
-    dirs = sampling.sample_directions(count * directions, m.dim, seed)
-    return pts, dirs.reshape(count, directions, m.dim)
-
-
-def is_skew_adjoint(m: geo.ManifoldSpec, fp: FieldPack,
-                    count: int = DEFAULT_POINTS,
-                    directions: int = DEFAULT_DIRECTIONS) -> SampledCheck:
+@lru_cache(maxsize=32)
+def is_skew_adjoint(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     """Does g(v, Fv) vanish for all sampled points and directions?"""
     if fp.force_operator is None:
         return SampledCheck(True, 0.0, 0)
-    pts, dirs = _sample_set(m, count, directions)
+    pts = geo.sample_points(m, _POINTS)
+    dirs = sampling.sample_directions(_POINTS * _DIRECTIONS, m.dim).reshape(
+        _POINTS, _DIRECTIONS, m.dim)
     g = geo.finite("metric", pts, m.metric_batch)
     F = geo.finite("force operator F", pts, fp.force_batch)
     vals = (np.abs(np.einsum("mdi,mij,mdj->md", dirs, g @ F, dirs))
             / (1.0 + np.einsum("mdi,mdi->md", dirs, dirs)))
     worst = float(vals.max())
-    return SampledCheck(worst <= _SKEW_TOL, worst, count)
+    return SampledCheck(worst <= _SKEW_TOL, worst, _POINTS)
 
 
-def annihilates(m: geo.ManifoldSpec, fp: FieldPack,
-                count: int = DEFAULT_POINTS) -> SampledCheck:
+@lru_cache(maxsize=32)
+def annihilates(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     """Does F send the reference field K to zero at sampled points?"""
     if fp.force_operator is None:
         return SampledCheck(True, 0.0, 0)
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
-    pts = geo.sample_points(m, count)
+    pts = geo.sample_points(m, _POINTS)
     F = geo.finite("force operator F", pts, fp.force_batch)
     k = geo.finite("reference field K", pts, fp.reference_batch)
     fk = np.einsum("mij,mj->mi", F, k)
     worst = float(np.sqrt(np.einsum("mi,mi->m", fk, fk)).max())
-    return SampledCheck(worst <= _ANNIHILATE_TOL, worst, count)
+    return SampledCheck(worst <= _ANNIHILATE_TOL, worst, _POINTS)
 
 
 def drive_vectors(m: geo.ManifoldSpec, fp: FieldPack, qs, ts=None) -> np.ndarray:
@@ -254,8 +251,8 @@ def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
     return sigma, residual
 
 
-def conformal_report(m: geo.ManifoldSpec, fp: FieldPack,
-                     count: int = DEFAULT_POINTS):
+@lru_cache(maxsize=32)
+def conformal_report(m: geo.ManifoldSpec, fp: FieldPack):
     """Sampled conformal diagnostics of K.
 
     Returns (max residual, max |sigma|, sigma at the first sample).  K is
@@ -264,23 +261,23 @@ def conformal_report(m: geo.ManifoldSpec, fp: FieldPack,
     """
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
-    pts = geo.sample_points(m, count)
+    pts = geo.sample_points(m, _POINTS)
     sigma, residual = geo.finite(
         "conformal factor of K", pts,
         lambda qs: np.column_stack(conformal_factors(m, fp.reference_field, qs))).T
     return float(residual.max()), float(np.abs(sigma).max()), float(sigma[0])
 
 
-def is_timelike_everywhere(m: geo.ManifoldSpec, fp: FieldPack,
-                           count: int = DEFAULT_POINTS) -> SampledCheck:
+@lru_cache(maxsize=32)
+def is_timelike_everywhere(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     """g(K,K) < -1e-10 at every sampled point; worst is the largest value seen."""
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
-    pts = geo.sample_points(m, count)
+    pts = geo.sample_points(m, _POINTS)
     g = geo.finite("metric", pts, m.metric_batch)
     k = geo.finite("reference field K", pts, fp.reference_batch)
     worst = float(np.einsum("mi,mij,mj->m", k, g, k).max())
-    return SampledCheck(worst < _TIMELIKE_MARGIN, worst, count)
+    return SampledCheck(worst < _TIMELIKE_MARGIN, worst, _POINTS)
 
 
 def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, qs, t: float = 0.0) -> dict:

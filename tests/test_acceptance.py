@@ -112,7 +112,7 @@ def test_criterion_6_skew_iff_vanishing_symmetric_part():
         s = cat.builtin(name)
         if s.fields.force_operator is None:
             continue
-        skew = fl.is_skew_adjoint(s.manifold, s.fields, count=1000)
+        skew = fl.is_skew_adjoint(s.manifold, s.fields)
         pts = geo.sample_points(s.manifold, 1000)
         s_norm = max(float(np.max(np.abs(
             fl.decompose(s.manifold, s.fields, tuple(q)).S))) for q in pts)

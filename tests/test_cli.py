@@ -358,3 +358,55 @@ def test_malformed_files_exit_two_with_a_message(tmp_path, capsys, edit, message
         assert code == 2, argv
         assert captured.out == ""
         assert message in captured.err
+
+
+def _strict_json(text):
+    """The document, refusing the NaN and Infinity tokens that are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_start_data_exit_two_with_a_message(tmp_path, capsys):
+    nan_file = _builtin_file(tmp_path, "flat-lorentz-torus",
+                             _set(("initial", "v"), [float("nan"), 0.3]))
+    torus = "flat-lorentz-torus"
+    cases = [(torus, ["--v", "nan,0.3"], "v = (nan, 0.3)"),
+             (torus, ["--v", "inf,0.3"], "v = (inf, 0.3)"),
+             (torus, ["--q", "1e400,0"], "q = (inf, 0.0)"),
+             (torus, ["--v", "1e200,0"], "initial speed nan"),
+             (nan_file, [], "v = (nan, 0.3)")]
+    for source, extra, message in cases:
+        code = cli.main(["run", "--scenario", source, *extra])
+        captured = capsys.readouterr()
+        assert code == 2, extra
+        assert captured.out == ""
+        assert message in captured.err, extra
+
+
+def test_overflowing_first_step_estimate_is_classified(tmp_path, capsys):
+    # the slope at the start is 1e200: its scaled square overflows
+    path = _builtin_file(tmp_path, "riemann-superlinear",
+                         _set(("fields", "X"), ["1e200 * x^2"]))
+    verdicts = {"StalledAt", "BlowupAt"}
+    code, out = invoke(["run", "--scenario", path], capsys)
+    assert code == 0
+    assert _strict_json(out)["classification"] in verdicts
+    code, out = invoke(["sweep", "--scenario", path, "-n", "2"], capsys)
+    assert code == 0
+    assert set(_strict_json(out)["classifications"]) <= verdicts
+
+
+def test_run_monitors_agree_with_check_on_a_narrow_bump(tmp_path, capsys):
+    # F fails to be skew only on a band about 1e-4 wide in x, which the
+    # first 200 sample points miss and the first 1000 hit
+    path = _builtin_file(tmp_path, "flat-lorentz-torus", _set(
+        ("fields", "F"), [["0", "0"], ["0", "exp(-((x - 0.0508)/0.0001)^2)"]]))
+    code, out = invoke(["check", "--scenario", path], capsys)
+    assert code == 1
+    skew = next(h for h in json.loads(out)["hypotheses"]
+                if h["name"] == "force-operator-skew")
+    assert skew["verdict"] == "fail"
+    code, out = invoke(["run", "--scenario", path, "--t-max", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["energy_conserved_quantity"] is False

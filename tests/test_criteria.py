@@ -25,15 +25,12 @@ def parse_matrix(rows, frame=XY):
     return tuple(tuple(ex.parse(e, frame) for e in row) for row in rows)
 
 
-SMALL = cr.CriteriaConfig(points=400, directions=6)
-
-
 # --- symmetric part bounds --------------------------------------------------
 
 def test_s_bounds_diagonal_operator():
     m = euclid(XY)
     fp = fl.FieldPack(XY, force_operator=parse_matrix([["1", "0"], ["0", "2"]]))
-    sup, inf, norm = cr.estimate_S_bounds(m, fp, SMALL)
+    sup, inf, norm = cr.estimate_S_bounds(m, fp)
     assert sup == pytest.approx(2.0)
     assert inf == pytest.approx(1.0)
     assert norm == pytest.approx(2.0)
@@ -42,7 +39,7 @@ def test_s_bounds_diagonal_operator():
 def test_s_bounds_nilpotent_operator():
     m = euclid(XY)
     fp = fl.FieldPack(XY, force_operator=parse_matrix([["0", "1"], ["0", "0"]]))
-    sup, inf, norm = cr.estimate_S_bounds(m, fp, SMALL)
+    sup, inf, norm = cr.estimate_S_bounds(m, fp)
     # S = [[0, 1/2], [1/2, 0]] has eigenvalues +-1/2
     assert sup == pytest.approx(0.5)
     assert inf == pytest.approx(-0.5)
@@ -51,12 +48,12 @@ def test_s_bounds_nilpotent_operator():
 
 def test_s_bounds_without_operator_and_signature_guard():
     m = euclid(XY)
-    assert cr.estimate_S_bounds(m, fl.FieldPack(XY), SMALL) == (0.0, 0.0, 0.0)
+    assert cr.estimate_S_bounds(m, fl.FieldPack(XY)) == (0.0, 0.0, 0.0)
     lorentz = geo.manifold_from_components(
         XY, {(0, 0): ex.parse("-1", XY), (1, 1): ex.ONE},
         geo.ChartDomain.unbounded(2), geo.LORENTZIAN)
     with pytest.raises(geo.SignatureError):
-        cr.estimate_S_bounds(lorentz, fl.FieldPack(XY), SMALL)
+        cr.estimate_S_bounds(lorentz, fl.FieldPack(XY))
 
 
 # --- growth fits ------------------------------------------------------------
@@ -64,7 +61,7 @@ def test_s_bounds_without_operator_and_signature_guard():
 def test_linear_growth_identity_field():
     m = euclid(X1)
     fp = fl.FieldPack(X1, force_vector=(ex.parse("x", X1),))
-    rep = cr.check_linear_growth(m, fp, SMALL)
+    rep = cr.check_linear_growth(m, fp)
     assert rep.growth_class == "linear"
     assert rep.bound_rate == pytest.approx(1.0, abs=1e-6)
     assert abs(rep.bound_offset) <= 1e-6
@@ -74,7 +71,7 @@ def test_linear_growth_identity_field():
 def test_linear_growth_quadratic_field_is_superlinear():
     m = euclid(X1)
     fp = fl.FieldPack(X1, force_vector=(ex.parse("x^2", X1),))
-    rep = cr.check_linear_growth(m, fp, SMALL)
+    rep = cr.check_linear_growth(m, fp)
     assert rep.growth_class == "superlinear"
     assert rep.slope == pytest.approx(2.0, abs=0.1)
 
@@ -82,7 +79,7 @@ def test_linear_growth_quadratic_field_is_superlinear():
 def test_linear_growth_bounded_field():
     m = euclid(X1)
     fp = fl.FieldPack(X1, force_vector=(ex.parse("sin(x)", X1),))
-    rep = cr.check_linear_growth(m, fp, SMALL)
+    rep = cr.check_linear_growth(m, fp)
     assert rep.growth_class in ("sublinear", "linear")
     # the envelope cover must still majorize all samples
     assert rep.bound_offset >= 0.0 or rep.bound_rate > 0.0
@@ -91,7 +88,7 @@ def test_linear_growth_bounded_field():
 def test_quadratic_growth_exact_square():
     m = euclid(XY)
     u = ex.parse("x^2 + y^2", XY)
-    rep = cr.check_quadratic_growth(m, u, SMALL)
+    rep = cr.check_quadratic_growth(m, u)
     assert rep.growth_class == "quadratic"
     assert rep.bound_rate == pytest.approx(1.0, abs=1e-6)
     assert abs(rep.bound_offset) <= 1e-6
@@ -99,19 +96,19 @@ def test_quadratic_growth_exact_square():
 
 def test_quadratic_growth_constant_and_negative():
     m = euclid(XY)
-    rep = cr.check_quadratic_growth(m, ex.parse("5", XY), SMALL)
+    rep = cr.check_quadratic_growth(m, ex.parse("5", XY))
     assert rep.growth_class == "subquadratic"
     assert rep.bound_rate == pytest.approx(0.0, abs=1e-9)
     assert rep.bound_offset == pytest.approx(5.0)
     # -x^4 is nonpositive, so it passes the quadratic cover trivially
-    rep2 = cr.check_quadratic_growth(m, ex.parse("-x^4", XY), SMALL)
+    rep2 = cr.check_quadratic_growth(m, ex.parse("-x^4", XY))
     assert rep2.growth_class == "quadratic"
     assert rep2.bound_rate <= 1e-9
 
 
 def test_quadratic_growth_quartic_is_superquadratic():
     m = euclid(XY)
-    rep = cr.check_quadratic_growth(m, ex.parse("x^4", XY), SMALL)
+    rep = cr.check_quadratic_growth(m, ex.parse("x^4", XY))
     assert rep.growth_class == "superquadratic"
     assert rep.slope == pytest.approx(4.0, abs=0.2)
 
@@ -120,7 +117,7 @@ def test_quadratic_growth_quartic_is_superquadratic():
 
 def test_riemannian_compact_clause_accepts_any_fields():
     s = cat.builtin("riemann-flat-torus")
-    rep = cr.evaluate(s.manifold, s.fields, SMALL)
+    rep = cr.evaluate(s.manifold, s.fields)
     assert rep.prediction == cr.COMPLETE
     assert rep.theorem == "riemannian-compact"
     assert rep.hypothesis("compact-clause").verdict == "pass"
@@ -129,7 +126,7 @@ def test_riemannian_compact_clause_accepts_any_fields():
 def test_riemannian_quartic_potential_completes_via_quadratic_route():
     m = euclid(XY, declared=True)
     fp = fl.FieldPack(XY, potential=ex.parse("x^4", XY))
-    rep = cr.evaluate(m, fp, SMALL)
+    rep = cr.evaluate(m, fp)
     assert rep.prediction == cr.COMPLETE
     # the gradient 4x^3 fails the linear test; -V <= 0 passes the quadratic one
     assert rep.theorem == "riemannian-potential-quadratic"
@@ -141,7 +138,7 @@ def test_riemannian_quartic_potential_completes_via_quadratic_route():
 def test_riemannian_gradient_route_when_potential_is_tame():
     m = euclid(XY, declared=True)
     fp = fl.FieldPack(XY, potential=ex.parse("x^2 + y^2", XY))
-    rep = cr.evaluate(m, fp, SMALL)
+    rep = cr.evaluate(m, fp)
     assert rep.prediction == cr.COMPLETE
     assert rep.theorem == "riemannian-gradient-linear"
     assert rep.hypothesis("gradient-linear-growth").verdict == "pass"
@@ -149,7 +146,7 @@ def test_riemannian_gradient_route_when_potential_is_tame():
 
 def test_riemannian_superlinear_force_gets_no_prediction():
     s = cat.builtin("riemann-superlinear")
-    rep = cr.evaluate(s.manifold, s.fields, SMALL)
+    rep = cr.evaluate(s.manifold, s.fields)
     assert rep.prediction == cr.NO_PREDICTION
     assert rep.theorem == "riemannian-force-linear"
     assert rep.hypothesis("force-linear-growth").verdict == "fail"
@@ -158,11 +155,11 @@ def test_riemannian_superlinear_force_gets_no_prediction():
 def test_riemannian_needs_complete_base():
     m = euclid(X1, declared=False)  # non-compact, not declared complete
     fp = fl.FieldPack(X1, force_vector=(ex.parse("sin(x)", X1),))
-    rep = cr.evaluate(m, fp, SMALL)
+    rep = cr.evaluate(m, fp)
     assert rep.prediction == cr.NO_PREDICTION
     assert rep.hypothesis("complete-base").verdict == "fail"
     declared = euclid(X1, declared=True)
-    rep2 = cr.evaluate(declared, fp, SMALL)
+    rep2 = cr.evaluate(declared, fp)
     assert rep2.prediction == cr.COMPLETE
 
 
@@ -173,12 +170,12 @@ def test_time_dependent_potential_checks_both_time_derivatives():
                                      geo.RIEMANNIAN, declared_complete=True)
     # V = x^2 sin(t): -V and +-dV/dt all quadratically bounded
     fp = fl.FieldPack(frame, potential=ex.parse("x^2 * sin(t)", frame))
-    rep = cr.evaluate(m, fp, SMALL)
+    rep = cr.evaluate(m, fp)
     assert rep.prediction == cr.COMPLETE
     # V = x^4 sin(t): the time derivative x^4 cos(t) grows too fast and
     # -V itself turns superquadratic on half the periods
     fp2 = fl.FieldPack(frame, potential=ex.parse("x^4 * sin(t)", frame))
-    rep2 = cr.evaluate(m, fp2, SMALL)
+    rep2 = cr.evaluate(m, fp2)
     assert rep2.prediction == cr.NO_PREDICTION
 
 
@@ -186,7 +183,7 @@ def test_time_dependent_potential_checks_both_time_derivatives():
 
 def test_lorentzian_t3_all_hypotheses_pass():
     s = cat.builtin("t3-magnetic")
-    rep = cr.evaluate(s.manifold, s.fields, SMALL)
+    rep = cr.evaluate(s.manifold, s.fields)
     assert rep.prediction == cr.COMPLETE
     for h in rep.hypotheses:
         assert h.verdict == "pass", h
@@ -199,7 +196,7 @@ def test_lorentzian_t3_all_hypotheses_pass():
 
 def test_lorentzian_clifton_pohl_fails_timelike():
     s = cat.builtin("clifton-pohl")
-    rep = cr.evaluate(s.manifold, s.fields, SMALL)
+    rep = cr.evaluate(s.manifold, s.fields)
     assert rep.prediction == cr.NO_PREDICTION
     assert rep.hypothesis("reference-timelike").verdict == "fail"
     assert rep.hypothesis("reference-conformal").verdict == "pass"
@@ -207,7 +204,7 @@ def test_lorentzian_clifton_pohl_fails_timelike():
 
 def test_lorentzian_null_plane_fails_compactness():
     s = cat.builtin("null-plane-cubic")
-    rep = cr.evaluate(s.manifold, s.fields, SMALL)
+    rep = cr.evaluate(s.manifold, s.fields)
     assert rep.prediction == cr.NO_PREDICTION
     assert rep.hypothesis("compact-quotient").verdict == "fail"
 
@@ -217,7 +214,7 @@ def test_lorentzian_without_reference_field():
         XY, {(0, 0): ex.parse("-1", XY), (1, 1): ex.ONE},
         geo.ChartDomain.unbounded(2), geo.LORENTZIAN,
         geo.LatticeQuotient((1.0, 1.0)))
-    rep = cr.evaluate(m, fl.FieldPack(XY), SMALL)
+    rep = cr.evaluate(m, fl.FieldPack(XY))
     assert rep.prediction == cr.NO_PREDICTION
 
 
@@ -230,11 +227,11 @@ def test_lorentzian_monotone_in_evidence():
     weakened = fl.FieldPack(frame, force_operator=bad_F,
                             potential=s.fields.potential,
                             reference_field=s.fields.reference_field)
-    rep = cr.evaluate(s.manifold, weakened, SMALL)
+    rep = cr.evaluate(s.manifold, weakened)
     assert rep.prediction == cr.NO_PREDICTION
     assert rep.hypothesis("force-operator-skew").verdict == "fail"
     # every hypothesis passing in the weakened run also passes in the original
-    strong = cr.evaluate(s.manifold, s.fields, SMALL)
+    strong = cr.evaluate(s.manifold, s.fields)
     weak_pass = {h.name for h in rep.hypotheses if h.verdict == "pass"}
     strong_pass = {h.name for h in strong.hypotheses if h.verdict == "pass"}
     assert weak_pass <= strong_pass
@@ -246,7 +243,7 @@ def test_skew_iff_vanishing_symmetric_part():
         s = cat.builtin(name)
         if s.fields.force_operator is None:
             continue
-        skew = fl.is_skew_adjoint(s.manifold, s.fields, count=1000)
+        skew = fl.is_skew_adjoint(s.manifold, s.fields)
         pts = geo.sample_points(s.manifold, 200)
         s_norm = 0.0
         for q in pts:

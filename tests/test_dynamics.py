@@ -3,12 +3,14 @@ import json
 import math
 import operator
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
 import worldline.catalog as cat
+import worldline.criteria as cr
 import worldline.dynamics as dy
 import worldline.expr as ex
 import worldline.fields as fl
@@ -514,6 +516,35 @@ def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
     no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
     assert dy.certificate(m, no_k, res).refused
     assert dy.sample_series(m, no_k, res).gkv is None
+
+
+SAMPLED_CHECKS = (fl.is_skew_adjoint, fl.conformal_report, fl.is_timelike_everywhere,
+                  fl.annihilates)
+
+
+def test_check_and_monitors_read_one_sample_per_hypothesis(monkeypatch):
+    # check, the step loop's speed form, the monitors and the certificate all
+    # read the same verdicts: in one process each sampled hypothesis draws
+    # its points once
+    s = cat.builtin("t3-magnetic")
+    m, fp = s.manifold, s.fields
+    for cached in (*SAMPLED_CHECKS, dy._inverse_norm_bound, dy.compiled_system):
+        cached.cache_clear()
+    callers = []
+
+    def sample_points(*args, _f=geo.sample_points):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _f(*args)
+
+    monkeypatch.setattr(geo, "sample_points", sample_points)
+    report = cr.evaluate(m, fp)
+    res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=1.0))
+    energy = dy.energy_monitor(m, fp, res)
+    killing = dy.killing_charge_monitor(m, fp, res)
+    assert not dy.certificate(m, fp, res).refused
+    assert sorted(callers) == sorted(f.__name__ for f in SAMPLED_CHECKS)
+    assert report.hypothesis("force-operator-skew").verdict == "pass"
+    assert energy.applicable and killing.rate_residual is not None
 
 
 def test_speed_series_uses_reference_form():

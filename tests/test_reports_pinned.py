@@ -56,9 +56,15 @@ def _read(path) -> bytes:
         return fh.read()
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def _assert_pinned(got: bytes, path):
-    """``got`` equals the file at ``path`` byte for byte; a failure shows the
-    moved lines as a unified diff."""
+    """``got`` is strict JSON, without NaN or Infinity tokens, and equals the
+    file at ``path`` byte for byte; a failure shows the moved lines as a
+    unified diff."""
+    json.loads(got, parse_constant=_refuse)
     want = _read(path)
     assert got == want, "".join(difflib.unified_diff(
         want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
