@@ -53,6 +53,9 @@ class Scenario:
         fl.validate_fields(self.manifold, self.fields)
         if len(self.initial.q) != self.manifold.dim or len(self.initial.v) != self.manifold.dim:
             raise geo.ValidationError("initial data arity does not match the dimension")
+        for key, xs in (("q", self.initial.q), ("v", self.initial.v)):
+            if not all(map(math.isfinite, xs)):
+                raise geo.ValidationError(f"initial.{key} must be finite, got {key} = {tuple(xs)}")
         if not self.manifold.domain.contains(self.initial.q):
             q, _, _ = geo.normalize_qv(self.manifold, self.initial.q, self.initial.v)
             if not self.manifold.domain.contains(q):

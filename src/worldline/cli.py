@@ -23,6 +23,7 @@ from . import geometry as geo
 from . import sampling
 
 _CONFIG_ERRORS = (geo.GeometryError, ex.ExprError, OSError)
+_NORM_POINTS = 200  # of the field norm maxima in a run report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,8 +168,8 @@ def _emit(doc: dict, outdir, report_name: str, table=None, fmt: str = "csv"):
                    (row.tolist() for row in rows))
 
 
-def _field_norm_maxima(s: cat.Scenario, count: int = 200) -> dict:
-    pts = geo.sample_points(s.manifold, count)
+def _field_norm_maxima(s: cat.Scenario) -> dict:
+    pts = geo.sample_points(s.manifold, _NORM_POINTS)
     norms = fl.invariant_norms(s.manifold, s.fields, pts)
     return {k: _finite_or_none(np.max(np.abs(v))) for k, v in sorted(norms.items())}
 

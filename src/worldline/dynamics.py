@@ -2,27 +2,35 @@
 
 The second-order equation is integrated as a first-order system on
 (position, velocity) pairs with an embedded Dormand-Prince 5(4) pair and PI
-step control.  The right-hand side, the speed and a fused step are generated
-as flat Python functions in every dimension, each stage one block printed by
-``expr.emit_block`` from trees that ``expr.simplify`` has rewritten exactly.
-In every dimension the acceleration is one formula, dv = g^-1 r + F v + X
-with r_l = -(w_l + d_l V), where w contracts the symbolic derivatives of g
-with the velocity (``_accel_parts``).  Up to dimension 4 g^-1 is the
-symbolic inverse; above it each stage calls one generated helper,
-``_accel``, which applies the inverse metric with ``_solve``, a Gaussian
-elimination on plain floats.  No numpy call runs inside a stage.  The fused
-step emits only the arithmetic a step reads (see ``_generate_sources``) and
-returns the state already wrapped into the fundamental domain of a lattice
-chart.
+step control.  The right-hand side, the speed and the step loop are
+generated as flat Python functions in every dimension, each stage one block
+printed by ``expr.emit_block`` from trees that ``expr.simplify`` has
+rewritten exactly.  In every dimension the acceleration is one formula,
+dv = g^-1 r + F v + X with r_l = -(w_l + d_l V), where w contracts the
+symbolic derivatives of g with the velocity (``_accel_parts``).  Up to
+dimension 4 g^-1 is the symbolic inverse; above it each stage calls one
+generated helper, ``_accel``, which applies the inverse metric with
+``_solve``, a Gaussian elimination on plain floats.  No numpy call runs
+inside a stage.  The step emits only the arithmetic it reads (see
+``_generate_sources``) and wraps the state into the fundamental domain of a
+lattice chart.
 
-The step loop runs on plain floats and hands the samples it keeps to a sink
-in blocks of at most ``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold
-that evaluates each block once and keeps only the running values the
-monitors, the certificate and a sweep row read, so a run without a sample
-table holds memory that does not grow with the horizon.  Only a run that
-asks for the table (the library default, and ``run`` when it writes the
-table) also keeps the blocks; that is the one place the table exists in
-full.
+Its lines are printed once and wrapped twice.  The step loop ``_advance``
+(``compiled_system(...).kernel``, see ``_loop_source``) runs one direction
+to a verdict on local floats: accept and reject, the PI controller, the
+finiteness test, the speed form, the domain test, the scaling
+renormalization and the kept rows.  ``_run_direction`` only starts it and
+reads its verdict.  The single step ``_kernel``
+(``compiled_system(...).step``) is compiled on first use; the tests step it
+in a handwritten loop, the oracle of the generated one.
+
+The step loop hands the samples it keeps to a sink in blocks of at most
+``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold that evaluates each
+block once and keeps only the running values the monitors, the certificate
+and a sweep row read, so a run without a sample table holds memory that does
+not grow with the horizon.  Only a run that asks for the table (the library
+default, and ``run`` when it writes the table) also keeps the blocks; that
+is the one place the table exists in full.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -37,7 +45,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -201,23 +209,27 @@ class _System:
         # the K-based positive form only where the certificate accepts K
         self.use_reference_speed = _inverse_norm_bound(m, fp) is not None
         ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _finite=_finite)
-        self.rhs_source, self.kernel_source, accel_source = _generate_sources(m, fp)
+        self.rhs_source, step, accel_source = _generate_sources(m, fp)
         if accel_source is not None:
             ns["_accel"] = ex.compile_source(accel_source, "_accel", ns)
-        self.speed_source = _speed_source(m, fp, self.use_reference_speed)
+        speed = _speed_lines(m, fp, self.use_reference_speed)
+        self.speed_source = _speed_source(speed, 2 * self.n)
         self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
         self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
-        self.kernel = ex.compile_source(self.kernel_source, "_kernel", ns)
-        # The step into the fundamental domain: the kernel wraps lattice
-        # charts itself; the scaling quotient, whose deck maps also move v
-        # and call for a fresh right-hand side, keeps normalize_qv.
-        self.scaling = isinstance(m.quotient, geo.ScalingQuotient)
-        # Accepted states are finite, so a chart that is all of R^n holds them.
-        d = m.domain
-        whole = (d.exclude_origin_radius is None
-                 and all(x == -math.inf for x in d.lower)
-                 and all(x == math.inf for x in d.upper))
-        self.contains = None if whole else d.contains
+        # the step loop; the single step is compiled only when asked for
+        self.kernel_source = _loop_source(m, step, speed)
+        self.step_source = _step_source(step)
+        self._ns = ns
+        self.kernel = ex.compile_source(self.kernel_source, "_advance", dict(
+            ns, _rhs=self.rhs_flat, geo=geo, _m=m, isfinite=math.isfinite,
+            _EVAL_ERRORS=_EVAL_ERRORS))
+
+    @cached_property
+    def step(self):
+        """``step(t, h, y, k1, atol, rtol) -> (err, y5, k7)``: one step of
+        the lines the loop runs, y5 in the fundamental domain of a lattice
+        chart."""
+        return ex.compile_source(self.step_source, "_kernel", self._ns)
 
 
 @lru_cache(maxsize=16)
@@ -414,20 +426,34 @@ def _tuple(items):
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
+def _indent(lines, depth):
+    """Source lines at ``depth`` levels of indentation, each ended."""
+    pad = "    " * depth
+    return "".join(f"{pad}{line}\n" for line in lines)
+
+
 def _combo(weights, slopes, c):
     """a1*k1_c + a2*k2_c + ... over the nonzero weights, summed left to right."""
     return " + ".join(f"{a!r}*{k[c]}" for a, k in zip(weights, slopes) if a != 0.0)
 
 
 def _generate_sources(m, fp):
-    """Sources of ``_rhs(t, y)``, of the fused step ``_kernel`` and, above
-    the symbolic limit, of the ``_accel`` helper they call (else None).
+    """The source of ``_rhs(t, y)``, the Dormand-Prince step as ``(lines,
+    zero, y5, k7)`` and, above the symbolic limit, the source of the
+    ``_accel`` helper the two call (else None).
 
-    The kernel is the Dormand-Prince step, written out for the work it
-    needs; each omission keeps every bit:
+    ``lines`` compute the step from the locals t, h, atol, rtol, y_c and
+    k1_c (c = 0..2n-1) into ``err``; ``y5[c]`` is the text of the new state
+    and ``k7[c]`` that of its slope; ``zero[c]`` tells a structurally zero
+    component, whose k1_c is never read.  The lines are printed once and
+    wrapped twice: into the single step ``_kernel`` (``_step_source``) and
+    into the step loop ``_advance`` (``_loop_source``).
+
+    The step is written out for the work it needs; each omission keeps
+    every bit:
     - a stage time t_s is computed only when the right-hand side reads t;
     - a structurally zero component, whose right-hand side is the literal
-      0.0 in ``_rhs`` and in the kernel alike, has every slope +0.0, k1
+      0.0 in ``_rhs`` and in the step alike, has every slope +0.0, k1
       included.  Each row of _A and _B starts with a positive weight, so its
       sum over the slopes is +0.0, and every stage value of the component is
       y_c + h*0.0, computed once with the sign of zero it always had.  Its
@@ -437,9 +463,9 @@ def _generate_sources(m, fp):
     - a slope that is one name or literal (a velocity copy) is read in place;
     - max(a, b) is ``b if b > a else a``: max returns b only when b > a,
       so it keeps the first of equal values and a nan in either place.
-    On lattice charts the returned state is y5 with each periodic coordinate
-    taken modulo its period, the operation of ``geometry.normalize_qv``,
-    while k7, the first slope of the next step, is evaluated at y5 itself.
+    On lattice charts y5 takes each periodic coordinate modulo its period,
+    the operation of ``geometry.normalize_qv``, while k7, the first slope of
+    the next step, is evaluated at y5 itself.
     """
     n = m.dim
     N = 2 * n
@@ -448,29 +474,26 @@ def _generate_sources(m, fp):
     def stage(state, k, t_name):
         """The lines of the RHS at one stage point and the text of its slopes."""
         outs = [f"{k}_{c}" for c in range(N)]
-        lines = [f"    {line.format(*state, *outs, t=t_name)}\n" for line in template]
+        lines = [line.format(*state, *outs, t=t_name) for line in template]
         return lines, [o if r is None else r.format(*state, t=t_name)
                        for o, r in zip(outs, reads)]
 
     names = [f"y_{c}" for c in range(N)]
     body, f = stage(names, "f", "t")
-    rhs_source = "".join(["def _rhs(t, y):\n", f"    {_tuple(names)} = y\n", *body,
-                          f"    return {_tuple(f)}\n"])
+    rhs_source = "".join(["def _rhs(t, y):\n",
+                          _indent([f"{_tuple(names)} = y", *body, f"return {_tuple(f)}"], 1)])
 
     zero = [r == "0.0" for r in reads]
     assert all(row[0] > 0.0 for row in (*_A, _B))  # the zero sums are +0.0
-    lines = ["def _kernel(t, h, y, k1, atol, rtol):\n", f"    {_tuple(names)} = y\n",
-             f"    {_tuple('_' if z else f'k1_{c}' for c, z in enumerate(zero))} = k1\n"]
-    if any(zero):
-        lines.append("    hz = h*0.0\n")
-    lines += [f"    y5_{c} = y_{c} + hz\n" for c in range(N) if zero[c]]
+    lines = ["hz = h*0.0"] if any(zero) else []
+    lines += [f"y5_{c} = y_{c} + hz" for c in range(N) if zero[c]]
     slopes = [[f"k1_{c}" for c in range(N)]]
     for s, (cs, row) in enumerate(zip((*_C, 1.0), (*_A, _B)), start=2):
         point = [f"y5_{c}" if s == 7 or zero[c] else f"s{s}_{c}" for c in range(N)]
-        lines += [f"    {point[c]} = y_{c} + h*({_combo(row, slopes, c)})\n"
+        lines += [f"{point[c]} = y_{c} + h*({_combo(row, slopes, c)})"
                   for c in range(N) if not zero[c]]
         if timed:
-            lines.append(f"    t{s} = t + {cs!r}*h\n" if cs != 1.0 else f"    t{s} = t + h\n")
+            lines.append(f"t{s} = t + {cs!r}*h" if cs != 1.0 else f"t{s} = t + h")
         body, k = stage(point, f"k{s}", f"t{s}")
         lines += body
         slopes.append(k)
@@ -478,24 +501,39 @@ def _generate_sources(m, fp):
     for c in range(N):
         if zero[c]:
             continue
-        lines += [f"    e_{c} = h*({_combo(_E, slopes, c)})\n",
-                  f"    a_{c} = abs(y_{c})\n", f"    b_{c} = abs(y5_{c})\n",
-                  f"    sc_{c} = atol + rtol*(b_{c} if b_{c} > a_{c} else a_{c})\n"]
+        lines += [f"e_{c} = h*({_combo(_E, slopes, c)})",
+                  f"a_{c} = abs(y_{c})", f"b_{c} = abs(y5_{c})",
+                  f"sc_{c} = atol + rtol*(b_{c} if b_{c} > a_{c} else a_{c})"]
         terms.append(f"(e_{c}/sc_{c})**2")
-    lines.append(f"    err = sqrt(({' + '.join(terms)})/{float(N)!r})\n")
+    lines.append(f"err = sqrt(({' + '.join(terms)})/{float(N)!r})")
     periods = m.quotient.periods if isinstance(m.quotient, geo.LatticeQuotient) else ()
     y5 = [f"y5_{c}" if c >= len(periods) or periods[c] is None else f"y5_{c} % {periods[c]!r}"
           for c in range(N)]
-    lines.append(f"    return err, {_tuple(y5)}, {_tuple(slopes[-1])}\n")
-    return rhs_source, "".join(lines), helper
+    return rhs_source, (lines, zero, y5, slopes[-1]), helper
 
 
-def _speed_source(m, fp, use_reference):
-    """The classification speed squared as a function of the state."""
+def _slope_targets(zero):
+    """The names a slope tuple unpacks into: ``_`` for a zero component."""
+    return _tuple("_" if z else f"k1_{c}" for c, z in enumerate(zero))
+
+
+def _step_source(step):
+    """``_kernel(t, h, y, k1, atol, rtol)``: one step of the lines of
+    ``_generate_sources``, returning ``(err, y5, k7)``."""
+    lines, zero, y5, k7 = step
+    names = _tuple(f"y_{c}" for c in range(len(zero)))
+    return "".join(["def _kernel(t, h, y, k1, atol, rtol):\n",
+                    _indent([f"{names} = y", f"{_slope_targets(zero)} = k1", *lines,
+                              f"return err, {_tuple(y5)}, {_tuple(k7)}"], 1)])
+
+
+def _speed_lines(m, fp, use_reference):
+    """The classification speed squared over the locals y_c, as ``(lines,
+    result)``: g(v,v) + 2 g(K,v)^2 / -g(K,K) with ``use_reference``, else
+    the Euclidean square of v."""
     n = m.dim
     if not use_reference:
-        total = " + ".join(f"y[{n + c}]*y[{n + c}]" for c in range(n))
-        return f"def _speed_sq(y):\n    return {total}\n"
+        return [], " + ".join(f"y_{n + c}*y_{n + c}" for c in range(n))
     g = m.metric
     K = fp.reference_field
     v = _velocities(n)
@@ -513,11 +551,194 @@ def _speed_source(m, fp, use_reference):
     def rename(var: ex.Var) -> str:
         if var.index == ex.TIME_INDEX:
             raise geo.ValidationError("speed normalization cannot depend on t")
-        return f"y[{var.index}]"
+        return f"y_{var.index}"
 
-    block, (result,) = ex.emit_block(ex.simplify([speed]), rename, "_s")
-    return "".join(["def _speed_sq(y):\n", *(f"    {line}\n" for line in block),
-                    f"    return {result}\n"])
+    lines, (result,) = ex.emit_block(ex.simplify([speed]), rename, "_s")
+    return lines, result
+
+
+def _speed_source(speed, N):
+    """``_speed_sq(y)``: the speed lines over a state tuple of length N."""
+    lines, result = speed
+    names = _tuple(f"y_{c}" for c in range(N))
+    return "".join(["def _speed_sq(y):\n",
+                    _indent([f"{names} = y", *lines, f"return {result}"], 1)])
+
+
+def _domain_exit(m):
+    """The test that a state y_c has left the chart, or None on all of R^n.
+
+    Accepted states are finite, so a bound of -inf below or +inf above holds
+    every one of them and is left out; the rest is ``ChartDomain.contains``
+    negated, with the excluded ball as the same left-to-right sum of squares
+    under one sqrt."""
+    d = m.domain
+    tests = []
+    for c, (lo, hi) in enumerate(zip(d.lower, d.upper)):
+        if lo != -math.inf and hi != math.inf:
+            tests.append(f"not {float(lo)!r} <= y_{c} <= {float(hi)!r}")
+        elif lo != -math.inf:
+            tests.append(f"not {float(lo)!r} <= y_{c}")
+        elif hi != math.inf:
+            tests.append(f"not y_{c} <= {float(hi)!r}")
+    if d.exclude_origin_radius is not None:
+        squares = " + ".join(f"y_{c}*y_{c}" for c in range(m.dim))
+        tests.append(f"sqrt({squares}) < {float(d.exclude_origin_radius)!r}")
+    return " or ".join(tests) or None
+
+
+# How the step loop ends: its first return value names one of these
+# (kind, marginal, detail, bracketed); the next two are a bracket (t_lo,
+# t_hi) when ``bracketed``, else t_star and its halfwidth.
+_ENDS = {
+    "complete": (COMPLETE, False, "", False),
+    "horizon-pending": (BLOWUP, True, "speed crossed threshold; horizon before confirmation",
+                        True),
+    "collapse-pending": (BLOWUP, False, "speed crossed threshold; step collapse confirmed",
+                         True),
+    "stall": (STALLED, False, "evaluation failure at minimum step", False),
+    "collapse": (BLOWUP, False, "step collapse under error control", False),
+    "renormalization-stall": (STALLED, False, "evaluation failure after renormalization",
+                              False),
+    "left-pending": (BLOWUP, True, "speed crossed threshold; left domain during confirmation",
+                     True),
+    "left": (LEFT_DOMAIN, False, "left chart domain", True),
+    "tenfold": (BLOWUP, False, "speed crossed threshold, confirmed at 10x", True),
+    "unconfirmed": (BLOWUP, True, "speed crossed threshold without 10x confirmation", True),
+}
+
+
+def _loop_source(m, step, speed):
+    """``_advance``: the step loop of one direction, from the start state to
+    a verdict, on local floats.
+
+    It takes the state ``y`` with its slope ``k1``, the first step length,
+    the start speed, the time base and sign, the horizon T and the
+    tolerances; the stride and ``full``, the length of a full block of kept
+    rows; and ``rows``, the array of kept rows, which ``hand(rows)`` passes
+    on when it is full, returning the empty array that follows.  It returns
+    ``(end, a, b, max_speed, min_h, accepted, rejected, rows)``, ``end`` a
+    key of ``_ENDS``; the row kept on the way out may fill ``rows``, which
+    the caller hands on.  Around the lines of the step it runs accept and
+    reject, the PI controller, the finiteness test, the speed form, the
+    domain test, the scaling renormalization and the kept rows, each float
+    operation as the single step and ``normalize_qv`` do it:
+    - the new state is finite when x - x == 0.0 for its sum x with err: a
+      sum with an infinity or a nan is not finite.  Otherwise (an overflowing
+      sum too) each component is tested;
+    - on a scaling chart with factor L, ``normalize_qv`` leaves a state with
+      1 <= |q| < L as it is, |q| the same left-to-right sum of squares under
+      one sqrt; any other state goes to it.
+    """
+    lines, zero, y5, k7 = step
+    n = m.dim
+    N = len(zero)
+    ys = [f"y_{c}" for c in range(N)]
+    Y = _tuple(ys)
+    K = _slope_targets(zero)
+    new = [f"w_{c}" if text != f"y5_{c}" else text for c, text in enumerate(y5)]
+    row = f"rows.extend(({', '.join(['t_new', *ys])}))"
+
+    def end(key, a, b):
+        return f"return {key!r}, {a}, {b}, max_speed, min_h, accepted, rejected, rows"
+
+    out = [f"{Y} = y", f"{K} = k1", "v_ten = 10.0 * v_max", "tau = 0.0",
+           f"err_old = {1e-4!r}", "min_h = inf", "accepted = rejected = since = 0",
+           "pending = False", "p_lo = p_hi = 0.0", "p_at = 0", "while True:"]
+    head = [
+        "rest = T - tau",
+        "if rest <= end_gap:",
+        "    if pending:",
+        f"        {end('horizon-pending', 'p_lo', 'p_hi')}",
+        "    if since:",
+        f"        rows.extend(({', '.join(['base + sign * tau', *ys])}))",
+        f"    {end('complete', 'None', 'None')}",
+        "if rest < step:", "    step = rest",
+        "if h_max < step:", "    step = h_max",
+        "h = sign * step",
+        "t = base + sign * tau",
+        "try:",
+    ]
+    wraps = [f"{w} = {text}" for w, text in zip(new, y5) if w != text]
+    guarded = [*lines, *wraps,
+               f"x = err + {' + '.join(new)}",
+               f"ok = x - x == 0.0 or (isfinite(err) and all(map(isfinite, {_tuple(new)})))"]
+    reject = [
+        "except _EVAL_ERRORS:", "    ok = False",
+        "if not ok:",
+        "    rejected += 1",
+        "    step *= 0.5",
+        "    if step < h_min:",
+        "        if pending:",
+        f"            {end('collapse-pending', 'p_lo', 'p_hi')}",
+        f"        {end('stall', 't', 'step')}",
+        "    continue",
+        "if err > 1.0:",
+        "    rejected += 1",
+        f"    fac = err ** {_EXPO!r} / {_SAFETY!r}",
+        f"    step = step / (fac if fac < {_FAC_HI!r} else {_FAC_HI!r})",
+        "    if step < h_min:",
+        "        if pending:",
+        f"            {end('collapse-pending', 'p_lo', 'p_hi')}",
+        f"        {end('collapse', 't', 'h_min if h_min > step else step')}",
+        "    continue",
+        "tau += step",
+        "t_new = base + sign * tau",
+        "accepted += 1",
+        "if step < min_h:", "    min_h = step",
+    ]
+    accept = [f"{y} = {w}" for y, w in zip(ys, new)]
+    accept += [f"k1_{c} = {k}" for c, k in enumerate(k7) if not zero[c]]
+    if isinstance(m.quotient, geo.ScalingQuotient):
+        accept += [
+            f"r = sqrt({' + '.join(f'y_{c}*y_{c}' for c in range(n))})",
+            f"if not 1.0 <= r < {m.quotient.factor!r}:",
+            f"    q, v, changed = geo.normalize_qv(_m, {_tuple(ys[:n])}, {_tuple(ys[n:])})",
+            f"    {Y} = q + v",
+            "    if changed:",
+            "        try:",
+            f"            {K} = _rhs(t_new, {Y})",
+            "        except _EVAL_ERRORS:",
+            f"            {end('renormalization-stall', 't_new', 'step')}",
+        ]
+    speed_lines, speed_result = speed
+    accept += ["try:", *(f"    {line}" for line in speed_lines),
+               f"    spd = {speed_result}",
+               "    spd = sqrt(0.0 if spd < 0.0 else spd)",
+               "except _EVAL_ERRORS:", "    spd = inf",
+               "if spd > max_speed:", "    max_speed = spd"]
+    exit_test = _domain_exit(m)
+    if exit_test is not None:
+        accept += [f"if {exit_test}:",
+                   "    if pending:",
+                   f"        {end('left-pending', 'p_lo', 'p_hi')}",
+                   f"    {end('left', 't', 't_new')}"]
+    accept += [
+        "since += 1",
+        "if since >= stride:",
+        f"    {row}",
+        "    if len(rows) == full:", "        rows = hand(rows)",
+        "    since = 0",
+        "if spd > v_max:",
+        "    if not pending:",
+        "        pending = True", "        p_lo = t", "        p_hi = t_new",
+        "        p_at = accepted",
+        "    if spd >= v_ten:",
+        "        if since:", f"            {row}",
+        f"        {end('tenfold', 'p_lo', 'p_hi')}",
+        f"    if accepted - p_at >= {_CONFIRM_STEPS!r}:",
+        "        if since:", f"            {row}",
+        f"        {end('unconfirmed', 'p_lo', 'p_hi')}",
+        "elif pending:", "    pending = False",
+        f"fac = err ** {_EXPO!r} / err_old ** {_BETA!r} / {_SAFETY!r}",
+        f"if fac > {_FAC_HI!r}:", f"    fac = {_FAC_HI!r}",
+        f"elif fac < {_FAC_LO!r}:", f"    fac = {_FAC_LO!r}",
+        "step = step / fac",
+        f"err_old = err if err > {1e-4!r} else {1e-4!r}",
+    ]
+    return "".join(["def _advance(y, k1, step, max_speed, base, sign, T, atol, rtol, v_max, "
+                    "h_min, h_max, end_gap, stride, full, rows, hand):\n", _indent(out, 1),
+                    _indent(head, 2), _indent(guarded, 3), _indent(reject + accept, 2)])
 
 
 # --- the integrator --------------------------------------------------------
@@ -553,26 +774,18 @@ def _hand(sink, rows, n, backward):
 def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
                    sign: float, sink):
     """Integrate one direction to the horizon or to a verdict, from the time
-    ``s0.t``.  The kept samples go to ``sink(ts, qs, vs, backward)`` in the
-    order they are taken, in blocks of at most ``_BLOCK`` rows; the start
-    row goes with the forward direction only.  Returns the direction's
-    report."""
+    ``s0.t``, with the generated step loop ``sysd.kernel``.  The kept
+    samples go to ``sink(ts, qs, vs, backward)`` in the order they are
+    taken, in blocks of at most ``_BLOCK`` rows; the start row goes with the
+    forward direction only.  Returns the direction's report."""
     m = sysd.m
     n = sysd.n
-    kernel = sysd.kernel
-    rhs_flat = sysd.rhs_flat
-    speed_sq = sysd.speed_sq
-    scaling = sysd.scaling
-    contains = sysd.contains
-    T, atol, rtol = float(cfg.t_max), float(cfg.atol), float(cfg.rtol)
-    v_max, h_min, stride = float(cfg.v_max), float(cfg.h_min), cfg.stride
+    T, v_max, h_min = float(cfg.t_max), float(cfg.v_max), float(cfg.h_min)
     h_max = T / 10.0
-    end_gap = max(h_min, 1e-12 * T)
 
     # Plain floats from here on: sampled start points arrive as numpy
     # scalars, and every operation of the loop would run on them.
     t0 = float(s0.t)
-    base = t0 if t0 else -0.0  # x + -0.0 is x for every x, -0.0 included
     q, v = tuple(map(float, s0.q)), tuple(map(float, s0.v))
     if not all(map(math.isfinite, q + v)):
         raise geo.ValidationError(f"initial state is not finite: q = {q}, v = {v}")
@@ -581,8 +794,8 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         raise geo.OutsideDomainError(f"initial point {q} is outside the chart domain")
     y = q + v
     try:
-        k1 = rhs_flat(t0, y)
-        spd = math.sqrt(max(speed_sq(y), 0.0))
+        k1 = sysd.rhs_flat(t0, y)
+        spd = math.sqrt(max(sysd.speed_sq(y), 0.0))
     except _EVAL_ERRORS as err:
         raise geo.ValidationError(
             f"cannot evaluate the equation at the initial state: {err}") from err
@@ -592,153 +805,27 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
 
     backward = sign < 0.0
     full = _BLOCK * (1 + 2 * n)
-    rows = array("d")
 
-    def keep(t, y):
-        nonlocal rows
-        rows.append(t)
-        rows.extend(y)
-        if len(rows) == full:
-            _hand(sink, rows, n, backward)
-            rows = array("d")
+    def hand(rows):
+        _hand(sink, rows, n, backward)
+        return array("d")
 
-    if not backward:
-        keep(t0, y)
-    tau = 0.0  # progress toward the horizon, always >= 0
-    h = _initial_step(y, k1, cfg, h_max)
-    err_old = 1e-4
-    max_speed = spd
-    min_h = math.inf
-    accepted = rejected = 0
-    since_sample = 0
-    pending = None  # (t_lo, t_hi) bracket after a speed crossing
-    pending_accepted = 0
-    verdict = None
-
-    def finish(kind, t_star=None, half=None, marginal=False, detail=""):
-        return Classification(kind, t_star, half, marginal, detail)
-
-    while True:
-        rest = T - tau
-        if rest <= end_gap:
-            if pending is not None:
-                verdict = finish(BLOWUP, *_mid(pending), marginal=True,
-                                 detail="speed crossed threshold; horizon before confirmation")
-            else:
-                verdict = finish(COMPLETE)
-            break
-        if rest < h:
-            h = rest
-        if h_max < h:
-            h = h_max
-        hs = sign * h
-        t = base + sign * tau
-        try:
-            # y_new is wrapped on lattice charts: x % L is finite iff x is
-            err, y_new, k_new = kernel(t, hs, y, k1, atol, rtol)
-            ok = math.isfinite(err) and all(map(math.isfinite, y_new))
-        except _EVAL_ERRORS:
-            ok = False
-        if not ok:
-            rejected += 1
-            h *= 0.5
-            if h < h_min:
-                if pending is not None:
-                    verdict = finish(BLOWUP, *_mid(pending),
-                                     detail="speed crossed threshold; step collapse confirmed")
-                else:
-                    verdict = finish(STALLED, t, h,
-                                     detail="evaluation failure at minimum step")
-                break
-            continue
-        if err > 1.0:
-            rejected += 1
-            h = h / min(_FAC_HI, err ** _EXPO / _SAFETY)
-            if h < h_min:
-                if pending is not None:
-                    verdict = finish(BLOWUP, *_mid(pending),
-                                     detail="speed crossed threshold; step collapse confirmed")
-                else:
-                    verdict = finish(BLOWUP, t, max(h, h_min),
-                                     detail="step collapse under error control")
-                break
-            continue
-        # accepted
-        t_prev = t
-        tau += h
-        t = base + sign * tau
-        accepted += 1
-        if h < min_h:
-            min_h = h
-        if scaling:
-            q, v, changed = geo.normalize_qv(m, y_new[:n], y_new[n:])
-            y = q + v
-            if changed:
-                try:
-                    k_new = rhs_flat(t, y)
-                except _EVAL_ERRORS:
-                    verdict = finish(STALLED, t, h,
-                                     detail="evaluation failure after renormalization")
-                    break
-        else:
-            y = y_new
-        k1 = k_new
-        try:
-            spd = speed_sq(y)
-            spd = math.sqrt(0.0 if spd < 0.0 else spd)
-        except _EVAL_ERRORS:
-            spd = math.inf
-        if spd > max_speed:
-            max_speed = spd
-        if contains is not None and not contains(y[:n]):
-            if pending is not None:
-                verdict = finish(BLOWUP, *_mid(pending), marginal=True,
-                                 detail="speed crossed threshold; left domain during confirmation")
-            else:
-                verdict = finish(LEFT_DOMAIN, *_mid((t_prev, t)),
-                                 detail="left chart domain")
-            break
-        since_sample += 1
-        if since_sample >= stride:
-            keep(t, y)
-            since_sample = 0
-        if spd > v_max:
-            if pending is None:
-                pending = (t_prev, t)
-                pending_accepted = accepted
-            if spd >= 10.0 * v_max:
-                if since_sample:
-                    keep(t, y)
-                verdict = finish(BLOWUP, *_mid(pending),
-                                 detail="speed crossed threshold, confirmed at 10x")
-                break
-            if accepted - pending_accepted >= _CONFIRM_STEPS:
-                if since_sample:
-                    keep(t, y)
-                verdict = finish(BLOWUP, *_mid(pending), marginal=True,
-                                 detail="speed crossed threshold without 10x confirmation")
-                break
-        elif pending is not None:
-            # dropped back below the threshold; treat the crossing as noise
-            pending = None
-        fac = err ** _EXPO / err_old ** _BETA / _SAFETY
-        if fac > _FAC_HI:
-            fac = _FAC_HI
-        elif fac < _FAC_LO:
-            fac = _FAC_LO
-        h = h / fac
-        err_old = err if err > 1e-4 else 1e-4
-    if since_sample and verdict.kind == COMPLETE:
-        keep(base + sign * tau, y)
+    rows = array("d") if backward else array("d", (t0, *y))
+    if len(rows) == full:  # blocks of one row
+        rows = hand(rows)
+    end, a, b, max_speed, min_h, accepted, rejected, rows = sysd.kernel(
+        y, k1, _initial_step(y, k1, cfg, h_max), spd,
+        t0 if t0 else -0.0,  # x + -0.0 is x for every x, -0.0 included
+        sign, T, float(cfg.atol), float(cfg.rtol), v_max, h_min, h_max,
+        max(h_min, 1e-12 * T), cfg.stride, full, rows, hand)
     if rows:
         _hand(sink, rows, n, backward)
-    marginal = verdict.marginal
-    if verdict.kind == COMPLETE and (max_speed >= v_max / 10.0
-                                     or min_h <= 10.0 * h_min):
+    kind, marginal, detail, bracketed = _ENDS[end]
+    t_star, half = _mid((a, b)) if bracketed else (a, b)
+    if kind == COMPLETE and (max_speed >= v_max / 10.0 or min_h <= 10.0 * h_min):
         marginal = True
-    verdict = replace(verdict, marginal=marginal)
-    return DirectionReport(verdict, max_speed, min_h if accepted else 0.0, accepted,
-                           rejected)
+    return DirectionReport(Classification(kind, t_star, half, marginal, detail), max_speed,
+                           min_h if accepted else 0.0, accepted, rejected)
 
 
 def _mid(bracket):

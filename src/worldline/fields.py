@@ -28,6 +28,7 @@ _TIMELIKE_MARGIN = -1e-10
 # cached ones.
 _POINTS = 1000
 _DIRECTIONS = 8
+_VALIDATION_POINTS = 100  # of the structural checks a scenario passes on load
 
 
 @dataclass(frozen=True)
@@ -304,11 +305,11 @@ def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, qs, t: float = 0.0) -> d
     return out
 
 
-def validate_fields(m: geo.ManifoldSpec, fp: FieldPack, count: int = 100):
+def validate_fields(m: geo.ManifoldSpec, fp: FieldPack):
     """Sampled structural checks: finite evaluation, X vs -grad V agreement."""
     if fp.frame != m.frame:
         raise geo.ValidationError("field pack and manifold use different frames")
-    pts = geo.sample_points(m, count)
+    pts = geo.sample_points(m, _VALIDATION_POINTS)
     if fp.force_operator is not None:
         geo.finite("force operator F", pts, fp.force_batch)
     if fp.potential is not None:

@@ -384,6 +384,21 @@ def test_non_finite_start_data_exit_two_with_a_message(tmp_path, capsys):
         assert message in captured.err, extra
 
 
+@pytest.mark.parametrize("command", [["check"], ["run"], ["sweep", "-n", "1"]],
+                         ids=lambda argv: argv[0])
+def test_non_finite_initial_data_in_a_file_is_refused(command, tmp_path, capsys):
+    # every command loads the file, and the load refuses it
+    for key, value, shown in (("q", [float("nan"), 0.0], "q = (nan, 0.0)"),
+                              ("v", [float("nan"), 0.3], "v = (nan, 0.3)"),
+                              ("v", [1.0, float("-inf")], "v = (1.0, -inf)")):
+        path = _builtin_file(tmp_path, "flat-lorentz-torus", _set(("initial", key), value))
+        code = cli.main([command[0], "--scenario", path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2, (key, value)
+        assert captured.out == ""
+        assert f"initial.{key} must be finite" in captured.err and shown in captured.err
+
+
 def test_overflowing_first_step_estimate_is_classified(tmp_path, capsys):
     # the slope at the start is 1e200: its scaled square overflows
     path = _builtin_file(tmp_path, "riemann-superlinear",
