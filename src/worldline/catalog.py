@@ -18,6 +18,14 @@ from . import fields as fl
 from . import geometry as geo
 
 _INTEGRATION_KEYS = ("t_max", "rtol", "atol", "v_max", "h_min", "stride")
+# the keys a scenario document may hold, at the top level and in each object
+_KEYS = ("name", "dimension", "coordinates", "metric", "quotient", "domain", "fields",
+         "initial", "config")
+_FIELD_KEYS = ("F", "X", "V", "K")
+_DOMAIN_KEYS = ("lower", "upper", "exclude_origin_radius")
+_INITIAL_KEYS = ("q", "v")
+_CONFIG_KEYS = ("signature", "declared_complete", "expected_classification",
+                "expected_prediction", "note", "sweep_velocity_radius", *_INTEGRATION_KEYS)
 
 
 @dataclass(frozen=True)
@@ -136,11 +144,22 @@ def _number(x, what: str) -> float:
     return float(x)
 
 
-def _object(doc: dict, key: str) -> dict:
-    """The JSON object under ``key``; absent or null reads as empty."""
+def _known(doc: dict, keys, where: str):
+    """Refuse the first key of ``doc``, in sorted order, that is not in ``keys``."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise geo.ValidationError(f"unknown key {unknown[0]!r} {where}")
+
+
+def _object(doc: dict, key: str, keys=None) -> dict:
+    """The JSON object under ``key``; absent or null reads as empty.  With
+    ``keys``, a key outside them is refused."""
     value = doc.get(key)
     _require(value is None or isinstance(value, dict), f"{key!r} must be a JSON object")
-    return value or {}
+    value = value or {}
+    if keys is not None:
+        _known(value, keys, f"in {key!r}")
+    return value
 
 
 def _parsed(texts, frame) -> tuple:
@@ -151,8 +170,10 @@ def _parsed(texts, frame) -> tuple:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """A scenario from its JSON document.  The types built here check shapes,
-    ranges and values; this checks only keys, the dimension and JSON kinds."""
+    ranges and values; this checks only keys (refusing unknown ones), the
+    dimension and JSON kinds."""
     _require(isinstance(doc, dict), "scenario document must be an object")
+    _known(doc, _KEYS, "at the top level")
     for key in ("name", "dimension", "coordinates", "metric", "initial"):
         _require(key in doc, f"scenario is missing the {key!r} key")
     _require(isinstance(doc["name"], str), f"name must be a string, got {doc['name']!r}")
@@ -162,7 +183,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     n = len(coords)
     frame = ex.CoordinateFrame(tuple(coords),
                                time_dependent=ex.TIME_NAME not in coords)
-    config = dict(_object(doc, "config"))
+    config = dict(_object(doc, "config", _CONFIG_KEYS))
     signature = config.pop("signature", geo.RIEMANNIAN)
     declared_complete = config.pop("declared_complete", False)
     _require(isinstance(declared_complete, bool),
@@ -196,7 +217,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise geo.ValidationError(
                 f"unknown quotient kind {sorted(quot_doc)!r}")
 
-    dom_doc = _object(doc, "domain")
+    dom_doc = _object(doc, "domain", _DOMAIN_KEYS)
     lower, upper = ([None] * n if dom_doc.get(side) is None else dom_doc[side]
                     for side in ("lower", "upper"))
     radius = dom_doc.get("exclude_origin_radius")
@@ -208,7 +229,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     manifold = geo.manifold_from_components(frame, components, domain,
                                             signature, quotient, declared_complete)
 
-    f_doc = _object(doc, "fields")
+    f_doc = _object(doc, "fields", _FIELD_KEYS)
     F, X, V, K = (f_doc.get(key) for key in "FXVK")
     pack = fl.FieldPack(
         frame,
@@ -217,7 +238,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         potential=None if V is None else ex.parse(V, frame),
         reference_field=None if K is None else _parsed(K, frame))
 
-    init = _object(doc, "initial")
+    init = _object(doc, "initial", _INITIAL_KEYS)
     q, v = (tuple(_number(c, f"initial {key}") for c in init.get(key) or ()) for key in "qv")
     return Scenario(doc["name"], manifold, pack, geo.TrajectoryState(0.0, q, v),
                     tuple(sorted(config.items())), expected_cls, expected_pred, note)

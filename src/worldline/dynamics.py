@@ -9,9 +9,11 @@ rewritten exactly.  In every dimension the acceleration is one formula,
 dv = g^-1 r + F v + X with r_l = -(w_l + d_l V), where w contracts the
 symbolic derivatives of g with the velocity (``_accel_parts``).  Up to
 dimension 4 g^-1 is the symbolic inverse; above it each stage calls one
-generated helper, ``_accel``, which applies the inverse metric with
-``_solve``, a Gaussian elimination on plain floats.  No numpy call runs
-inside a stage.  The step emits only the arithmetic it reads (see
+generated helper, ``_accel``, which applies the inverse metric on plain
+floats: by division when every off-diagonal entry of g is structurally
+zero, with what ``_solve`` does on such a metric, else with ``_solve``, a
+Gaussian elimination with partial pivoting.  No numpy call runs inside a
+stage.  The step emits only the arithmetic it reads (see
 ``_generate_sources``) and wraps the state into the fundamental domain of a
 lattice chart.
 
@@ -208,7 +210,8 @@ class _System:
         self.n = m.dim
         # the K-based positive form only where the certificate accepts K
         self.use_reference_speed = _inverse_norm_bound(m, fp) is not None
-        ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _finite=_finite)
+        ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _check_det=_check_det,
+                  _finite=_finite)
         self.rhs_source, step, accel_source = _generate_sources(m, fp)
         if accel_source is not None:
             ns["_accel"] = ex.compile_source(accel_source, "_accel", ns)
@@ -263,10 +266,7 @@ def _solve(g, r, q):
             if row[c]:
                 f = row[c] / pivot[c]
                 row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], tail)]
-    if abs(det) < geo._DEGENERACY_TOL:
-        raise geo.DegenerateMetricError(f"metric is degenerate at {q}")
-    if not math.isfinite(det):
-        raise OverflowError("non-finite metric")
+    _check_det(det, q)
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
@@ -276,6 +276,16 @@ def _solve(g, r, q):
                 s -= row[j] * x[j]
         x[i] = s / row[i]
     return x
+
+
+def _check_det(det, q):
+    """Refuse a metric by its determinant: DegenerateMetricError naming the
+    point q when det nearly vanishes, then OverflowError when it is not
+    finite."""
+    if abs(det) < geo._DEGENERACY_TOL:
+        raise geo.DegenerateMetricError(f"metric is degenerate at {q}")
+    if not math.isfinite(det):
+        raise OverflowError("non-finite metric")
 
 
 def _finite(dv, v):
@@ -352,8 +362,8 @@ def _accel_template(m, fp):
     compute dv = g^-1 r + F v + X from ``_accel_parts``.  Up to the symbolic
     limit g^-1 is the symbolic inverse, the lines are one block of shared
     subexpressions and ``helper`` is None; above it the lines are one call
-    of ``_accel``, which applies g^-1 with ``_solve``, and ``helper`` is the
-    source of that function."""
+    of ``_accel`` (see ``_accel_source``), and ``helper`` is the source of
+    that function."""
     n = m.dim
     state = [f"{{{c}}}" for c in range(2 * n)]
     out = [f"{{{c}}}" for c in range(2 * n, 4 * n)]
@@ -399,9 +409,13 @@ def _contraction_exprs(m, v):
 def _accel_source(m, fp):
     """``_accel(t, y_0, ..., y_{2n-1})`` above the symbolic limit, in plain
     floats: one block computing g and the parts r and F v + X of
-    ``_accel_parts``, then dv = g^-1 r + F v + X with the inverse applied by
-    ``_solve``.  Returns the source and whether it reads t; when it does
-    not, the function takes no t."""
+    ``_accel_parts``, then dv = g^-1 r + F v + X.  When every off-diagonal
+    entry of g simplifies to zero, g^-1 r is r_k / g_kk after the refusals
+    of ``_check_det`` on the product of the diagonal, bit for bit what
+    ``_solve`` computes and raises on such a metric (it swaps no row and
+    eliminates nothing); otherwise ``_solve`` applies it.  Returns the
+    source and whether it reads t; when it does not, the function takes no
+    t."""
     n = m.dim
     r, rest = _accel_parts(m, fp, _velocities(n))
 
@@ -410,14 +424,20 @@ def _accel_source(m, fp):
 
     trees = ex.simplify(geo.mirrored(m.metric) + r + [e for e in rest if e is not None])
     lines, results = ex.emit_block(trees, rename, "_a")
-    extra = iter(results[n * n + n:])
-    dv = [f"_x[{k}]" if e is None else f"_x[{k}] + {next(extra)}" for k, e in enumerate(rest)]
     names = [f"y_{c}" for c in range(2 * n)]
+    g, rhs = results[:n * n], results[n * n:n * n + n]
+    if all(trees[i * n + j] == ex.ZERO for i in range(n) for j in range(n) if i != j):
+        diag = [g[k * n + k] for k in range(n)]
+        lines.append(f"_check_det({' * '.join(diag)}, {_tuple(names[:n])})")
+        x = [f"{r} / {d}" for r, d in zip(rhs, diag)]
+    else:
+        lines.append(f"_x = _solve({_tuple(g)}, {_tuple(rhs)}, {_tuple(names[:n])})")
+        x = [f"_x[{k}]" for k in range(n)]
+    extra = iter(results[n * n + n:])
+    dv = [x[k] if e is None else f"{x[k]} + {next(extra)}" for k, e in enumerate(rest)]
     timed = any(map(ex.references_time, trees))
     source = "".join([f"def _accel({', '.join(['t'] * timed + names)}):\n",
                       *(f"    {line}\n" for line in lines),
-                      f"    _x = _solve({_tuple(results[:n * n])}, "
-                      f"{_tuple(results[n * n:n * n + n])}, {_tuple(names[:n])})\n",
                       f"    return _finite({_tuple(dv)}, {_tuple(names[n:])})\n"])
     return source, timed
 
@@ -443,10 +463,11 @@ def _generate_sources(m, fp):
     ``_accel`` helper the two call (else None).
 
     ``lines`` compute the step from the locals t, h, atol, rtol, y_c and
-    k1_c (c = 0..2n-1) into ``err``; ``y5[c]`` is the text of the new state
-    and ``k7[c]`` that of its slope; ``zero[c]`` tells a structurally zero
-    component, whose k1_c is never read.  The lines are printed once and
-    wrapped twice: into the single step ``_kernel`` (``_step_source``) and
+    k1_c (c = 0..2n-1) into ``err``, which is inf when a scaled square
+    overflows (``x ** 2`` raises where ``x * x`` gives inf); ``y5[c]`` is
+    the text of the new state and ``k7[c]`` that of its slope; ``zero[c]``
+    tells a structurally zero component, whose k1_c is never read.  The
+    lines are printed once and wrapped twice: into the single step ``_kernel`` (``_step_source``) and
     into the step loop ``_advance`` (``_loop_source``).
 
     The step is written out for the work it needs; each omission keeps
@@ -505,7 +526,9 @@ def _generate_sources(m, fp):
                   f"a_{c} = abs(y_{c})", f"b_{c} = abs(y5_{c})",
                   f"sc_{c} = atol + rtol*(b_{c} if b_{c} > a_{c} else a_{c})"]
         terms.append(f"(e_{c}/sc_{c})**2")
-    lines.append(f"err = sqrt(({' + '.join(terms)})/{float(N)!r})")
+    # a square that overflows raises in x ** 2: its error is infinite
+    lines += ["try:", f"    err = sqrt(({' + '.join(terms)})/{float(N)!r})",
+              "except OverflowError:", "    err = inf"]
     periods = m.quotient.periods if isinstance(m.quotient, geo.LatticeQuotient) else ()
     y5 = [f"y5_{c}" if c >= len(periods) or periods[c] is None else f"y5_{c} % {periods[c]!r}"
           for c in range(N)]
@@ -625,7 +648,9 @@ def _loop_source(m, step, speed):
     operation as the single step and ``normalize_qv`` do it:
     - the new state is finite when x - x == 0.0 for its sum x with err: a
       sum with an infinity or a nan is not finite.  Otherwise (an overflowing
-      sum too) each component is tested;
+      sum too) err must not be nan and each component is tested.  An
+      infinite err (a scaled square that overflows, or an infinite slope at
+      a finite new state) is left to error control, which rejects the step;
     - on a scaling chart with factor L, ``normalize_qv`` leaves a state with
       1 <= |q| < L as it is, |q| the same left-to-right sum of squares under
       one sqrt; any other state goes to it.
@@ -662,7 +687,7 @@ def _loop_source(m, step, speed):
     wraps = [f"{w} = {text}" for w, text in zip(new, y5) if w != text]
     guarded = [*lines, *wraps,
                f"x = err + {' + '.join(new)}",
-               f"ok = x - x == 0.0 or (isfinite(err) and all(map(isfinite, {_tuple(new)})))"]
+               f"ok = x - x == 0.0 or (err == err and all(map(isfinite, {_tuple(new)})))"]
     reject = [
         "except _EVAL_ERRORS:", "    ok = False",
         "if not ok:",

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 import worldline.catalog as cat
+import worldline.dynamics as dy
 import worldline.expr as ex
 from worldline import cli
 
@@ -349,6 +351,16 @@ def _as_pairs(key):
     pytest.param(_as_pairs("initial"), "'initial' must be a JSON object", id="initial-list"),
     pytest.param(_set(("config", "declared_complete"), "no"),
                  "declared_complete must be true or false, got 'no'", id="declared-string"),
+    pytest.param(_set(("fields", "f"), ["x^2"]), "unknown key 'f' in 'fields'",
+                 id="fields-unknown"),
+    pytest.param(_set(("config", "tmax"), 5.0), "unknown key 'tmax' in 'config'",
+                 id="config-unknown"),
+    pytest.param(_set(("metrics",), {}), "unknown key 'metrics' at the top level",
+                 id="top-unknown"),
+    pytest.param(_set(("domain", "exclude_radius"), 1.0),
+                 "unknown key 'exclude_radius' in 'domain'", id="domain-unknown"),
+    pytest.param(_set(("initial", "t"), 0.0), "unknown key 't' in 'initial'",
+                 id="initial-unknown"),
 ])
 def test_malformed_files_exit_two_with_a_message(tmp_path, capsys, edit, message):
     path = _builtin_file(tmp_path, "riemann-superlinear", edit)
@@ -410,6 +422,25 @@ def test_overflowing_first_step_estimate_is_classified(tmp_path, capsys):
     code, out = invoke(["sweep", "--scenario", path, "-n", "2"], capsys)
     assert code == 0
     assert set(_strict_json(out)["classifications"]) <= verdicts
+
+
+def test_overflowing_error_norm_is_an_error_control_rejection(tmp_path, capsys):
+    # x'' = 1e43 x^2 from x = v = 1.  The run tries a step of 1e-11, whose
+    # new state is finite but its slope is not, then one of 2e-12, whose
+    # stages and new state are all finite and only a scaled error overflows
+    # when squared.  Both errors are infinite: error control rejects the
+    # steps until they collapse below h_min
+    path = _builtin_file(tmp_path, "riemann-superlinear",
+                         _set(("fields", "X"), ["1e43 * x^2"]))
+    s = cat.load(path)
+    err, y5, k7 = dy.compiled_system(s.manifold, s.fields).step(
+        0.0, 2e-12, (1.0, 1.0), (1.0, 1e43), 1e-12, 1e-10)
+    assert err == math.inf and all(map(math.isfinite, y5 + k7))
+    code, out = invoke(["run", "--scenario", path], capsys)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["classification"] == "BlowupAt"
+    assert doc["detail"] == "step collapse under error control"
 
 
 def test_run_monitors_agree_with_check_on_a_narrow_bump(tmp_path, capsys):

@@ -360,6 +360,58 @@ def test_rhs_above_dimension_four_refuses_degenerate_and_non_finite_states():
         rhs_flat(0.0, (1.0,) * 9 + (math.inf,))
 
 
+def _diagonal_5d_twins():
+    """Pairs of 5-d systems (m, fp, s0) with the states their metric refuses:
+    a diagonal metric, then the same metric with g_01 = 0 * sin(...), which
+    is structurally non-zero but 0.0 (or -0.0, or nan at a nan state)
+    wherever it is evaluated.  The first goes through the division solve,
+    the second through ``_solve``."""
+    nan = (math.nan,) * 10
+    with open(CURVED_5D) as fh:
+        doc = json.load(fh)
+    padded = dict(doc, metric=dict(doc["metric"], g_0_1="0 * sin(2 * pi * x)"))
+    curved = [cat.scenario_from_dict(d) for d in (doc, padded)]
+    yield [(s.manifold, s.fields, s.initial) for s in curved], [nan]
+    frame = ex.CoordinateFrame(("a", "b", "c", "d", "e"))
+    entries = {(i, i): ex.ONE for i in range(1, 5)}
+    entries[0, 0] = ex.parse("a", frame)
+    s0 = state((1.0, 0.5, 0.0, 0.0, 0.0), (0.2, 0.1, -0.3, 0.0, 0.4))
+    degenerate = (0.0, 0.5, 0.0, 0.0, 0.0) + (1.0,) * 5
+    yield [(geo.manifold_from_components(frame, {**entries, **extra}), fl.FieldPack(frame), s0)
+           for extra in ({}, {(0, 1): ex.parse("0 * sin(b)", frame)})], [degenerate, nan]
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the type and message of what it raises."""
+    try:
+        return repr(f(*args))
+    except (geo.DegenerateMetricError, *dy._EVAL_ERRORS) as err:
+        return type(err), str(err)
+
+
+def test_division_solve_is_the_elimination_bit_for_bit():
+    # above dimension 4 a metric whose off-diagonal entries are all
+    # structurally zero is solved by division, and gives what _solve gives
+    # on it: the right-hand side by repr, the refusals by type and message,
+    # the kept rows by their bytes and the direction reports
+    rng = np.random.default_rng(23)
+    for ((m, fp, s0), (m_pad, fp_pad, _)), refused_states in _diagonal_5d_twins():
+        assert "_check_det(" in dy._accel_source(m, fp)[0]
+        assert "_solve(" in dy._accel_source(m_pad, fp_pad)[0]
+        rhs, rhs_pad = (dy.compiled_system(*pair).rhs_flat for pair in ((m, fp), (m_pad, fp_pad)))
+        for q in geo.sample_points(m, 40):
+            y = tuple(map(float, q)) + tuple(rng.uniform(-2, 2, 5))
+            assert _outcome(rhs, 0.3, y) == _outcome(rhs_pad, 0.3, y)
+        for y in refused_states:
+            refused = _outcome(rhs, 0.3, y)
+            assert type(refused) is tuple and refused == _outcome(rhs_pad, 0.3, y)
+        cfg = dy.IntegrationConfig(t_max=1.0)
+        runs = [dy.integrate_maximal(*pair, s0, cfg) for pair in ((m, fp), (m_pad, fp_pad))]
+        assert runs[0].forward.accepted > 0
+        assert [a.tobytes() for a in runs[0].arrays()] == [a.tobytes() for a in runs[1].arrays()]
+        assert (runs[0].forward, runs[0].backward) == (runs[1].forward, runs[1].backward)
+
+
 def test_dimension_five_endpoint_matches_dop853():
     # the forward endpoint of the dimension-5 file against scipy's DOP853
     # over the numeric right-hand side, which shares no code with the stepper
@@ -690,7 +742,8 @@ def _reference_direction(sysd, s0, cfg, sign, sink):
         t = base + sign * tau
         try:
             err, y_new, k_new = step(t, hs, y, k1, atol, rtol)
-            ok = math.isfinite(err) and all(map(math.isfinite, y_new))
+            # an infinite err is left to error control, a nan one is a failure
+            ok = not math.isnan(err) and all(map(math.isfinite, y_new))
         except dy._EVAL_ERRORS:
             ok = False
         if not ok:
@@ -908,6 +961,24 @@ def test_generated_loop_is_the_handwritten_loop(monkeypatch):
     assert details == {detail for _, _, detail, _ in dy._ENDS.values()}
     # renormalizations inside the loop, not only at the start
     assert any(renormalized)
+
+
+def test_scaling_shortcut_renormalizes_a_state_on_its_upper_edge():
+    # clifton-pohl has no F, X or V, so from v = 0 every step keeps y5 == y:
+    # started at |q| = 2, the scaling factor, each accepted state lies on the
+    # edge that 1 <= |q| < 2 leaves out, and the loop maps it to |q| = 1
+    s = cat.builtin("clifton-pohl")
+    assert s.manifold.quotient.factor == 2.0
+    sysd = dy.compiled_system(s.manifold, s.fields)
+    y = (2.0, 0.0, 0.0, 0.0)
+    end, *_, accepted, _, rows = sysd.kernel(
+        y, sysd.rhs_flat(0.0, y), step=0.1, max_speed=0.0, base=-0.0, sign=1.0, T=1.0,
+        atol=1e-12, rtol=1e-10, v_max=1e8, h_min=1e-12, h_max=0.1, end_gap=1e-12, stride=1,
+        full=5 * dy._BLOCK, rows=array.array("d"), hand=None)
+    assert end == "complete" and accepted > 0
+    assert tuple(rows[1:5]) == (1.0, 0.0, 0.0, 0.0)
+    assert len(rows) == 5 * accepted
+    assert all(math.hypot(*rows[i + 1:i + 3]) == 1.0 for i in range(0, len(rows), 5))
 
 
 @pytest.mark.parametrize("name", ["t3-magnetic", "clifton-pohl"])
