@@ -7,10 +7,13 @@ printed with repr, JSON keys are sorted, and nothing records wall-clock time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from . import sampling
 _CONFIG_ERRORS = (geo.GeometryError, ex.ExprError, OSError)
 _NORM_POINTS = 200  # of the field norm maxima in a run report
 _CSV_BLOCK = 256  # rows formatted by one % operation
+_COPY_BYTES = 1 << 16  # spooled CSV text copied at a time
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,61 +126,106 @@ def _certificates_doc(energy: dy.EnergyRecord, cert: dy.Certificates) -> dict:
     return doc
 
 
+def _table_columns(n: int) -> list:
+    return (["t"] + [f"q_{i + 1}" for i in range(n)] + [f"v_{i + 1}" for i in range(n)]
+            + ["energy_c", "killing_charge", "gR_speed"])
+
+
 def _sample_table(s: cat.Scenario, result: dy.TrajectoryResult):
-    m, fp = s.manifold, s.fields
-    ts, qs, vs = result.arrays()
-    n = m.dim
-    series = dy.sample_series(m, fp, result)
-    charge = series.gkv if series.gkv is not None else np.full(len(ts), math.nan)
-    speed = dy.speed_series(m, fp, result)
-    columns = (["t"] + [f"q_{i + 1}" for i in range(n)]
-               + [f"v_{i + 1}" for i in range(n)]
-               + ["energy_c", "killing_charge", "gR_speed"])
-    rows = np.column_stack([ts, qs, vs, series.energy, charge, speed])
-    return columns, rows
+    """(columns, rows) of the sample table a result kept in memory."""
+    table = dy.sample_table(s.manifold, s.fields, result)
+    return _table_columns(s.manifold.dim), np.column_stack(table.columns)
+
+
+def _csv_text(rows, width: int):
+    """The lines of ``rows``, a 2-D float array or a list of lists of floats
+    and strings, as text of at most ``_CSV_BLOCK`` lines at a time.
+
+    Each text is one ``%`` of the row template ``%s,...,%s`` repeated per
+    row: ``%s`` of a float is str, its repr, and a string passes through.
+    Blocks stay a few hundred rows long because a block's cells are held as
+    float objects and its text at once: with 4096-row blocks a run's peak
+    RSS rose by a tenth and the time saved was gone in a fresh process.
+    """
+    line = ",".join(["%s"] * width) + "\n"
+    for i in range(0, len(rows), _CSV_BLOCK):
+        block = rows[i:i + _CSV_BLOCK]
+        cells = (block.ravel().tolist() if isinstance(block, np.ndarray)
+                 else [c for row in block for c in row])
+        yield line * len(block) % tuple(cells)
 
 
 def _write_csv(path, columns, rows):
-    """One line per row of floats and strings, ``rows`` a 2-D float array or
-    a list of lists.
-
-    Each block of ``_CSV_BLOCK`` rows is one ``%`` of the row template
-    ``%s,...,%s`` repeated per row: ``%s`` of a float is str, its repr, and
-    a string passes through.  Blocks stay a few hundred rows long because a
-    block's cells are held as float objects and its text at once: with
-    4096-row blocks a run's peak RSS rose by a tenth and the time saved was
-    gone in a fresh process.
-    """
-    line = ",".join(["%s"] * len(columns)) + "\n"
+    """A header line, then one line per row (see ``_csv_text``)."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for i in range(0, len(rows), _CSV_BLOCK):
-            block = rows[i:i + _CSV_BLOCK]
-            cells = (block.ravel().tolist() if isinstance(block, np.ndarray)
-                     else [c for row in block for c in row])
-            fh.write(line * len(block) % tuple(cells))
+        fh.writelines(_csv_text(rows, len(columns)))
+
+
+class _CsvSpool:
+    """The trajectory CSV of ``run --output``, spooled block by block as the
+    fold hands the blocks over, so that the run holds one block of the
+    sample table at a time.
+
+    ``add`` writes a block's lines, reversed when backward, to one anonymous
+    spool file per direction; ``write`` assembles the CSV in increasing t:
+    the header, the backward blocks last to first, then the forward ones.
+    The spool files vanish when ``close`` closes them.
+    """
+
+    def __init__(self, columns):
+        self._header = ",".join(columns) + "\n"
+        self._width = len(columns)
+        self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
+        self._sizes = []  # bytes of each backward block, in the order spooled
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        for fh in self._files:
+            fh.close()
+
+    def add(self, columns, backward: bool):
+        rows = np.column_stack(columns)
+        fh = self._files[backward]
+        start = fh.tell()
+        for text in _csv_text(rows[::-1] if backward else rows, self._width):
+            fh.write(text.encode())
+        if backward:
+            self._sizes.append(fh.tell() - start)
+
+    def write(self, path):
+        forward, backward = self._files
+        with open(path, "wb") as out:
+            out.write(self._header.encode())
+            end = backward.tell()
+            for size in reversed(self._sizes):
+                end -= size
+                backward.seek(end)
+                while size:  # in pieces, so that no block's text is held at once
+                    piece = backward.read(min(size, _COPY_BYTES))
+                    out.write(piece)
+                    size -= len(piece)
+            forward.seek(0)
+            shutil.copyfileobj(forward, out, _COPY_BYTES)
 
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc: dict, outdir, report_name: str, table=None, fmt: str = "csv"):
-    """Print the report and, when a directory is given, write the files."""
-    if table is not None and fmt == "json":
-        columns, rows = table
-        doc = dict(doc)
-        doc["samples"] = {"columns": columns, "rows": [row.tolist() for row in rows]}
+def _emit(doc: dict, outdir, report_name: str):
+    """Print the report and, when a directory is given, write it there."""
     sys.stdout.write(_dump(doc))
     if outdir is None:
         return
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, report_name), "w") as fh:
         fh.write(_dump(doc))
-    if table is not None and fmt == "csv":
-        columns, rows = table
-        base = report_name.rsplit("_", 1)[0]
-        _write_csv(os.path.join(outdir, f"{base}_trajectory.csv"), columns, rows)
 
 
 def _field_norm_maxima(s: cat.Scenario) -> dict:
@@ -194,15 +243,29 @@ def cmd_run(args) -> int:
     v = s.initial.v if args.v is None else _parse_vector(args.v, s.manifold.dim, "v")
     s0 = geo.TrajectoryState(0.0, q, v)
 
-    # the sample table goes to --output, or into the report with --format json
-    writes_table = args.output is not None or args.format == "json"
-    result = dy.integrate_maximal(s.manifold, s.fields, s0, cfg, table=writes_table)
+    # the sample table is spooled to the CSV of --output, or kept in memory
+    # for the report of --format json
+    csv = args.output is not None and args.format == "csv"
+    with _CsvSpool(_table_columns(s.manifold.dim)) if csv else contextlib.nullcontext() as spool:
+        result = dy.integrate_maximal(s.manifold, s.fields, s0, cfg,
+                                      table=spool if csv else args.format == "json")
+        doc = _run_report(s, cfg, q, v, result)
+        if args.format == "json":
+            columns, rows = _sample_table(s, result)
+            doc["samples"] = {"columns": columns, "rows": [row.tolist() for row in rows]}
+        _emit(doc, args.output, "run_report.json")
+        if csv:
+            spool.write(os.path.join(args.output, "run_trajectory.csv"))
+    return 0
+
+
+def _run_report(s: cat.Scenario, cfg: dy.IntegrationConfig, q, v,
+                result: dy.TrajectoryResult) -> dict:
     cls = result.classification
     energy = dy.energy_monitor(s.manifold, s.fields, result)
     killing = dy.killing_charge_monitor(s.manifold, s.fields, result)
     cert = dy.certificate(s.manifold, s.fields, result)
-
-    doc = {
+    return {
         "scenario": s.name,
         "classification": cls.kind,
         "t_star": _finite_or_none(cls.t_star),
@@ -229,9 +292,6 @@ def cmd_run(args) -> int:
         "initial": {"q": list(q), "v": list(v)},
         "provenance": "sampled check, not a proof",
     }
-    _emit(doc, args.output, "run_report.json",
-          table=_sample_table(s, result) if writes_table else None, fmt=args.format)
-    return 0
 
 
 def cmd_check(args) -> int:
@@ -258,7 +318,7 @@ def _sample_initial_point(m: geo.ManifoldSpec, rng) -> tuple:
     lo, hi = np.asarray(lo), np.asarray(hi)
     for _ in range(10000):
         q = tuple(lo + (hi - lo) * rng.random(m.dim))
-        if geo.in_fundamental_domain(m, q):
+        if geo.in_fundamental_domain(m, [q])[0]:
             return q
     raise geo.ValidationError("could not sample a point in the fundamental domain")
 

@@ -172,12 +172,12 @@ def _region_points(m: geo.ManifoldSpec):
     lo = tuple(max(c - h, b) for c, b in zip(p0, m.domain.lower))
     hi = tuple(min(c + h, b) for c, b in zip(p0, m.domain.upper))
 
-    def keep(q):
+    def keep(qs):
         # the ball, not the box: box corners reach distance sqrt(n) h and
-        # would flatten the fitted log-log slope of axis-aligned growth
-        if sum((a - b) ** 2 for a, b in zip(q, p0)) > h * h:
-            return False
-        return m.domain.contains(q)
+        # would flatten the fitted log-log slope of axis-aligned growth.
+        # Point by point: (a - b) ** 2 is pow, not a numpy square
+        ball = [sum((a - b) ** 2 for a, b in zip(q, p0)) <= h * h for q in qs]
+        return np.array(ball, dtype=bool) & m.domain.contains_rows(qs)
 
     pts = sampling.sample_predicate(fl._POINTS, lo, hi, keep)
     # the base point itself anchors the envelope at distance zero

@@ -30,9 +30,10 @@ The step loop hands the samples it keeps to a sink in blocks of at most
 ``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold that evaluates each
 block once and keeps only the running values the monitors, the certificate
 and a sweep row read, so a run without a sample table holds memory that does
-not grow with the horizon.  Only a run that asks for the table (the library
-default, and ``run`` when it writes the table) also keeps the blocks; that
-is the one place the table exists in full.
+not grow with the horizon.  A run that asks for the table has the fold hand
+each block on, with its energy, charge and speed columns, to a block
+consumer: ``SampleTable``, the library default, keeps them, the one place
+the table exists in full; ``run --output`` spools them to its CSV.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -158,10 +159,10 @@ class TrajectoryResult:
     without one both have length 0.
     """
 
-    def __init__(self, series: SampleSeries, forward: DirectionReport,
+    def __init__(self, series: SampleSeries, table: SampleTable, forward: DirectionReport,
                  backward: DirectionReport, speed_mode: str):
-        self._series = series  # see sample_series
-        self._arrays = series.ts, series.qs, series.vs
+        self._series, self._table = series, table  # see sample_series
+        self._arrays = table.ts, table.qs, table.vs
         self.states = _States(*self._arrays)
         self.forward = forward
         self.backward = backward
@@ -289,9 +290,14 @@ def _check_det(det, q):
 
 
 def _finite(dv, v):
-    """dv, once it and the velocity v are checked finite."""
-    if not all(map(math.isfinite, v + dv)):
-        raise OverflowError("non-finite right-hand side")
+    """dv, once it and the velocity v are checked finite: a nan raises
+    ValueError, an evaluation failure, and an infinity OverflowError, which
+    the step counts as an infinite slope."""
+    xs = v + dv
+    if not all(map(math.isfinite, xs)):
+        if any(map(math.isnan, xs)):
+            raise ValueError("right-hand side is not a number")
+        raise OverflowError("infinite right-hand side")
     return dv
 
 
@@ -542,12 +548,16 @@ def _slope_targets(zero):
 
 def _step_source(step):
     """``_kernel(t, h, y, k1, atol, rtol)``: one step of the lines of
-    ``_generate_sources``, returning ``(err, y5, k7)``."""
+    ``_generate_sources``, returning ``(err, y5, k7)``, or ``(inf, None,
+    None)`` when a stage line overflows: an infinite slope, which error
+    control rejects."""
     lines, zero, y5, k7 = step
     names = _tuple(f"y_{c}" for c in range(len(zero)))
     return "".join(["def _kernel(t, h, y, k1, atol, rtol):\n",
-                    _indent([f"{names} = y", f"{_slope_targets(zero)} = k1", *lines,
-                              f"return err, {_tuple(y5)}, {_tuple(k7)}"], 1)])
+                    _indent([f"{names} = y", f"{_slope_targets(zero)} = k1", "try:"], 1),
+                    _indent(lines, 2),
+                    _indent(["except OverflowError:", "    return inf, None, None",
+                             f"return err, {_tuple(y5)}, {_tuple(k7)}"], 1)])
 
 
 def _speed_lines(m, fp, use_reference):
@@ -651,6 +661,8 @@ def _loop_source(m, step, speed):
       sum too) err must not be nan and each component is tested.  An
       infinite err (a scaled square that overflows, or an infinite slope at
       a finite new state) is left to error control, which rejects the step;
+      so is a stage line that raises OverflowError (a ``**`` or an ``exp``
+      beyond the float range): its slope is infinite, and err is inf;
     - on a scaling chart with factor L, ``normalize_qv`` leaves a state with
       1 <= |q| < L as it is, |q| the same left-to-right sum of squares under
       one sqrt; any other state goes to it.
@@ -689,6 +701,7 @@ def _loop_source(m, step, speed):
                f"x = err + {' + '.join(new)}",
                f"ok = x - x == 0.0 or (err == err and all(map(isfinite, {_tuple(new)})))"]
     reject = [
+        "except OverflowError:", "    err = inf", "    ok = True",
         "except _EVAL_ERRORS:", "    ok = False",
         "if not ok:",
         "    rejected += 1",
@@ -859,19 +872,23 @@ def _mid(bracket):
 
 
 def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState,
-                      cfg: IntegrationConfig, table: bool = True) -> TrajectoryResult:
+                      cfg: IntegrationConfig, table=True) -> TrajectoryResult:
     """Integrate both directions to the horizon and classify inextendibility.
 
     Every kept sample is folded into the result's ``SampleSeries`` under
-    (m, fp).  With ``table`` the result also keeps the samples; without it
-    the memory of the run does not grow with the horizon."""
+    (m, fp).  With ``table`` True the result also keeps the sample table in
+    memory (``SampleTable``); with False it keeps none, and the memory of
+    the run does not grow with the horizon.  Any other ``table`` is a block
+    consumer that the fold hands the table's rows to instead (see
+    ``SampleSeries``), and the result keeps none."""
     sysd = compiled_system(m, fp)
-    series = SampleSeries(m, fp, keep=table)
+    kept = SampleTable(m.dim)
+    series = SampleSeries(m, fp, kept if table is True else table or None)
     fwd = _run_direction(sysd, s0, cfg, +1.0, series.add)
     back = _run_direction(sysd, s0, cfg, -1.0, series.add)
-    series.close()
+    kept.close()
     mode = "reference" if sysd.use_reference_speed else "euclidean"
-    return TrajectoryResult(series, fwd, back, mode)
+    return TrajectoryResult(series, kept, fwd, back, mode)
 
 
 # --- monitors --------------------------------------------------------------
@@ -971,18 +988,19 @@ class SampleSeries:
     A maximum over blocks is the maximum over all rows, so no value depends
     on the block size.  Values a fold does not make are None.
 
-    With ``keep`` the fold is also the collect-everything sink: ``close``
-    joins the blocks into the sample table ``ts``, ``qs``, ``vs`` and the
-    columns ``gvv``, ``energy``, ``gkv``, ``gkk``, in increasing t.
-    Without it the table is empty and the columns are None.
+    With a ``table``, the fold also hands each block on as rows of the
+    sample table: ``table.add(columns, backward)`` with the columns ``(ts,
+    qs, vs, energy, charge, speed)`` in the order the step loop took the
+    rows, ``charge`` g(K,v) (nan without K) and ``speed`` the
+    classification speed, from the positive form where the certificate
+    takes K, else Euclidean.  Each is an elementwise formula, so a row's
+    values do not depend on its block.  ``SampleTable`` keeps the blocks in
+    memory; ``run --output`` spools them to its CSV.
     """
 
-    def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, keep: bool = False):
+    def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, table=None):
         self.m, self.fp = m, fp
-        self.ts, self.qs, self.vs = np.empty(0), np.empty((0, m.dim)), np.empty((0, m.dim))
-        self.gvv = self.energy = self.gkv = self.gkk = None
-        self.start_index = 0  # of the start row in the table
-        self._blocks = ([], []) if keep else None  # forward, backward
+        self._table = table
         self._gr_form = fp.reference_field is not None and _inverse_norm_bound(m, fp) is not None
         self.energy_ref = self.energy_drift = self.gvv_max = None
         self.charge_ref = self.charge_drift = self.charge_bound = None
@@ -996,14 +1014,14 @@ class SampleSeries:
         """Fold one block of contiguous rows, in the order the step loop took
         them: the forward rows from the start row on, then the backward rows
         in decreasing t."""
-        cols = _evaluate(self.m, self.fp, ts, qs, vs)
-        gvv, energy, gkv, gkk, rate = cols
+        gvv, energy, gkv, gkk, rate = _evaluate(self.m, self.fp, ts, qs, vs)
         if self.energy_ref is None:  # the start row
             self.energy_ref = float(energy[0])
             if gkv is not None:
                 self.charge_ref = float(gkv[0])
         self.energy_drift = _fold_max(self.energy_drift, np.abs(energy - self.energy_ref))
         self.gvv_max = _fold_max(self.gvv_max, gvv)
+        form = None
         if gkv is not None:
             self.charge_drift = _fold_max(self.charge_drift, np.abs(gkv - self.charge_ref))
             self.charge_bound = _fold_max(self.charge_bound, np.abs(gkv))
@@ -1015,8 +1033,13 @@ class SampleSeries:
                     form = gvv + 2.0 * gkv * gkv / (-gkk)
                 self.gr_form_max = _fold_max(self.gr_form_max, form)
             self._fold_residual(ts, gkv, rate, backward)
-        if self._blocks is not None:
-            self._blocks[backward].append((ts, qs, vs, *(c for c in cols[:4] if c is not None)))
+        if self._table is not None:
+            charge = np.full(len(ts), math.nan) if gkv is None else gkv
+            if form is None:
+                speed = np.sqrt(np.einsum("mi,mi->m", vs, vs))
+            else:
+                speed = np.sqrt(np.maximum(form, 0.0))
+            self._table.add((ts, qs, vs, energy, charge, speed), backward)
 
     def _fold_residual(self, ts, gkv, rate, backward):
         """Fold the residual over the triples of rows this block completes."""
@@ -1034,19 +1057,38 @@ class SampleSeries:
             self.rate_residual = _fold_max(
                 self.rate_residual, np.abs(_nonuniform_derivative(t, q) - r[1:-1]))
 
+
+class SampleTable:
+    """The sample table in memory, the block consumer of a fold that keeps
+    every block.
+
+    ``close`` joins the blocks in increasing t, the backward blocks last to
+    first, each reversed, then the forward ones, into ``columns``, ``(ts,
+    qs, vs, energy, charge, speed)``, each also an attribute of that name,
+    and sets ``start_index``, the row of the start state.  Until then, and
+    without blocks, every column is empty.
+    """
+
+    def __init__(self, n: int):
+        self._blocks = ([], [])  # forward, backward
+        self.start_index = 0
+        self._set((np.empty(0), np.empty((0, n)), np.empty((0, n)),
+                   np.empty(0), np.empty(0), np.empty(0)))
+
+    def _set(self, columns):
+        self.columns = columns
+        self.ts, self.qs, self.vs, self.energy, self.charge, self.speed = columns
+
+    def add(self, columns, backward: bool):
+        self._blocks[backward].append(columns)
+
     def close(self):
-        """Join the kept blocks in increasing t: the backward blocks last to
-        first, each reversed, then the forward ones."""
-        if self._blocks is None:
-            return
         forward, backward = self._blocks
-        self._blocks = None
-        self.start_index = sum(len(b[0]) for b in backward)
-        blocks = [[c[::-1] for c in b] for b in reversed(backward)] + forward
-        self.ts, self.qs, self.vs, self.gvv, self.energy, *charge = map(np.concatenate,
-                                                                        zip(*blocks))
-        if charge:
-            self.gkv, self.gkk = charge
+        self._blocks = ([], [])
+        if forward or backward:
+            self.start_index = sum(len(b[0]) for b in backward)
+            blocks = [[c[::-1] for c in b] for b in reversed(backward)] + forward
+            self._set(tuple(map(np.concatenate, zip(*blocks))))
 
 
 def sample_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
@@ -1060,14 +1102,24 @@ def sample_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
     if not len(result.states):
         raise ValueError("the result kept no sample table to fold under other fields")
     ts, qs, vs = result.arrays()
-    i = series.start_index
-    series = SampleSeries(m, fp, keep=True)
+    i = result._table.start_index
+    table = SampleTable(m.dim)
+    series = SampleSeries(m, fp, table)
     series.add(ts[i:], qs[i:], vs[i:])
     if i:
         series.add(*(np.ascontiguousarray(a[i - 1::-1]) for a in (ts, qs, vs)), backward=True)
-    series.close()
-    result._series = series
+    table.close()
+    result._series, result._table = series, table
     return series
+
+
+def sample_table(m: geo.ManifoldSpec, fp: fl.FieldPack,
+                 result: TrajectoryResult) -> SampleTable:
+    """The sample table of ``result`` with its energy, charge and speed
+    columns under (m, fp); its columns are empty when the run kept no
+    table."""
+    sample_series(m, fp, result)
+    return result._table
 
 
 def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
@@ -1135,15 +1187,3 @@ def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
     bound = g_vv_max + 2.0 * mc2 * mc2
     return Certificates(False, "", c1, c2, inv_norm, mc2, g_vv_max, gr_max,
                         bound, bool(gr_max <= bound + 1e-6))
-
-
-def speed_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                 result: TrajectoryResult) -> np.ndarray:
-    """The classification speed (not squared) at every row of the sample
-    table."""
-    if result.speed_mode == "euclidean":
-        vs = result.arrays()[2]
-        return np.sqrt(np.einsum("mi,mi->m", vs, vs))
-    series = sample_series(m, fp, result)
-    gvv, gkv, gkk = series.gvv, series.gkv, series.gkk
-    return np.sqrt(np.maximum(gvv + 2.0 * gkv * gkv / (-gkk), 0.0))

@@ -63,13 +63,24 @@ class ChartDomain:
         return ChartDomain((-math.inf,) * n, (math.inf,) * n, exclude_origin_radius)
 
     def contains(self, q) -> bool:
-        for x, lo, hi in zip(q, self.lower, self.upper):
-            if not (lo <= x <= hi):
-                return False
+        return bool(self.contains_rows(np.asarray(q, dtype=float)[None])[0])
+
+    def contains_rows(self, qs: np.ndarray) -> np.ndarray:
+        """``contains`` at each row of a (k, n) float array, as a mask."""
+        inside = ((np.asarray(self.lower) <= qs) & (qs <= np.asarray(self.upper))).all(axis=1)
         if self.exclude_origin_radius is not None:
-            if math.sqrt(sum(x * x for x in q)) < self.exclude_origin_radius:
-                return False
-        return True
+            inside &= ~(_radii(qs) < self.exclude_origin_radius)
+        return inside
+
+
+def _radii(qs: np.ndarray) -> np.ndarray:
+    """|q| at each row of a (k, n) float array: the sum of squares taken left
+    to right, as a scalar loop adds them (``np.sum`` adds pairwise, which
+    can change the last bit), under one sqrt."""
+    total = qs[:, 0] * qs[:, 0]
+    for c in range(1, qs.shape[1]):
+        total = total + qs[:, c] * qs[:, c]
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -260,9 +271,10 @@ def metrics_at(m: ManifoldSpec, qs) -> np.ndarray:
     """g at each row of an (k, n) array; checks domain membership, finiteness,
     degeneracy and signature, and raises naming the first point that fails."""
     qs = np.asarray(qs, dtype=float)
-    for q in qs:
-        if not m.domain.contains(q):
-            raise OutsideDomainError(f"point {tuple(q.tolist())} is outside the chart domain")
+    outside = ~m.domain.contains_rows(qs)
+    if outside.any():
+        q = qs[int(np.argmax(outside))]
+        raise OutsideDomainError(f"point {tuple(q.tolist())} is outside the chart domain")
     g = finite("metric", qs, m.metric_batch)
     det = np.linalg.det(g)
     degenerate = np.abs(det) < _DEGENERACY_TOL
@@ -372,14 +384,15 @@ def sampling_box(m: ManifoldSpec, fallback_halfwidth: float = 10.0):
     return tuple(lo), tuple(hi)
 
 
-def in_fundamental_domain(m: ManifoldSpec, q) -> bool:
-    """Is q in the chart domain and, for a scaling quotient, in the annulus
-    1 <= |q| < factor?"""
+def in_fundamental_domain(m: ManifoldSpec, qs) -> np.ndarray:
+    """Which rows of a (k, n) array lie in the chart domain and, for a
+    scaling quotient, in the annulus 1 <= |q| < factor, as a mask."""
+    qs = np.asarray(qs, dtype=float)
+    keep = m.domain.contains_rows(qs)
     if isinstance(m.quotient, ScalingQuotient):
-        r = math.sqrt(sum(x * x for x in q))
-        if not (1.0 <= r < m.quotient.factor):
-            return False
-    return m.domain.contains(q)
+        r = _radii(qs)
+        keep &= (1.0 <= r) & (r < m.quotient.factor)
+    return keep
 
 
 @lru_cache(maxsize=64)

@@ -44,23 +44,25 @@ def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
 
 
 def sample_predicate(count: int, lo, hi, keep, max_batches: int = 64) -> np.ndarray:
-    """Halton points in the box filtered by ``keep(point) -> bool``.
+    """Halton points in the box filtered by ``keep(points) -> mask``, a
+    boolean per row of a (k, n) array.
 
-    Walks the Halton stream until ``count`` points satisfy the predicate, so
-    a prefix of a larger sample is always a sample with the same points.
+    Walks the Halton stream, ``count`` points at a time, until ``count``
+    points satisfy the predicate and keeps them in stream order, so a prefix
+    of a larger sample is always a sample with the same points.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     out = []
+    need = count
     skip = 20
     for _ in range(max_batches):
-        batch = halton(count, lo.size, skip=skip)
+        batch = lo + halton(count, lo.size, skip=skip) * (hi - lo)
         skip += count
-        for row in lo + batch * (hi - lo):
-            if keep(row):
-                out.append(row)
-                if len(out) == count:
-                    return np.array(out)
+        out.append(batch[keep(batch)][:need])
+        need -= len(out[-1])
+        if not need:
+            return np.concatenate(out)
     raise ValueError("predicate rejected too many sample points")
 
 

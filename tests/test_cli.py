@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import worldline.catalog as cat
 import worldline.dynamics as dy
 import worldline.expr as ex
+import worldline.geometry as geo
 from worldline import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -441,6 +444,82 @@ def test_overflowing_error_norm_is_an_error_control_rejection(tmp_path, capsys):
     doc = _strict_json(out)
     assert doc["classification"] == "BlowupAt"
     assert doc["detail"] == "step collapse under error control"
+
+
+def test_overflowing_stage_is_an_error_control_rejection(tmp_path, capsys):
+    # x'' = 1e60 x^2 from x = v = 1.  A stage of a step of 1e-9 raises in
+    # the square: an infinite slope, which error control rejects, as it
+    # does an error norm that overflows, until the steps collapse below h_min
+    path = _builtin_file(tmp_path, "riemann-superlinear",
+                         lambda doc: doc["fields"].update(X=["1e60 * x^2"], V=None))
+    s = cat.load(path)
+    sysd = dy.compiled_system(s.manifold, s.fields)
+    y = (1.0, 1.0)
+    assert sysd.step(0.0, 1e-9, y, sysd.rhs_flat(0.0, y), 1e-12, 1e-10) == (math.inf, None, None)
+    code, out = invoke(["run", "--scenario", path], capsys)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["classification"] == "BlowupAt"
+    assert doc["detail"] == "step collapse under error control"
+
+
+def test_run_output_streams_in_bounded_memory(tmp_path, capsys):
+    # run --output spools its sample table block by block, so the peak of
+    # the run does not grow with the horizon; at t_max = 300 the table's
+    # float columns alone would take 2.5 MB
+    def peak(t_max):
+        out = tmp_path / t_max
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--scenario", "t3-magnetic", "--t-max", t_max,
+                             "--output", str(out)])
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return top, (out / "run_trajectory.csv").read_bytes().count(b"\n") - 1
+
+    peak("1")  # compiles the system and fills the sampled-check caches
+    (short, _), (long, rows) = peak("30"), peak("300")
+    capsys.readouterr()
+    assert rows > 30000
+    assert long <= short + 1024 * 1024, (short, long)
+
+
+def test_run_closes_its_spool_files_and_writes_nothing_on_failure(tmp_path, capsys,
+                                                                  monkeypatch):
+    spooled = []
+
+    def spool_file(*args, _f=tempfile.TemporaryFile, **kwargs):
+        spooled.append(_f(*args, **kwargs))
+        return spooled[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool_file)
+    monkeypatch.setattr(dy, "_BLOCK", 7)
+    argv = ["run", "--scenario", "clifton-pohl", "--output"]
+    code, _ = invoke([*argv, str(tmp_path / "ok")], capsys)
+    assert code == 0 and (tmp_path / "ok" / "run_trajectory.csv").exists()
+    assert spooled and all(fh.closed for fh in spooled)
+    code, _ = invoke([*argv, str(tmp_path / "json"), "--format", "json"], capsys)
+    assert code == 0 and len(spooled) == 2  # the table stays in memory
+
+    calls = []
+
+    def fails_on_the_third_block(*args, _f=dy._evaluate):
+        calls.append(args)
+        if len(calls) == 3:
+            raise geo.DegenerateMetricError("metric is degenerate")
+        return _f(*args)
+
+    # a start refused at once, and a failure after blocks were spooled
+    for name, extra, evaluate in (("refused", ["--v", "1e9,0"], dy._evaluate),
+                                  ("failed", [], fails_on_the_third_block)):
+        monkeypatch.setattr(dy, "_evaluate", evaluate)
+        code = cli.main([*argv, str(tmp_path / name), *extra])
+        assert code == 2 and "error:" in capsys.readouterr().err, name
+        assert not (tmp_path / name).exists(), name
+        assert all(fh.closed for fh in spooled), name
+    assert len(spooled) == 6  # two per run that spools: ok, refused, failed
 
 
 def test_run_monitors_agree_with_check_on_a_narrow_bump(tmp_path, capsys):

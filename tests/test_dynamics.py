@@ -566,10 +566,10 @@ def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
     # pack gets its own
     assert records == fresh_records
     assert table.tobytes() == fresh_table.tobytes()
-    assert np.array_equal(table[:, -1], dy.speed_series(m, fp, fresh))
+    assert np.array_equal(table[:, -1], dy.sample_table(m, fp, fresh).speed)
     no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
     assert dy.certificate(m, no_k, res).refused
-    assert dy.sample_series(m, no_k, res).gkv is None
+    assert np.isnan(dy.sample_table(m, no_k, res).charge).all()
 
 
 SAMPLED_CHECKS = (fl.is_skew_adjoint, fl.conformal_report, fl.is_timelike_everywhere,
@@ -606,7 +606,7 @@ def test_speed_series_uses_reference_form():
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                s.integration_config(t_max=1.0))
     assert res.speed_mode == "reference"
-    speeds = dy.speed_series(s.manifold, s.fields, res)
+    speeds = dy.sample_table(s.manifold, s.fields, res).speed
     # g_R(v,v) = g(v,v) + 2 g(K,v)^2 with v = (1, 0.3)
     want = math.sqrt((-1 + 0.09) + 2 * 1.0)
     assert np.allclose(speeds, want, atol=1e-9)
@@ -742,8 +742,9 @@ def _reference_direction(sysd, s0, cfg, sign, sink):
         t = base + sign * tau
         try:
             err, y_new, k_new = step(t, hs, y, k1, atol, rtol)
-            # an infinite err is left to error control, a nan one is a failure
-            ok = not math.isnan(err) and all(map(math.isfinite, y_new))
+            # an infinite err, or a stage that overflows (no new state), is
+            # left to error control; a nan err is a failure
+            ok = y_new is None or (not math.isnan(err) and all(map(math.isfinite, y_new)))
         except dy._EVAL_ERRORS:
             ok = False
         if not ok:
@@ -902,8 +903,8 @@ def _loop_cases():
     cases.append(("wall", euclid1(), wall, state((0.0,), (1.0,)),
                   dy.IntegrationConfig(t_max=10.0, v_max=1.01, rtol=1e-6, atol=1e-8, h_min=1e-6)))
     # evaluation failures: stages that overflow to inf and nan without
-    # raising, log(x) past x = 0, exp(-1e300 t) at every backward stage, and
-    # log(x - 1.5) once the scaling map halves x = 2
+    # raising, log(x) past x = 0 and log(x - 1.5) once the scaling map
+    # halves x = 2; and exp(-1e300 t), which raises at every backward stage
     overflow = fl.FieldPack(X1, force_vector=(ex.parse("1e300 * x", X1),))
     cases += [("overflow", euclid1(), overflow, state((1.0,), (1.0,)),
                dy.IntegrationConfig(t_max=1.0)),
@@ -1054,16 +1055,28 @@ def test_step_loop_runs_from_the_start_time():
         assert np.allclose(a.q + a.v, b.q + b.v, rtol=0.0, atol=1e-9)
 
 
-def test_backward_stall_at_the_start_keeps_negative_zero():
-    # exp(-1e300 t) overflows at every backward stage, so the backward
-    # direction stalls at its first step, at t = -0.0
+def test_non_finite_slope_above_dimension_4_is_told_by_its_kind():
+    # the plain-float acceleration refuses an infinite slope as an overflow,
+    # which error control rejects, and a nan one as an evaluation failure
+    assert dy._finite((1.0, -2.0), (0.5, 0.5)) == (1.0, -2.0)
+    with pytest.raises(OverflowError):
+        dy._finite((math.inf, 1.0), (0.5, 0.5))
+    for dv, v in (((math.nan, 1.0), (0.5, 0.5)), ((math.inf, 1.0), (math.nan, 0.5))):
+        with pytest.raises(ValueError):
+            dy._finite(dv, v)
+
+
+def test_backward_collapse_at_the_start_keeps_negative_zero():
+    # exp(-1e300 t) overflows at every backward stage: an infinite slope,
+    # which error control rejects until the first step collapses, at t = -0.0
     frame = ex.CoordinateFrame(("x",), time_dependent=True)
     m = geo.manifold_from_components(frame, {(0, 0): ex.ONE}, geo.ChartDomain.unbounded(1),
                                      geo.RIEMANNIAN)
     fp = fl.FieldPack(frame, force_vector=(ex.parse("exp(-1e300 * t)", frame),))
     res = dy.integrate_maximal(m, fp, state((0.0,), (1.0,)), dy.IntegrationConfig(t_max=1.0))
     cls = res.backward.classification
-    assert cls.kind == dy.STALLED and repr(cls.t_star) == "-0.0"
+    assert cls.kind == dy.BLOWUP and repr(cls.t_star) == "-0.0"
+    assert cls.detail == "step collapse under error control"
     assert res.forward.classification.kind == dy.COMPLETE
 
 

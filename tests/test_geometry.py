@@ -209,6 +209,47 @@ def test_sample_points_stay_in_fundamental_domain():
     assert np.all((pts2 >= 0.0) & (pts2 < 1.0))
 
 
+def _scalar_in_fundamental_domain(m, q):
+    """The fundamental-domain predicate one point at a time: the oracle of
+    the mask ``geo.in_fundamental_domain`` computes."""
+    r = math.sqrt(sum(x * x for x in q))
+    if isinstance(m.quotient, geo.ScalingQuotient) and not 1.0 <= r < m.quotient.factor:
+        return False
+    if not all(lo <= x <= hi for x, lo, hi in zip(q, m.domain.lower, m.domain.upper)):
+        return False
+    return m.domain.exclude_origin_radius is None or not r < m.domain.exclude_origin_radius
+
+
+def test_fundamental_domain_mask_is_the_scalar_predicate():
+    import os
+
+    import worldline.catalog as cat
+    scaled = geo.manifold_from_components(
+        ex.CoordinateFrame(("u", "v")), {(0, 0): ex.ONE, (1, 1): ex.ONE},
+        geo.ChartDomain((-1.5, -math.inf), (math.inf, 1.5), exclude_origin_radius=1.25),
+        geo.RIEMANNIAN, geo.ScalingQuotient(2.0))
+    curved = cat.load(os.path.join(os.path.dirname(__file__), "data", "curved-5d.json"))
+    rng = np.random.default_rng(3)
+    for m in (scaled, curved.manifold, *(cat.builtin(n).manifold for n in cat.list_builtins())):
+        lo, hi = geo.sampling_box(m)
+        qs = rng.uniform(np.array(lo) - 1.0, np.array(hi) + 1.0, (4000, m.dim))
+        # points on the edges of the box, the annulus and the excluded ball,
+        # and one float either side of them
+        edges = [b for b in (*lo, *hi, *m.domain.lower, *m.domain.upper) if math.isfinite(b)]
+        edges += [1.0, 1.25, 2.0, -1.0, -1.25, -2.0]
+        for c in range(m.dim):
+            for e in edges:
+                for x in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf)):
+                    q = np.zeros(m.dim)
+                    q[c] = x
+                    qs = np.vstack([qs, q])
+        want = [_scalar_in_fundamental_domain(m, q) for q in qs.tolist()]
+        assert geo.in_fundamental_domain(m, qs).tolist() == want
+        assert [m.domain.contains(q) for q in qs] == m.domain.contains_rows(qs).tolist()
+        # a prefix of a larger sample is a sample
+        assert geo.sample_points(m, 1000)[:200].tobytes() == geo.sample_points(m, 200).tobytes()
+
+
 def test_trajectory_state_is_immutable():
     s = geo.TrajectoryState(0.0, (1.0, 2.0), (0.5, 0.5))
     with pytest.raises(AttributeError):

@@ -22,6 +22,7 @@ import os
 import pytest
 
 import worldline.catalog as cat
+import worldline.dynamics as dy
 from worldline import cli
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -101,6 +102,20 @@ def test_reports_match_pins(source, tmp_path, capsys):
     _assert_pinned(run, os.path.join(REPORTS, f"{name}_run.json"))
     with open(CSV_PINS) as fh:
         assert pin == json.load(fh)[name], name
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("source", INPUTS, ids=_name)
+def test_trajectory_csv_pins_hold_for_any_block_size(source, block, tmp_path, capsys,
+                                                     monkeypatch):
+    # blocks of 1 and 7 rows put block edges, and the reversal of the
+    # backward blocks, where the default block size rarely reaches
+    monkeypatch.setattr(dy, "_BLOCK", block)
+    out = os.path.join(str(tmp_path), "run")
+    assert cli.main(["run", "--scenario", source, "--output", out]) == 0
+    capsys.readouterr()
+    with open(CSV_PINS) as fh:
+        assert _pin(_read(os.path.join(out, "run_trajectory.csv"))) == json.load(fh)[_name(source)]
 
 
 @pytest.mark.parametrize("source", INPUTS, ids=_name)
