@@ -423,7 +423,7 @@ def deck_transforms(m: ManifoldSpec):
     return out
 
 
-def validate_manifold(m: ManifoldSpec, points: int = 100, seed: int = sampling.DEFAULT_SEED):
+def validate_manifold(m: ManifoldSpec, points: int = 100):
     """Sampled structural checks: signature, non-degeneracy, deck isometry.
 
     Raises ValidationError on failure; silent on success.
@@ -439,9 +439,9 @@ def validate_manifold(m: ManifoldSpec, points: int = 100, seed: int = sampling.D
     transforms = deck_transforms(m)
     if not transforms:
         return
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((points, 2, m.dim))
-    u, v = dirs[:, 0], dirs[:, 1]
+    # u and v from disjoint index ranges of one direction sequence
+    dirs = sampling.sample_directions(2 * points, m.dim)
+    u, v = dirs[:points], dirs[points:]
     base = np.einsum("mi,mij,mj->m", u, g, v)
     with np.errstate(all="ignore"):
         moved = np.array([

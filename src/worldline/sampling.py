@@ -2,8 +2,11 @@
 
 Global claims ("skew-adjoint everywhere", "timelike everywhere", ...) are
 decided by sampling: low-discrepancy Halton points in the fundamental
-domain plus seeded random directions.  Everything here is deterministic for
-fixed inputs, so reports and sweeps reproduce bit-for-bit.
+domain and low-discrepancy directions, neither of them seeded.  Only a
+sweep's start points (``ball_point``, ``quadratic_form_ball_point``) come
+from a seeded ``numpy.random.Generator``, which the caller makes, so no
+check imports ``numpy.random``.  Everything here is deterministic for fixed
+inputs, so reports and sweeps reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -66,13 +69,29 @@ def sample_predicate(count: int, lo, hi, keep, max_batches: int = 64) -> np.ndar
     raise ValueError("predicate rejected too many sample points")
 
 
-def sample_directions(count: int, dim: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Seeded unit vectors, uniform on the Euclidean sphere."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return v / norms
+def sample_directions(count: int, dim: int) -> np.ndarray:
+    """First ``count`` unit vectors of a low-discrepancy direction sequence.
+
+    Row k = 1, 2, ... is the point frac(k a_j) of the additive recurrence
+    with a_j = frac(sqrt(p_j)) for the j-th prime, mapped to [-1, 1)^dim and
+    normalised.  No coordinate is 0 in exact arithmetic (a_j is irrational),
+    and the first rows of a larger draw are a smaller draw.  The rows are
+    built in place in one array, with one column of scratch for the floor;
+    no seed enters.
+    """
+    if dim > len(_PRIMES):
+        raise ValueError(f"direction sampling supports at most {len(_PRIMES)} dimensions")
+    step = np.sqrt(_PRIMES[:dim])
+    step -= np.floor(step)
+    out = np.empty((count, dim))
+    np.multiply.outer(np.arange(1.0, count + 1.0), step, out=out)
+    col = np.empty(count)
+    for j in range(dim):
+        out[:, j] -= np.floor(out[:, j], out=col)
+    out *= 2.0
+    out -= 1.0
+    out /= np.sqrt(np.einsum("ki,ki->k", out, out))[:, None]
+    return out
 
 
 def ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -60,9 +62,9 @@ def test_run_rejects_non_finite_config(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def _field_file(tmp_path, fields, metric=None):
+def _field_file(tmp_path, fields, metric=None, quotient=None):
     doc = {"name": "bad-field", "dimension": 2, "coordinates": ["x", "y"],
-           "metric": metric or {"g_0_0": "1", "g_1_1": "1"}, "quotient": None,
+           "metric": metric or {"g_0_0": "1", "g_1_1": "1"}, "quotient": quotient,
            "domain": {"lower": [None, None], "upper": [None, None],
                       "exclude_origin_radius": None},
            "fields": dict({"F": None, "X": None, "V": None, "K": None}, **fields),
@@ -99,6 +101,35 @@ def test_check_refuses_metric_indefinite_between_validation_samples(tmp_path, ca
     cat.load(path)  # every validation sample sees a positive-definite metric
     assert cli.main(["check", "--scenario", path]) == 2
     assert "negative eigenvalues" in capsys.readouterr().err
+
+
+def test_check_refuses_a_quotient_that_is_not_an_isometry(tmp_path, capsys):
+    path = _field_file(tmp_path, {}, metric={"g_0_0": "1 + 0.5*x", "g_1_1": "1"},
+                       quotient={"lattice": [1.0, 1.0]})
+    assert cli.main(["check", "--scenario", path]) == 2
+    assert "quotient map is not an isometry" in capsys.readouterr().err
+
+
+def test_only_sweep_imports_numpy_random():
+    # checks sample unseeded directions; only a sweep's start points come
+    # from a seeded generator.  t3-magnetic has a lattice quotient and a skew
+    # F, so check draws directions for the deck isometry and the skew test.
+    script = (
+        "import contextlib, io, sys\n"
+        "from worldline import cli\n"
+        "def imported(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0\n"
+        "    return 'numpy.random' in sys.modules\n"
+        "print(imported('check', '--scenario', 't3-magnetic'),\n"
+        "      imported('run', '--scenario', 't3-magnetic', '--t-max', '5'),\n"
+        "      imported('sweep', '--scenario', 't3-magnetic', '-n', '1', '--t-max', '5'))\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_run_initial_override(capsys):

@@ -66,6 +66,11 @@ def test_is_skew_adjoint():
     res2 = fl.is_skew_adjoint(m, not_skew)
     assert not res2.passed
     assert res2.worst > 1e-2
+    # g(v, Fv) = v_x^2 vanishes only on the directions along y
+    rank_one = fl.FieldPack(XY, force_operator=parse_matrix([["1", "0"], ["0", "0"]]))
+    res3 = fl.is_skew_adjoint(euclid2(), rank_one)
+    assert not res3.passed
+    assert res3.worst > 1e-2
     none = fl.FieldPack(XY)
     assert fl.is_skew_adjoint(m, none).passed  # vacuous
 

@@ -194,6 +194,15 @@ def test_deck_isometry_on_builtin_quotients():
         geo.validate_manifold(cat.builtin(name).manifold)
 
 
+def test_deck_isometry_refuses_a_metric_the_lattice_moves():
+    # the shift x -> x + 1 takes g_xx = 1 + 0.5 x to 1.5 + 0.5 x
+    m = geo.manifold_from_components(
+        XY, {(0, 0): ex.parse("1 + 0.5*x", XY), (1, 1): ex.ONE},
+        geo.ChartDomain.unbounded(2), geo.RIEMANNIAN, geo.LatticeQuotient((1.0, 1.0)))
+    with pytest.raises(geo.ValidationError, match="quotient map is not an isometry"):
+        geo.validate_manifold(m)
+
+
 def test_sample_points_stay_in_fundamental_domain():
     frame = ex.CoordinateFrame(("u", "v"))
     m = geo.manifold_from_components(
@@ -277,3 +286,18 @@ def test_halton_matches_the_scalar_digit_loop_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (dim, skip, count)
     with pytest.raises(ValueError):
         sampling.halton(1, 9)
+
+
+def test_sample_directions_are_deterministic_unit_rows_and_prefixes():
+    for dim in range(1, 9):
+        dirs = sampling.sample_directions(8000, dim)
+        assert dirs.shape == (8000, dim)
+        assert np.all(np.abs(np.einsum("ki,ki->k", dirs, dirs) - 1.0) <= 1e-15)
+        assert np.all(np.abs(dirs).max(axis=1) > 0.1)
+        # every coordinate takes both signs
+        assert np.all((dirs > 0.0).any(axis=0) & (dirs < 0.0).any(axis=0))
+        assert dirs.tobytes() == sampling.sample_directions(8000, dim).tobytes()
+        for k in (1, 7, 1000, 7999):
+            assert sampling.sample_directions(k, dim).tobytes() == dirs[:k].tobytes(), (dim, k)
+    with pytest.raises(ValueError):
+        sampling.sample_directions(1, 9)
