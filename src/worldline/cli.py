@@ -39,32 +39,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "conditions for completeness.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, summary, integrates):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--scenario", required=True,
                         help="built-in scenario name or scenario file path")
-        sp.add_argument("--t-max", type=float, default=None,
-                        help="integration horizon override")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="relative tolerance override (absolute = tol/100)")
-        sp.add_argument("--v-max", type=float, default=None,
-                        help="speed threshold for the blowup classification")
+        if integrates:
+            sp.add_argument("--t-max", type=float, default=None,
+                            help="integration horizon override")
+            sp.add_argument("--tol", type=float, default=None,
+                            help="relative tolerance override (absolute = tol/100)")
+            sp.add_argument("--v-max", type=float, default=None,
+                            help="speed threshold for the blowup classification")
         sp.add_argument("--output", default=None, metavar="DIR",
                         help="directory for emitted files (default: stdout only)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="sample table format (default csv)")
+        return sp
 
-    run = sub.add_parser("run", help="integrate one trajectory and classify it")
-    common(run)
+    run = command("run", "integrate one trajectory and classify it", True)
+    run.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="sample table format (default csv)")
     run.add_argument("--q", default=None,
                      help="initial point override, comma-separated")
     run.add_argument("--v", default=None,
                      help="initial velocity override, comma-separated")
 
-    check = sub.add_parser("check", help="evaluate the completeness hypotheses")
-    common(check)
+    command("check", "evaluate the completeness hypotheses", False)
 
-    sweep = sub.add_parser("sweep", help="classify an ensemble of seeded starts")
-    common(sweep)
+    sweep = command("sweep", "classify an ensemble of seeded starts", True)
     sweep.add_argument("-n", type=int, default=None, required=True,
                        help="ensemble size (must be positive)")
     sweep.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED,
@@ -92,15 +92,10 @@ def _config_doc(cfg: dy.IntegrationConfig) -> dict:
 
 
 def _resolved_config(s: cat.Scenario, args) -> dy.IntegrationConfig:
-    overrides = {}
-    if args.t_max is not None:
-        overrides["t_max"] = args.t_max
-    if args.tol is not None:
-        overrides["rtol"] = args.tol
-        overrides["atol"] = args.tol / 100.0
-    if getattr(args, "v_max", None) is not None:
-        overrides["v_max"] = args.v_max
-    return s.integration_config(**overrides)
+    tol = args.tol
+    return s.integration_config(t_max=args.t_max, rtol=tol,
+                                atol=None if tol is None else tol / 100.0,
+                                v_max=args.v_max)
 
 
 def _parse_vector(text: str, n: int, label: str) -> tuple:
@@ -129,12 +124,6 @@ def _certificates_doc(energy: dy.EnergyRecord, cert: dy.Certificates) -> dict:
 def _table_columns(n: int) -> list:
     return (["t"] + [f"q_{i + 1}" for i in range(n)] + [f"v_{i + 1}" for i in range(n)]
             + ["energy_c", "killing_charge", "gR_speed"])
-
-
-def _sample_table(s: cat.Scenario, result: dy.TrajectoryResult):
-    """(columns, rows) of the sample table a result kept in memory."""
-    table = dy.sample_table(s.manifold, s.fields, result)
-    return _table_columns(s.manifold.dim), np.column_stack(table.columns)
 
 
 def _csv_text(rows, width: int):
@@ -251,8 +240,9 @@ def cmd_run(args) -> int:
                                       table=spool if csv else args.format == "json")
         doc = _run_report(s, cfg, q, v, result)
         if args.format == "json":
-            columns, rows = _sample_table(s, result)
-            doc["samples"] = {"columns": columns, "rows": [row.tolist() for row in rows]}
+            rows = np.column_stack(result.table.columns)
+            doc["samples"] = {"columns": _table_columns(s.manifold.dim),
+                              "rows": [row.tolist() for row in rows]}
         _emit(doc, args.output, "run_report.json")
         if csv:
             spool.write(os.path.join(args.output, "run_trajectory.csv"))
@@ -262,9 +252,9 @@ def cmd_run(args) -> int:
 def _run_report(s: cat.Scenario, cfg: dy.IntegrationConfig, q, v,
                 result: dy.TrajectoryResult) -> dict:
     cls = result.classification
-    energy = dy.energy_monitor(s.manifold, s.fields, result)
-    killing = dy.killing_charge_monitor(s.manifold, s.fields, result)
-    cert = dy.certificate(s.manifold, s.fields, result)
+    energy = dy.energy_monitor(result)
+    killing = dy.killing_charge_monitor(result)
+    cert = dy.certificate(result)
     return {
         "scenario": s.name,
         "classification": cls.kind,
@@ -369,9 +359,9 @@ def cmd_sweep(args) -> int:
         result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg,
                                       table=False)
         cls = result.classification
-        energy = dy.energy_monitor(m, fp, result)
-        killing = dy.killing_charge_monitor(m, fp, result)
-        cert = dy.certificate(m, fp, result)
+        energy = dy.energy_monitor(result)
+        killing = dy.killing_charge_monitor(result)
+        cert = dy.certificate(result)
         speed = max(result.forward.max_speed, result.backward.max_speed)
 
         counts[cls.kind] = counts.get(cls.kind, 0) + 1

@@ -94,7 +94,7 @@ def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack) -> Hypothesi
         hyps.append(Hypothesis("force-annihilates-reference", "not-applicable",
                                note="no reference field"))
     else:
-        res, _, _ = fl.conformal_report(m, fp)
+        res, _ = fl.conformal_report(m, fp)
         hyps.append(Hypothesis("reference-conformal",
                                "pass" if res <= fl._CONFORMAL_TOL else "fail",
                                measured=res, samples=fl._POINTS))

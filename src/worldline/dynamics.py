@@ -32,8 +32,9 @@ block once and keeps only the running values the monitors, the certificate
 and a sweep row read, so a run without a sample table holds memory that does
 not grow with the horizon.  A run that asks for the table has the fold hand
 each block on, with its energy, charge and speed columns, to a block
-consumer: ``SampleTable``, the library default, keeps them, the one place
-the table exists in full; ``run --output`` spools them to its CSV.
+consumer: ``SampleTable`` keeps them, the one place the table exists in
+full, and the result holds it as ``table``; ``run --output`` spools them to
+its CSV.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -128,7 +129,6 @@ class Classification:
 class DirectionReport:
     classification: Classification
     max_speed: float
-    min_step: float
     accepted: int
     rejected: int
 
@@ -150,20 +150,19 @@ class _States(Sequence):
 
 
 class TrajectoryResult:
-    """Both direction verdicts, the fold of the samples and, when the run
-    kept it, the sample table.
+    """Both direction verdicts, the fold of the samples and the sample table.
 
-    The monitors and the certificate read the fold (``sample_series``).
-    With a table, ``arrays()`` gives the normalized samples as columns in
-    strictly increasing t and ``states`` reads them one state at a time;
-    without one both have length 0.
+    ``series`` is the ``SampleSeries`` made during the integration, under
+    the (m, fp) of the run; the monitors and the certificate read it.
+    ``table`` is the ``SampleTable`` the run kept, with every column empty
+    when it kept none.  ``arrays()`` gives its normalized samples as columns
+    in strictly increasing t and ``states`` reads them one state at a time.
     """
 
     def __init__(self, series: SampleSeries, table: SampleTable, forward: DirectionReport,
                  backward: DirectionReport, speed_mode: str):
-        self._series, self._table = series, table  # see sample_series
-        self._arrays = table.ts, table.qs, table.vs
-        self.states = _States(*self._arrays)
+        self.series, self.table = series, table
+        self.states = _States(table.ts, table.qs, table.vs)
         self.forward = forward
         self.backward = backward
         self.speed_mode = speed_mode  # "reference" or "euclidean"
@@ -179,7 +178,7 @@ class TrajectoryResult:
 
     def arrays(self):
         """(ts, qs, vs): contiguous numpy arrays of shapes (m,), (m, n), (m, n)."""
-        return self._arrays
+        return self.table.ts, self.table.qs, self.table.vs
 
 
 # --- right-hand side -------------------------------------------------------
@@ -863,7 +862,7 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     if kind == COMPLETE and (max_speed >= v_max / 10.0 or min_h <= 10.0 * h_min):
         marginal = True
     return DirectionReport(Classification(kind, t_star, half, marginal, detail), max_speed,
-                           min_h if accepted else 0.0, accepted, rejected)
+                           accepted, rejected)
 
 
 def _mid(bracket):
@@ -875,12 +874,12 @@ def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState
                       cfg: IntegrationConfig, table=True) -> TrajectoryResult:
     """Integrate both directions to the horizon and classify inextendibility.
 
-    Every kept sample is folded into the result's ``SampleSeries`` under
-    (m, fp).  With ``table`` True the result also keeps the sample table in
-    memory (``SampleTable``); with False it keeps none, and the memory of
-    the run does not grow with the horizon.  Any other ``table`` is a block
-    consumer that the fold hands the table's rows to instead (see
-    ``SampleSeries``), and the result keeps none."""
+    Every kept sample is folded into the result's ``series`` under (m, fp).
+    With ``table`` True the result also keeps the sample table in memory
+    (``result.table``); with False it keeps none, and the memory of the run
+    does not grow with the horizon.  Any other ``table`` is a block consumer
+    that the fold hands the table's rows to instead (see ``SampleSeries``),
+    and the result keeps none."""
     sysd = compiled_system(m, fp)
     kept = SampleTable(m.dim)
     series = SampleSeries(m, fp, kept if table is True else table or None)
@@ -919,8 +918,6 @@ class Certificates:
     c1: float = math.nan
     c2: float = math.nan
     m: float = math.nan
-    mc2: float = math.nan
-    g_vv_max: float = math.nan
     gr_form_max: float = math.nan
     bound: float = math.nan
     consistent: bool = False
@@ -1064,14 +1061,12 @@ class SampleTable:
 
     ``close`` joins the blocks in increasing t, the backward blocks last to
     first, each reversed, then the forward ones, into ``columns``, ``(ts,
-    qs, vs, energy, charge, speed)``, each also an attribute of that name,
-    and sets ``start_index``, the row of the start state.  Until then, and
-    without blocks, every column is empty.
+    qs, vs, energy, charge, speed)``, each also an attribute of that name.
+    Until then, and without blocks, every column is empty.
     """
 
     def __init__(self, n: int):
         self._blocks = ([], [])  # forward, backward
-        self.start_index = 0
         self._set((np.empty(0), np.empty((0, n)), np.empty((0, n)),
                    np.empty(0), np.empty(0), np.empty(0)))
 
@@ -1086,52 +1081,19 @@ class SampleTable:
         forward, backward = self._blocks
         self._blocks = ([], [])
         if forward or backward:
-            self.start_index = sum(len(b[0]) for b in backward)
             blocks = [[c[::-1] for c in b] for b in reversed(backward)] + forward
             self._set(tuple(map(np.concatenate, zip(*blocks))))
 
 
-def sample_series(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                  result: TrajectoryResult) -> SampleSeries:
-    """The fold of ``result`` under (m, fp).  The one made while integrating
-    is kept with the result; another (m, fp) folds the sample table again,
-    which a result without a table cannot do."""
-    series = result._series
-    if series.m is m and series.fp is fp:
-        return series
-    if not len(result.states):
-        raise ValueError("the result kept no sample table to fold under other fields")
-    ts, qs, vs = result.arrays()
-    i = result._table.start_index
-    table = SampleTable(m.dim)
-    series = SampleSeries(m, fp, table)
-    series.add(ts[i:], qs[i:], vs[i:])
-    if i:
-        series.add(*(np.ascontiguousarray(a[i - 1::-1]) for a in (ts, qs, vs)), backward=True)
-    table.close()
-    result._series, result._table = series, table
-    return series
-
-
-def sample_table(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                 result: TrajectoryResult) -> SampleTable:
-    """The sample table of ``result`` with its energy, charge and speed
-    columns under (m, fp); its columns are empty when the run kept no
-    table."""
-    sample_series(m, fp, result)
-    return result._table
-
-
-def energy_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                   result: TrajectoryResult) -> EnergyRecord:
+def energy_monitor(result: TrajectoryResult) -> EnergyRecord:
     """Drift of g(v,v) + 2V along the samples.
 
     The quantity is a constant of motion when F is skew-adjoint and the only
     extra force is -grad V; otherwise the record is informational.
     """
-    series = sample_series(m, fp, result)
-    skew = fl.is_skew_adjoint(m, fp)
-    gradient_force = fp.force_vector is None  # potential or nothing
+    series = result.series
+    skew = fl.is_skew_adjoint(series.m, series.fp)
+    gradient_force = series.fp.force_vector is None  # potential or nothing
     applicable = bool(skew.passed and gradient_force)
     note = "" if applicable else "not conserved - informational"
     return EnergyRecord(applicable, series.energy_ref, float(series.energy_drift), note)
@@ -1146,13 +1108,13 @@ def _nonuniform_derivative(ts, ys):
             + h1 / (h2 * (h1 + h2)) * ys[2:])
 
 
-def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                           result: TrajectoryResult) -> KillingRecord:
+def killing_charge_monitor(result: TrajectoryResult) -> KillingRecord:
     """Conservation or rate identity for the charge g(K, v) along the run."""
+    series = result.series
+    m, fp = series.m, series.fp
     if fp.reference_field is None:
         return KillingRecord(False, False, 0.0, 0.0, None, 0.0, "no reference field")
-    series = sample_series(m, fp, result)
-    res, max_sigma, _ = fl.conformal_report(m, fp)
+    res, max_sigma = fl.conformal_report(m, fp)
     killing = res <= fl._CONFORMAL_TOL and max_sigma <= fl._CONFORMAL_TOL
     annihilated = (fp.force_operator is None or fl.annihilates(m, fp).passed)
     no_potential = fp.potential is None and fp.force_vector is None
@@ -1163,27 +1125,25 @@ def killing_charge_monitor(m: geo.ManifoldSpec, fp: fl.FieldPack,
                          float(series.charge_bound))
 
 
-def certificate(m: geo.ManifoldSpec, fp: fl.FieldPack,
-                result: TrajectoryResult) -> Certificates:
+def certificate(result: TrajectoryResult) -> Certificates:
     """Empirical constants of the bound chain for a timelike reference field.
 
     c2 bounds |g(K,v)|, m bounds 1/|K| over the fundamental domain, and the
     positive-form speed must then stay below g(v,v)_max + 2 (m c2)^2.
     """
-    if fp.reference_field is None:
+    series = result.series
+    if series.fp.reference_field is None:
         return Certificates(True, "no reference field")
-    inv_norm = _inverse_norm_bound(m, fp)
+    inv_norm = _inverse_norm_bound(series.m, series.fp)
     if inv_norm is None:
         return Certificates(True, "reference field is not timelike everywhere sampled")
-    series = sample_series(m, fp, result)
     if series.gkk_max >= fl._TIMELIKE_MARGIN:
         return Certificates(True, "reference field not timelike along the trajectory")
     c2 = float(series.charge_bound)
     mc2 = inv_norm * c2
     # c1 from the smooth side of the rate identity
     c1 = float(series.rate_max)
-    g_vv_max = float(series.gvv_max)
     gr_max = float(series.gr_form_max)
-    bound = g_vv_max + 2.0 * mc2 * mc2
-    return Certificates(False, "", c1, c2, inv_norm, mc2, g_vv_max, gr_max,
-                        bound, bool(gr_max <= bound + 1e-6))
+    bound = float(series.gvv_max) + 2.0 * mc2 * mc2
+    return Certificates(False, "", c1, c2, inv_norm, gr_max, bound,
+                        bool(gr_max <= bound + 1e-6))

@@ -256,9 +256,8 @@ def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
 def conformal_report(m: geo.ManifoldSpec, fp: FieldPack):
     """Sampled conformal diagnostics of K.
 
-    Returns (max residual, max |sigma|, sigma at the first sample).  K is
-    conformal on the sample iff residual <= 1e-9, Killing iff also the
-    sigma bound is <= 1e-9.
+    Returns (max residual, max |sigma|).  K is conformal on the sample iff
+    residual <= 1e-9, Killing iff also the sigma bound is <= 1e-9.
     """
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
@@ -266,7 +265,7 @@ def conformal_report(m: geo.ManifoldSpec, fp: FieldPack):
     sigma, residual = geo.finite(
         "conformal factor of K", pts,
         lambda qs: np.column_stack(conformal_factors(m, fp.reference_field, qs))).T
-    return float(residual.max()), float(np.abs(sigma).max()), float(sigma[0])
+    return float(residual.max()), float(np.abs(sigma).max())
 
 
 @lru_cache(maxsize=32)

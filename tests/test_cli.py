@@ -174,16 +174,38 @@ def test_run_json_format_embeds_samples(tmp_path, capsys):
 
 
 def test_run_builds_the_sample_table_only_to_write_it(tmp_path, capsys, monkeypatch):
+    # --output spools the table and a bare run keeps none: only --format
+    # json holds it in memory, to embed it in the report
+    results = []
+
+    def integrate(*args, _f=dy.integrate_maximal, **kwargs):
+        results.append(_f(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dy, "integrate_maximal", integrate)
     argv = ["run", "--scenario", "clifton-pohl"]
     code, written = invoke(argv + ["--output", str(tmp_path)], capsys)
     assert code == 0 and (tmp_path / "run_trajectory.csv").exists()
-
-    def unused(*args):
-        raise AssertionError("the sample table was built but not written")
-
-    monkeypatch.setattr(cli, "_sample_table", unused)
     code, bare = invoke(argv, capsys)
     assert code == 0 and bare == written
+    code, embedded = invoke(argv + ["--format", "json"], capsys)
+    assert code == 0
+    kept = [len(res.table.ts) for res in results]
+    assert kept[:2] == [0, 0]
+    assert kept[2] == len(json.loads(embedded)["samples"]["rows"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--t-max", "5"], ["check", "--tol", "1e-3"], ["check", "--v-max", "2"],
+    ["check", "--format", "json"], ["sweep", "-n", "1", "--format", "json"],
+], ids=" ".join)
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([argv[0], "--scenario", "t3-magnetic", *argv[1:]])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 def test_csv_contract_for_every_builtin(tmp_path, capsys):

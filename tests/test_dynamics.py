@@ -456,7 +456,7 @@ def test_energy_monitor_flat_torus():
     s = cat.builtin("flat-lorentz-torus")
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                s.integration_config())
-    rec = dy.energy_monitor(s.manifold, s.fields, res)
+    rec = dy.energy_monitor(res)
     assert rec.applicable
     # c = g(v0, v0) = -1 + 0.09
     assert rec.reference == pytest.approx(-0.91)
@@ -467,7 +467,7 @@ def test_energy_monitor_informational_for_non_gradient_force():
     s = cat.builtin("null-plane-cubic")
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                s.integration_config())
-    rec = dy.energy_monitor(s.manifold, s.fields, res)
+    rec = dy.energy_monitor(res)
     assert not rec.applicable
     assert "informational" in rec.note
 
@@ -479,10 +479,10 @@ def test_killing_monitor_constant_case():
                       reference_field=s.fields.reference_field)
     cfg = s.integration_config(t_max=50.0)
     res = dy.integrate_maximal(s.manifold, fp, s.initial, cfg)
-    rec = dy.killing_charge_monitor(s.manifold, fp, res)
+    rec = dy.killing_charge_monitor(res)
     assert rec.present and rec.constant_case
     assert rec.max_drift <= 1e-8
-    cert = dy.certificate(s.manifold, fp, res)
+    cert = dy.certificate(res)
     assert not cert.refused
     assert cert.c1 <= 1e-8  # rate identity is identically zero here
 
@@ -491,7 +491,7 @@ def test_killing_monitor_rate_identity_with_potential():
     s = cat.builtin("t3-magnetic")
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                s.integration_config(t_max=20.0))
-    rec = dy.killing_charge_monitor(s.manifold, s.fields, res)
+    rec = dy.killing_charge_monitor(res)
     assert rec.present and not rec.constant_case
     assert rec.rate_residual is not None
     assert rec.rate_residual <= 1e-6
@@ -505,7 +505,7 @@ def test_killing_monitor_rate_identity_for_homothety():
     fp = fl.FieldPack(XY, reference_field=(ex.parse("x", XY), ex.parse("y", XY)))
     res = dy.integrate_maximal(m, fp, state((1.0, 0.5), (0.3, -0.2)),
                                dy.IntegrationConfig(t_max=5.0))
-    rec = dy.killing_charge_monitor(m, fp, res)
+    rec = dy.killing_charge_monitor(res)
     assert rec.present and not rec.constant_case
     assert rec.max_drift > 0.1
     assert rec.rate_residual <= 1e-6
@@ -515,7 +515,7 @@ def test_certificate_flat_torus_hand_values():
     s = cat.builtin("flat-lorentz-torus")
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                s.integration_config(t_max=10.0))
-    cert = dy.certificate(s.manifold, s.fields, res)
+    cert = dy.certificate(res)
     assert not cert.refused
     assert cert.m == pytest.approx(1.0)          # |K| = 1 everywhere
     assert cert.c2 == pytest.approx(1.0)         # |g(K, v0)| = |-v_t|
@@ -525,28 +525,29 @@ def test_certificate_flat_torus_hand_values():
 
 def test_certificate_refusals():
     s = cat.builtin("flat-lorentz-torus")
-    res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
-                               s.integration_config(t_max=1.0))
+    cfg = s.integration_config(t_max=1.0)
     no_k = fl.FieldPack(s.fields.frame)
-    assert dy.certificate(s.manifold, no_k, res).refused
     spacelike = fl.FieldPack(s.fields.frame,
                              reference_field=(ex.ZERO, ex.ONE))
-    assert dy.certificate(s.manifold, spacelike, res).refused
+    for fp, reason in ((no_k, "no reference field"),
+                       (spacelike, "reference field is not timelike everywhere sampled")):
+        cert = dy.certificate(dy.integrate_maximal(s.manifold, fp, s.initial, cfg))
+        assert cert.refused and cert.reason == reason
 
 
 def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
     # the monitors, the certificate, the speed series and the sample table
-    # read g and K at each sample once per result and field pack: the fold
-    # evaluates each block as the step loop hands it over, and nothing after
-    # the integration evaluates them again
+    # read g and K at each sample once per result: the fold evaluates each
+    # block as the step loop hands it over, and nothing after the
+    # integration evaluates them again
     s = cat.builtin("t3-magnetic")
     m, fp = s.manifold, s.fields
     cfg = s.integration_config(t_max=5.0)
 
     def read(res):
-        records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
-                   dy.certificate(m, fp, res))
-        return records, cli._sample_table(s, res)[1]
+        records = (dy.energy_monitor(res), dy.killing_charge_monitor(res),
+                   dy.certificate(res))
+        return records, np.column_stack(res.table.columns)
 
     # a first result fills the caches of the sampled checks
     fresh = dy.integrate_maximal(m, fp, s.initial, cfg)
@@ -562,14 +563,14 @@ def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
     records, table = read(res)
     assert sum(rows["metric_batch"]) == sum(rows["reference_batch"]) == len(res.states)
     assert max(rows["metric_batch"]) == max(rows["reference_batch"]) == 7
-    # the series equal an evaluation in larger blocks, and another field
-    # pack gets its own
+    # the series equal an evaluation in larger blocks
     assert records == fresh_records
     assert table.tobytes() == fresh_table.tobytes()
-    assert np.array_equal(table[:, -1], dy.sample_table(m, fp, fresh).speed)
+    # a run under a pack without K has no charge and no certificate
     no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
-    assert dy.certificate(m, no_k, res).refused
-    assert np.isnan(dy.sample_table(m, no_k, res).charge).all()
+    bare = dy.integrate_maximal(m, no_k, s.initial, cfg)
+    assert dy.certificate(bare).refused
+    assert len(bare.table.charge) and np.isnan(bare.table.charge).all()
 
 
 SAMPLED_CHECKS = (fl.is_skew_adjoint, fl.conformal_report, fl.is_timelike_everywhere,
@@ -593,9 +594,9 @@ def test_check_and_monitors_read_one_sample_per_hypothesis(monkeypatch):
     monkeypatch.setattr(geo, "sample_points", sample_points)
     report = cr.evaluate(m, fp)
     res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=1.0))
-    energy = dy.energy_monitor(m, fp, res)
-    killing = dy.killing_charge_monitor(m, fp, res)
-    assert not dy.certificate(m, fp, res).refused
+    energy = dy.energy_monitor(res)
+    killing = dy.killing_charge_monitor(res)
+    assert not dy.certificate(res).refused
     assert sorted(callers) == sorted(f.__name__ for f in SAMPLED_CHECKS)
     assert report.hypothesis("force-operator-skew").verdict == "pass"
     assert energy.applicable and killing.rate_residual is not None
@@ -606,7 +607,7 @@ def test_speed_series_uses_reference_form():
     res = dy.integrate_maximal(s.manifold, s.fields, s.initial,
                                s.integration_config(t_max=1.0))
     assert res.speed_mode == "reference"
-    speeds = dy.sample_table(s.manifold, s.fields, res).speed
+    speeds = res.table.speed
     # g_R(v,v) = g(v,v) + 2 g(K,v)^2 with v = (1, 0.3)
     want = math.sqrt((-1 + 0.09) + 2 * 1.0)
     assert np.allclose(speeds, want, atol=1e-9)
@@ -620,7 +621,7 @@ def test_reference_speed_exactly_when_the_certificate_takes_k(source):
     s = cat.resolve(source)
     m, fp = s.manifold, s.fields
     res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=0.1))
-    reason = dy.certificate(m, fp, res).reason
+    reason = dy.certificate(res).reason
     taken = (fp.reference_field is not None
              and reason != "reference field is not timelike everywhere sampled")
     assert (res.speed_mode == "reference") is taken, reason
@@ -843,8 +844,7 @@ def _reference_direction(sysd, s0, cfg, sign, sink):
                                         or min_h <= 10.0 * h_min):
         marginal = True
     verdict = dataclasses.replace(verdict, marginal=marginal)
-    return dy.DirectionReport(verdict, max_speed, min_h if accepted else 0.0, accepted,
-                              rejected)
+    return dy.DirectionReport(verdict, max_speed, accepted, rejected)
 
 
 def _line(potential, **cfg):
@@ -1108,8 +1108,8 @@ def test_block_size_changes_no_byte(source, args, tmp_path, capsys, monkeypatch)
     for block in (1, 7, dy._BLOCK):
         monkeypatch.setattr(dy, "_BLOCK", block)
         res = dy.integrate_maximal(m, fp, s.initial, cfg)
-        records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
-                   dy.certificate(m, fp, res))
+        records = (dy.energy_monitor(res), dy.killing_charge_monitor(res),
+                   dy.certificate(res))
         out = tmp_path / str(block)
         outputs = []
         for argv in (["run", "--scenario", source, *args, "--output", str(out / "run")],
@@ -1184,8 +1184,8 @@ def test_table_less_integration_holds_bounded_memory(monkeypatch):
         tracemalloc.start()
         try:
             res = dy.integrate_maximal(m, fp, s.initial, cfg, table=False)
-            records = (dy.energy_monitor(m, fp, res), dy.killing_charge_monitor(m, fp, res),
-                       dy.certificate(m, fp, res))
+            records = (dy.energy_monitor(res), dy.killing_charge_monitor(res),
+                       dy.certificate(res))
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1195,10 +1195,6 @@ def test_table_less_integration_holds_bounded_memory(monkeypatch):
     short, _, _ = peak(50.0)
     long, res, records = peak(400.0)
     assert len(res.states) == 0 and res.forward.accepted > 20000
-    # without a table nothing is left to fold under other fields
-    no_k = fl.FieldPack(fp.frame, force_operator=fp.force_operator, potential=fp.potential)
-    with pytest.raises(ValueError, match="no sample table"):
-        dy.energy_monitor(m, no_k, res)
     # the table of the longer run alone would add over 2 MB; the slack
     # covers the interpreter's free lists, which fill up to a fixed size
     assert long <= short + 128 * 1024, (short, long)
@@ -1207,9 +1203,9 @@ def test_table_less_integration_holds_bounded_memory(monkeypatch):
     assert len(ts) == kept.forward.accepted + kept.backward.accepted + 1
     assert [x.t for x in kept.states] == ts.tolist()
     assert kept.states[-1] == geo.TrajectoryState(ts[-1], tuple(qs[-1]), tuple(vs[-1]))
-    assert repr(records) == repr((dy.energy_monitor(m, fp, kept),
-                                  dy.killing_charge_monitor(m, fp, kept),
-                                  dy.certificate(m, fp, kept)))
+    assert repr(records) == repr((dy.energy_monitor(kept),
+                                  dy.killing_charge_monitor(kept),
+                                  dy.certificate(kept)))
 
 
 def _held(sysd, y):

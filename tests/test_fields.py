@@ -138,7 +138,7 @@ def test_conformal_report_clifton_pohl():
         geo.LORENTZIAN, geo.ScalingQuotient(2.0))
     K = (ex.parse("u", frame), ex.parse("v", frame))
     fp = fl.FieldPack(frame, reference_field=K)
-    residual, max_sigma, _ = fl.conformal_report(m, fp)
+    residual, max_sigma = fl.conformal_report(m, fp)
     assert residual <= 1e-10  # Killing for the scale-invariant metric
     assert max_sigma <= 1e-10
     # but not timelike: g(K,K) = 2uv/(u^2+v^2) changes sign
