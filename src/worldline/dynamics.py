@@ -17,14 +17,12 @@ stage.  The step emits only the arithmetic it reads (see
 ``_generate_sources``) and wraps the state into the fundamental domain of a
 lattice chart.
 
-Its lines are printed once and wrapped twice.  The step loop ``_advance``
-(``compiled_system(...).kernel``, see ``_loop_source``) runs one direction
-to a verdict on local floats: accept and reject, the PI controller, the
-finiteness test, the speed form, the domain test, the scaling
-renormalization and the kept rows.  ``_run_direction`` only starts it and
-reads its verdict.  The single step ``_kernel``
-(``compiled_system(...).step``) is compiled on first use; the tests step it
-in a handwritten loop, the oracle of the generated one.
+Its lines are printed once, into the step loop ``_advance``
+(``compiled_system(...).kernel``, see ``_loop_source``), which runs one
+direction to a verdict on local floats: accept and reject, the PI
+controller, the finiteness test, the speed form, the domain test, the
+scaling renormalization and the kept rows.  ``_run_direction`` only starts
+it and reads its verdict.
 
 The step loop hands the samples it keeps to a sink in blocks of at most
 ``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold that evaluates each
@@ -49,7 +47,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -181,24 +179,6 @@ class TrajectoryResult:
         return self.table.ts, self.table.qs, self.table.vs
 
 
-# --- right-hand side -------------------------------------------------------
-
-def rhs(m: geo.ManifoldSpec, fp: fl.FieldPack, s: TrajectoryState):
-    """(dq, dv) at a state, evaluated through the numeric tensor path.
-
-    dq = v and dv^k = -Gamma^k_ij v^i v^j + F^k_j v^j + X^k, with Gamma from
-    the numeric formula in g and its derivatives.  The generated right-hand
-    sides must agree with this to roundoff.
-    """
-    gam = geo.christoffel_at(m, s.q)
-    v = np.asarray(s.v, dtype=float)
-    dv = -np.einsum("kij,i,j->k", gam, v, v)
-    if fp.force_operator is not None:
-        dv += fp.force_matrix(s.q, s.t) @ v
-    dv += fl.drive_vector(m, fp, s.q, s.t)
-    return v, dv
-
-
 # --- compiled system -------------------------------------------------------
 
 class _System:
@@ -219,20 +199,10 @@ class _System:
         self.speed_source = _speed_source(speed, 2 * self.n)
         self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
         self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
-        # the step loop; the single step is compiled only when asked for
         self.kernel_source = _loop_source(m, step, speed)
-        self.step_source = _step_source(step)
-        self._ns = ns
         self.kernel = ex.compile_source(self.kernel_source, "_advance", dict(
             ns, _rhs=self.rhs_flat, geo=geo, _m=m, isfinite=math.isfinite,
             _EVAL_ERRORS=_EVAL_ERRORS))
-
-    @cached_property
-    def step(self):
-        """``step(t, h, y, k1, atol, rtol) -> (err, y5, k7)``: one step of
-        the lines the loop runs, y5 in the fundamental domain of a lattice
-        chart."""
-        return ex.compile_source(self.step_source, "_kernel", self._ns)
 
 
 @lru_cache(maxsize=16)
@@ -472,8 +442,7 @@ def _generate_sources(m, fp):
     overflows (``x ** 2`` raises where ``x * x`` gives inf); ``y5[c]`` is
     the text of the new state and ``k7[c]`` that of its slope; ``zero[c]``
     tells a structurally zero component, whose k1_c is never read.  The
-    lines are printed once and wrapped twice: into the single step ``_kernel`` (``_step_source``) and
-    into the step loop ``_advance`` (``_loop_source``).
+    step loop ``_advance`` (``_loop_source``) wraps the lines.
 
     The step is written out for the work it needs; each omission keeps
     every bit:
@@ -543,20 +512,6 @@ def _generate_sources(m, fp):
 def _slope_targets(zero):
     """The names a slope tuple unpacks into: ``_`` for a zero component."""
     return _tuple("_" if z else f"k1_{c}" for c, z in enumerate(zero))
-
-
-def _step_source(step):
-    """``_kernel(t, h, y, k1, atol, rtol)``: one step of the lines of
-    ``_generate_sources``, returning ``(err, y5, k7)``, or ``(inf, None,
-    None)`` when a stage line overflows: an infinite slope, which error
-    control rejects."""
-    lines, zero, y5, k7 = step
-    names = _tuple(f"y_{c}" for c in range(len(zero)))
-    return "".join(["def _kernel(t, h, y, k1, atol, rtol):\n",
-                    _indent([f"{names} = y", f"{_slope_targets(zero)} = k1", "try:"], 1),
-                    _indent(lines, 2),
-                    _indent(["except OverflowError:", "    return inf, None, None",
-                             f"return err, {_tuple(y5)}, {_tuple(k7)}"], 1)])
 
 
 def _speed_lines(m, fp, use_reference):
@@ -654,7 +609,7 @@ def _loop_source(m, step, speed):
     the caller hands on.  Around the lines of the step it runs accept and
     reject, the PI controller, the finiteness test, the speed form, the
     domain test, the scaling renormalization and the kept rows, each float
-    operation as the single step and ``normalize_qv`` do it:
+    operation as ``normalize_qv`` and the handwritten loop of the tests do it:
     - the new state is finite when x - x == 0.0 for its sum x with err: a
       sum with an infinity or a nan is not finite.  Otherwise (an overflowing
       sum too) err must not be nan and each component is tested.  An

@@ -416,45 +416,6 @@ def parse(text: str, frame: CoordinateFrame) -> Expr:
     return _Parser(text, frame).parse()
 
 
-# --- evaluation ------------------------------------------------------------
-
-def evaluate(e: Expr, point, t: float = 0.0) -> float:
-    """Evaluate at a coordinate tuple (and parameter value ``t``).
-
-    Raises EvaluationDomainError on division by zero, log of a non-positive
-    number, or overflow.
-    """
-    try:
-        v = _eval(e, point, t)
-    except ZeroDivisionError:
-        raise EvaluationDomainError("division by zero") from None
-    except OverflowError:
-        raise EvaluationDomainError("overflow") from None
-    if not math.isfinite(v):
-        raise EvaluationDomainError(f"non-finite value {v!r}")
-    return v
-
-
-def _eval(e: Expr, point, t: float) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.index == TIME_INDEX else point[e.index]
-    if isinstance(e, Add):
-        return _eval(e.a, point, t) + _eval(e.b, point, t)
-    if isinstance(e, Mul):
-        return _eval(e.a, point, t) * _eval(e.b, point, t)
-    if isinstance(e, Div):
-        return _eval(e.a, point, t) / _eval(e.b, point, t)
-    if isinstance(e, Neg):
-        return -_eval(e.a, point, t)
-    if isinstance(e, Pow):
-        return _eval(e.base, point, t) ** e.exponent
-    if isinstance(e, Fun):
-        return FUNCTIONS[e.name].scalar(_eval(e.arg, point, t))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # --- differentiation -------------------------------------------------------
 
 def derive(e: Expr, var: str) -> Expr:
@@ -514,6 +475,8 @@ def to_text(e: Expr) -> str:
     """Canonical text form; ``parse(to_text(e))`` rebuilds an equal AST."""
     if isinstance(e, Const):
         v = e.value
+        if math.isinf(v):  # float("1e999") is inf: parse reads these back
+            return "1e999" if v > 0 else "-1e999"
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

@@ -97,10 +97,6 @@ class FieldPack:
         """Partial derivatives dV/dx_i at each point."""
         return self._compiled.dV(qs, _times(qs, ts))
 
-    def force_matrix(self, q, t: float = 0.0) -> np.ndarray:
-        """F as an n x n matrix at a point (zero matrix when F is absent)."""
-        return self.force_batch(*_one(q, t))[0]
-
     def reference_value(self, q, t: float = 0.0) -> np.ndarray:
         return self.reference_batch(*_one(q, t))[0]
 
@@ -134,14 +130,6 @@ class _CompiledFields:
 
 
 @dataclass(frozen=True)
-class DecompositionAt:
-    """F split at a point into the part symmetric for g and the part skew for g."""
-
-    S: np.ndarray
-    H: np.ndarray
-
-
-@dataclass(frozen=True)
 class SampledCheck:
     """Outcome of a pointwise-everywhere hypothesis tested on finite samples."""
 
@@ -154,15 +142,6 @@ class SampledCheck:
 def g_adjoint(g: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Adjoint of F with respect to the (possibly indefinite) form g (or stacks)."""
     return np.linalg.solve(g, np.swapaxes(F, -1, -2) @ g)
-
-
-def decompose(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> DecompositionAt:
-    if fp.force_operator is None:
-        raise geo.ValidationError("no force operator to decompose")
-    g = geo.metric_at(m, p)
-    F = fp.force_matrix(p, t)
-    Fstar = g_adjoint(g, F)
-    return DecompositionAt(0.5 * (F + Fstar), 0.5 * (F - Fstar))
 
 
 @lru_cache(maxsize=32)
@@ -197,20 +176,15 @@ def annihilates(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
 
 
 def drive_vectors(m: geo.ManifoldSpec, fp: FieldPack, qs, ts=None) -> np.ndarray:
-    """drive_vector at an (k, n) array of points; the metric is checked as
-    by metric_at."""
+    """The X that enters the equation at each row of an (k, n) array of
+    points: -grad V if a potential is given, else the explicit force vector,
+    else zero.  The metric is checked as by metrics_at."""
     if fp.potential is not None:
         dv = fp.potential_derivative_batch(qs, ts)
         return -np.linalg.solve(geo.metrics_at(m, qs), dv[..., None])[..., 0]
     if fp.force_vector is not None:
         return fp.vector_batch(qs, ts)
     return np.zeros((len(qs), m.dim))
-
-
-def drive_vector(m: geo.ManifoldSpec, fp: FieldPack, p, t: float = 0.0) -> np.ndarray:
-    """The X that actually enters the equation: -grad V if a potential is given,
-    else the explicit force vector, else zero."""
-    return drive_vectors(m, fp, *_one(p, t))[0]
 
 
 # -- conformal structure of K ----------------------------------------------

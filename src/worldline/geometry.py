@@ -2,9 +2,10 @@
 
 A manifold is a single coordinate chart with a symbolic metric matrix, an
 optional quotient (lattice translations or a scaling map) that encodes
-compactness structurally, and a chart domain predicate.  The metric and its
-derivatives are each compiled once into one numpy function over arrays of
-points; the pointwise operations apply them to one point.
+compactness structurally, and a chart domain predicate.  The metric is
+compiled once into one numpy function over arrays of points; its symbolic
+derivatives, and up to dimension 4 its symbolic inverse, feed the generated
+stepper.
 """
 
 from __future__ import annotations
@@ -186,14 +187,13 @@ def mirrored(rows):
 
 
 class _CompiledMetric:
-    """Compiled metric and derivatives; the symbolic derivatives of g, and up
-    to dimension 4 its symbolic inverse, feed the generated stepper."""
+    """Compiled metric; the symbolic derivatives of g, and up to dimension 4
+    its symbolic inverse, feed the generated stepper."""
 
     def __init__(self, m: ManifoldSpec):
         frame = m.frame
         n = m.dim
         self.n = n
-        self.frame = frame
         g = m.metric
         self.metric_fn = ex.compile_batch(mirrored(g), frame)
         # dg[k][i][j] = d g_ij / d x_k; (i, j) and (j, i) share one expression
@@ -207,15 +207,6 @@ class _CompiledMetric:
 
     def batch(self, qs: np.ndarray) -> np.ndarray:
         return self.metric_fn(qs, np.zeros(len(qs))).reshape(len(qs), self.n, self.n)
-
-    @cached_property
-    def _dg_fn(self):
-        return ex.compile_batch([e for plane in self.dg for row in plane for e in row],
-                                self.frame)
-
-    def dg_batch(self, qs: np.ndarray) -> np.ndarray:
-        """Metric derivatives at an (m, n) array of points, indexed [m, k, i, j]."""
-        return self._dg_fn(qs, np.zeros(len(qs))).reshape((len(qs),) + (self.n,) * 3)
 
 
 def _det(g, n) -> ex.Expr:
@@ -296,30 +287,6 @@ def metrics_at(m: ManifoldSpec, qs) -> np.ndarray:
 def metric_at(m: ManifoldSpec, p) -> np.ndarray:
     """Evaluate g at p; checks domain membership, degeneracy and signature."""
     return metrics_at(m, np.asarray(p, dtype=float)[None])[0]
-
-
-def levi_civita(g: np.ndarray, dg: np.ndarray, qs) -> np.ndarray:
-    """Levi-Civita coefficients from g and its derivatives, indexed [k, i, j].
-
-    g has shape (..., n, n) and dg shape (..., n, n, n) with dg[k, i, j] =
-    d_k g_ij; one point or a stack of points.  Raises DegenerateMetricError
-    naming the first point (row of ``qs``) where det g nearly vanishes.
-    """
-    degenerate = np.abs(np.linalg.det(g)) < _DEGENERACY_TOL
-    if degenerate.any():
-        q = np.reshape(qs, (-1, g.shape[-1]))[int(np.argmax(degenerate))]
-        raise DegenerateMetricError(f"metric is degenerate at {tuple(q.tolist())}")
-    ginv = np.linalg.inv(g)
-    # 0.5 * g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), from dg[k, i, j] = d_k g_ij
-    dg_ikj = np.swapaxes(dg, -3, -2)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv,
-                           dg + dg_ikj - np.swapaxes(dg_ikj, -2, -1))
-
-
-def christoffel_at(m: ManifoldSpec, p) -> np.ndarray:
-    """Levi-Civita coefficients at p, shape (n, n, n) indexed [k, i, j]."""
-    qs = np.asarray(p, dtype=float)[None]
-    return levi_civita(m.metric_batch(qs), m._sys.dg_batch(qs), qs)[0]
 
 
 def normalize_qv(m: ManifoldSpec, q: tuple, v: tuple):

@@ -29,18 +29,25 @@ def test_builtins_validate_and_carry_expectations():
 
 
 def test_round_trip_is_byte_identical(tmp_path):
-    for name in cat.list_builtins():
-        p1 = tmp_path / f"{name}.json"
-        p2 = tmp_path / f"{name}_again.json"
-        s = cat.builtin(name)
+    # float("1e999") is inf: a file may write an infinite literal, and save
+    # prints it back
+    infinite = cat.scenario_from_dict(scenario_doc(
+        name="infinite-literal", dimension=1, coordinates=["x"], metric={"g_0_0": "1"},
+        domain={"lower": [None], "upper": [None], "exclude_origin_radius": None},
+        fields={"F": None, "X": ["x^2 + x/1e999"], "V": None, "K": None},
+        initial={"q": [1.0], "v": [1.0]}))
+    for s in [*map(cat.builtin, cat.list_builtins()), infinite]:
+        p1 = tmp_path / f"{s.name}.json"
+        p2 = tmp_path / f"{s.name}_again.json"
         cat.save(s, p1)
         s2 = cat.load(p1)
         cat.save(s2, p2)
-        assert p1.read_bytes() == p2.read_bytes(), name
+        assert p1.read_bytes() == p2.read_bytes(), s.name
         assert s2.manifold == s.manifold
         assert s2.fields == s.fields
         assert s2.initial == s.initial
         assert s2.config == s.config
+    assert json.loads(p1.read_text())["fields"]["X"] == ["x^2 + x/1e999"]
 
 
 def test_normative_keys_present(tmp_path):

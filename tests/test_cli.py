@@ -15,6 +15,8 @@ import worldline.expr as ex
 import worldline.geometry as geo
 from worldline import cli
 
+import oracles
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -489,7 +491,7 @@ def test_overflowing_error_norm_is_an_error_control_rejection(tmp_path, capsys):
     path = _builtin_file(tmp_path, "riemann-superlinear",
                          _set(("fields", "X"), ["1e43 * x^2"]))
     s = cat.load(path)
-    err, y5, k7 = dy.compiled_system(s.manifold, s.fields).step(
+    err, y5, k7 = oracles.single_step(dy.compiled_system(s.manifold, s.fields))(
         0.0, 2e-12, (1.0, 1.0), (1.0, 1e43), 1e-12, 1e-10)
     assert err == math.inf and all(map(math.isfinite, y5 + k7))
     code, out = invoke(["run", "--scenario", path], capsys)
@@ -508,7 +510,8 @@ def test_overflowing_stage_is_an_error_control_rejection(tmp_path, capsys):
     s = cat.load(path)
     sysd = dy.compiled_system(s.manifold, s.fields)
     y = (1.0, 1.0)
-    assert sysd.step(0.0, 1e-9, y, sysd.rhs_flat(0.0, y), 1e-12, 1e-10) == (math.inf, None, None)
+    step = oracles.single_step(sysd)
+    assert step(0.0, 1e-9, y, sysd.rhs_flat(0.0, y), 1e-12, 1e-10) == (math.inf, None, None)
     code, out = invoke(["run", "--scenario", path], capsys)
     assert code == 0
     doc = _strict_json(out)

@@ -1,13 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import worldline.catalog as cat
 import worldline.criteria as cr
+import worldline.dynamics as dy
 import worldline.expr as ex
 import worldline.fields as fl
 import worldline.geometry as geo
+
+import oracles
 
 XY = ex.CoordinateFrame(("x", "y"))
 X1 = ex.CoordinateFrame(("x",))
@@ -247,6 +251,23 @@ def test_skew_iff_vanishing_symmetric_part():
         pts = geo.sample_points(s.manifold, 200)
         s_norm = 0.0
         for q in pts:
-            d = fl.decompose(s.manifold, s.fields, tuple(q))
+            d = oracles.decompose(s.manifold, s.fields, tuple(q))
             s_norm = max(s_norm, float(np.max(np.abs(d.S))))
         assert skew.passed == (s_norm <= 1e-9), name
+
+
+# --- the one-sided rule -------------------------------------------------------
+
+# 1-d lines, declared complete, on which check predicts Complete although
+# the trajectory from q = v = 1 blows up before t = 8
+_WRONG_COMPLETE = ["probe-unbounded-S.json", "probe-cubic-X.json", "probe-slow-S.json"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", _WRONG_COMPLETE)
+def test_complete_prediction_never_meets_an_incomplete_run(name):
+    s = cat.load(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", name))
+    prediction = cr.evaluate(s.manifold, s.fields).prediction
+    run = dy.integrate_maximal(s.manifold, s.fields, s.initial, s.integration_config())
+    assert prediction != cr.COMPLETE or run.classification.kind == dy.COMPLETE, (
+        prediction, run.classification)

@@ -19,6 +19,8 @@ import worldline.fields as fl
 import worldline.geometry as geo
 from worldline import cli
 
+import oracles
+
 XY = ex.CoordinateFrame(("x", "y"))
 X1 = ex.CoordinateFrame(("x",))
 
@@ -42,21 +44,21 @@ def state(q, v):
 
 def test_rhs_flat_geodesic():
     m = euclid2()
-    dq, dv = dy.rhs(m, fl.FieldPack(XY), state((0.3, -1.0), (2.0, 5.0)))
+    dq, dv = oracles.rhs(m, fl.FieldPack(XY), state((0.3, -1.0), (2.0, 5.0)))
     assert np.allclose(dq, [2.0, 5.0])
     assert np.allclose(dv, 0.0)
 
 
 def test_rhs_null_plane_cubic_force():
     s = cat.builtin("null-plane-cubic")
-    dq, dv = dy.rhs(s.manifold, s.fields, state((1.0, 0.0), (0.7, -0.2)))
+    dq, dv = oracles.rhs(s.manifold, s.fields, state((1.0, 0.0), (0.7, -0.2)))
     assert np.allclose(dq, [0.7, -0.2])
     assert np.allclose(dv, [2.0, 0.0])  # flat chart, X = (2x^3, 0)
 
 
 def test_rhs_clifton_pohl_geodesic():
     s = cat.builtin("clifton-pohl")
-    dq, dv = dy.rhs(s.manifold, s.fields, state((1.0, 0.0), (1.0, 0.0)))
+    dq, dv = oracles.rhs(s.manifold, s.fields, state((1.0, 0.0), (1.0, 0.0)))
     # dv^u = -Gamma^u_uu = 2 at (1,0)
     assert np.allclose(dv, [2.0, 0.0])
 
@@ -65,9 +67,9 @@ def test_rhs_autonomous_in_time():
     s = cat.builtin("t3-magnetic")
     assert not s.fields.time_dependent
     st = state((0.0, 0.2, 0.4), (1.0, 0.1, -0.2))
-    dq0, dv0 = dy.rhs(s.manifold, s.fields, st)
+    dq0, dv0 = oracles.rhs(s.manifold, s.fields, st)
     shifted = geo.TrajectoryState(17.5, st.q, st.v)
-    dq1, dv1 = dy.rhs(s.manifold, s.fields, shifted)
+    dq1, dv1 = oracles.rhs(s.manifold, s.fields, shifted)
     assert np.allclose(dq0, dq1) and np.allclose(dv0, dv1)
 
 
@@ -225,12 +227,13 @@ CURVED_5D = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cu
 
 def _reference_step(m, fp, t, h, y, k1, atol, rtol):
     """One Dormand-Prince 5(4) step from the public tableau of scipy's RK45,
-    over the numeric right-hand side ``dy.rhs``: (err, y5, k7)."""
+    over the numeric right-hand side ``oracles.rhs``: (err, y5, k7)."""
     rk = pytest.importorskip("scipy.integrate").RK45
     n = m.dim
 
     def f(t, y):
-        return np.concatenate(dy.rhs(m, fp, geo.TrajectoryState(t, tuple(y[:n]), tuple(y[n:]))))
+        st = geo.TrajectoryState(t, tuple(y[:n]), tuple(y[n:]))
+        return np.concatenate(oracles.rhs(m, fp, st))
 
     k = np.empty((7, 2 * n))
     k[0] = k1
@@ -254,11 +257,12 @@ def test_generated_kernel_matches_generic():
     for s in scenarios:
         m, fp = s.manifold, s.fields
         sysd = dy.compiled_system(m, fp)
+        step = oracles.single_step(sysd)
         for q in geo.sample_points(m, 4):
             y = np.concatenate([q, rng.uniform(-1, 1, m.dim)])
             k1 = np.asarray(sysd.rhs_flat(0.3, tuple(y)))
             for h in (1e-3, 1e-2):
-                err, y5, k7 = sysd.step(0.3, h, tuple(y), tuple(k1), 1e-6, 1e-6)
+                err, y5, k7 = step(0.3, h, tuple(y), tuple(k1), 1e-6, 1e-6)
                 err_ref, y5_ref, k7_ref = _reference_step(m, fp, 0.3, h, y, k1, 1e-6, 1e-6)
                 assert np.allclose(y5, y5_ref, rtol=1e-13, atol=1e-15), s.name
                 assert np.allclose(k7, k7_ref, rtol=1e-12,
@@ -304,6 +308,7 @@ def test_kernel_is_the_tableau_step_bit_for_bit():
     for s in scenarios:
         m = s.manifold
         sysd = dy.compiled_system(m, s.fields)
+        step = oracles.single_step(sysd)
         starts = []
         for i, q in enumerate(geo.sample_points(m, 6)):
             v = rng.uniform(-1, 1, m.dim)
@@ -322,7 +327,7 @@ def test_kernel_is_the_tableau_step_bit_for_bit():
                     continue
                 for h in (1e-3, -1e-3, 0.05, -0.05, 2.0, -0.0):
                     for atol, rtol in ((1e-12, 1e-10), (1e-6, 1e-3)):
-                        got = sysd.step(t, h, y, k1, atol, rtol)
+                        got = step(t, h, y, k1, atol, rtol)
                         want = _tableau_step(sysd, t, h, y, k1, atol, rtol)
                         assert repr(got) == repr(want), (s.name, y, t, h)
                         checked += 1
@@ -353,7 +358,7 @@ def test_rhs_above_dimension_four_refuses_degenerate_and_non_finite_states():
         with pytest.raises(geo.DegenerateMetricError, match=rf"degenerate at \({a!r}, 0\.5,"):
             rhs_flat(0.0, q + (1.0,) * 5)
         with pytest.raises(geo.DegenerateMetricError):
-            dy.rhs(m, fl.FieldPack(frame), geo.TrajectoryState(0.0, q, (1.0,) * 5))
+            oracles.rhs(m, fl.FieldPack(frame), geo.TrajectoryState(0.0, q, (1.0,) * 5))
     with pytest.raises(OverflowError):
         rhs_flat(0.0, (math.nan,) * 10)
     with pytest.raises(OverflowError):  # v_e enters no term of dv
@@ -423,7 +428,8 @@ def test_dimension_five_endpoint_matches_dop853():
     assert res.forward.classification.kind == dy.COMPLETE
 
     def f(t, y):
-        return np.concatenate(dy.rhs(m, fp, geo.TrajectoryState(t, tuple(y[:5]), tuple(y[5:]))))
+        st = geo.TrajectoryState(t, tuple(y[:5]), tuple(y[5:]))
+        return np.concatenate(oracles.rhs(m, fp, st))
 
     ref = solve_ivp(f, (0.0, cfg.t_max), np.concatenate([s.initial.q, s.initial.v]),
                     method="DOP853", rtol=1e-12, atol=1e-14)
@@ -680,12 +686,12 @@ def test_numpy_start_data_steps_in_plain_floats(source, monkeypatch):
 
 
 def _reference_direction(sysd, s0, cfg, sign, sink):
-    """The step loop written by hand over the single step ``sysd.step``:
+    """The step loop written by hand over the single step of ``sysd``:
     the oracle of the generated loop that ``dy._run_direction`` runs, with
     the same arguments and the same sink calls and report."""
     m = sysd.m
     n = sysd.n
-    step = sysd.step
+    step = oracles.single_step(sysd)
     rhs_flat = sysd.rhs_flat
     speed_sq = sysd.speed_sq
     scaling = isinstance(m.quotient, geo.ScalingQuotient)
@@ -1211,7 +1217,8 @@ def test_table_less_integration_holds_bounded_memory(monkeypatch):
 def _held(sysd, y):
     """The state the kernel returns for a step of length -0.0, which moves no
     coordinate (x + -0.0 is x for every x): y in the fundamental domain."""
-    return sysd.step(0.0, -0.0, y, sysd.rhs_flat(0.0, y), 1e-12, 1e-10)[1]
+    step = oracles.single_step(sysd)
+    return step(0.0, -0.0, y, sysd.rhs_flat(0.0, y), 1e-12, 1e-10)[1]
 
 
 @pytest.mark.parametrize("periods", [(1.0, None), (None, 2.5), (0.75, 1.0)])
@@ -1290,7 +1297,7 @@ def test_generated_rhs_matches_numeric_oracle():
         for q in geo.sample_points(m, 40):
             st = geo.TrajectoryState(0.3, tuple(q), tuple(rng.uniform(-2, 2, m.dim)))
             got = np.asarray(rhs_flat(st.t, st.q + st.v))
-            want = np.concatenate(dy.rhs(m, fp, st))
+            want = np.concatenate(oracles.rhs(m, fp, st))
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), s.name
 
 

@@ -5,31 +5,33 @@ import pytest
 
 import worldline.expr as ex
 
+from oracles import evaluate
+
 XY = ex.CoordinateFrame(("x", "y"))
 XT = ex.CoordinateFrame(("x",), time_dependent=True)
 
 
 def test_parse_numbers_and_constants():
-    assert ex.evaluate(ex.parse("2.5", XY), (0, 0)) == 2.5
-    assert ex.evaluate(ex.parse("1e-3", XY), (0, 0)) == 1e-3
-    assert ex.evaluate(ex.parse("pi", XY), (0, 0)) == math.pi
+    assert evaluate(ex.parse("2.5", XY), (0, 0)) == 2.5
+    assert evaluate(ex.parse("1e-3", XY), (0, 0)) == 1e-3
+    assert evaluate(ex.parse("pi", XY), (0, 0)) == math.pi
 
 
 def test_precedence_and_unary_minus():
     e = ex.parse("2*x + 3*y^2", XY)
-    assert ex.evaluate(e, (5.0, 2.0)) == 22.0
+    assert evaluate(e, (5.0, 2.0)) == 22.0
     # unary minus binds looser than the power
-    assert ex.evaluate(ex.parse("-x^2", XY), (3.0, 0.0)) == -9.0
-    assert ex.evaluate(ex.parse("(-x)^2", XY), (3.0, 0.0)) == 9.0
-    assert ex.evaluate(ex.parse("x^-2", XY), (2.0, 0.0)) == 0.25
-    assert ex.evaluate(ex.parse("2 - -3", XY), (0, 0)) == 5.0
+    assert evaluate(ex.parse("-x^2", XY), (3.0, 0.0)) == -9.0
+    assert evaluate(ex.parse("(-x)^2", XY), (3.0, 0.0)) == 9.0
+    assert evaluate(ex.parse("x^-2", XY), (2.0, 0.0)) == 0.25
+    assert evaluate(ex.parse("2 - -3", XY), (0, 0)) == 5.0
 
 
 def test_functions():
     e = ex.parse("sin(x)^2 + cos(x)^2", XY)
     for v in (0.0, 0.7, -2.0):
-        assert ex.evaluate(e, (v, 0.0)) == pytest.approx(1.0, abs=1e-15)
-    assert ex.evaluate(ex.parse("exp(log(x))", XY), (3.0, 0.0)) == pytest.approx(3.0)
+        assert evaluate(e, (v, 0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate(ex.parse("exp(log(x))", XY), (3.0, 0.0)) == pytest.approx(3.0)
 
 
 def test_parse_errors():
@@ -51,12 +53,12 @@ def test_time_handling():
         ex.parse("t", XY)
     e = ex.parse("x * t", XT)
     assert ex.references_time(e)
-    assert ex.evaluate(e, (3.0,), t=2.0) == 6.0
+    assert evaluate(e, (3.0,), t=2.0) == 6.0
     # a coordinate named 't' in a static frame stays a coordinate
     frame_t = ex.CoordinateFrame(("t", "x"))
     e2 = ex.parse("t + x", frame_t)
     assert not ex.references_time(e2)
-    assert ex.evaluate(e2, (1.0, 2.0), t=99.0) == 3.0
+    assert evaluate(e2, (1.0, 2.0), t=99.0) == 3.0
 
 
 def test_to_text_round_trip():
@@ -68,6 +70,10 @@ def test_to_text_round_trip():
         "sin(2 * pi * x)",
         "x^-3",
         "x - y - 1",
+        # an infinite literal prints as 1e999, which parses back to it
+        "x/1e999",
+        "exp(-1e999)*x",
+        "x - 1e999",
     ]
     for text in cases:
         e = ex.parse(text, XY)
@@ -80,9 +86,9 @@ def test_to_text_round_trip():
 def test_derive_polynomial():
     e = ex.parse("x^3 + 2*x*y", XY)
     dx = ex.derive(e, "x")
-    assert ex.evaluate(dx, (2.0, 5.0)) == pytest.approx(3 * 4 + 2 * 5)
+    assert evaluate(dx, (2.0, 5.0)) == pytest.approx(3 * 4 + 2 * 5)
     dy = ex.derive(e, "y")
-    assert ex.evaluate(dy, (2.0, 5.0)) == pytest.approx(4.0)
+    assert evaluate(dy, (2.0, 5.0)) == pytest.approx(4.0)
 
 
 def test_derive_chain_and_quotient():
@@ -90,13 +96,13 @@ def test_derive_chain_and_quotient():
     dx = ex.derive(e, "x")
     x, y = 0.8, -0.4
     want = 2 * x * math.cos(x * x) / (1 + y * y)
-    assert ex.evaluate(dx, (x, y)) == pytest.approx(want, rel=1e-12)
+    assert evaluate(dx, (x, y)) == pytest.approx(want, rel=1e-12)
 
 
 def test_derive_time():
     e = ex.parse("x * sin(t)", XT)
     dt = ex.derive(e, ex.TIME_NAME)
-    assert ex.evaluate(dt, (2.0,), t=0.0) == pytest.approx(2.0)
+    assert evaluate(dt, (2.0,), t=0.0) == pytest.approx(2.0)
     assert ex.derive(ex.parse("x^2", XT), ex.TIME_NAME) == ex.ZERO
 
 
@@ -132,7 +138,7 @@ def test_scalar_source_matches_evaluate():
     f, _ = _scalar_function([e], ("x", "y"))
     for _ in range(50):
         q = tuple(rng.uniform(-3, 3, size=2))
-        assert f(*q)[0] == pytest.approx(ex.evaluate(e, q), rel=1e-15)
+        assert f(*q)[0] == pytest.approx(evaluate(e, q), rel=1e-15)
     g, _ = _scalar_function([ex.parse("log(x)", XY)], ("x",))
     with pytest.raises(ex.EvaluationDomainError):
         g(0.0)
@@ -151,7 +157,7 @@ def test_emitter_shares_nodes_but_not_signed_zeros():
     assert math.copysign(1.0, p) == 1.0 and math.copysign(1.0, m) == -1.0
     # a negative literal raised to a power keeps its sign inside the power
     f, _ = _scalar_function([ex.Pow(ex.Const(-2.0), 2)], ())
-    assert f() == (4.0,) == (ex.evaluate(ex.Pow(ex.Const(-2.0), 2), ()),)
+    assert f() == (4.0,) == (evaluate(ex.Pow(ex.Const(-2.0), 2), ()),)
 
 
 def test_emitter_splits_deep_trees():
@@ -177,7 +183,7 @@ def test_compile_batch_matches_scalar():
     qs = rng.uniform(-2, 2, size=(40, 1))
     ts = rng.uniform(-2, 2, size=40)
     got = ex.compile_batch([e, ex.parse("2", XT)], XT)(qs, ts)
-    want = np.array([ex.evaluate(e, tuple(q), t) for q, t in zip(qs, ts)])
+    want = np.array([evaluate(e, tuple(q), t) for q, t in zip(qs, ts)])
     assert got.shape == (40, 2)
     assert np.allclose(got[:, 0], want, rtol=1e-14, atol=0)
     # constants broadcast to one value per point
@@ -188,15 +194,15 @@ def test_function_table_drives_parser_and_derivatives():
     # every function of the table parses, evaluates and differentiates
     for name, fn in ex.FUNCTIONS.items():
         e = ex.parse(f"{name}(x)", XY)
-        assert ex.evaluate(e, (0.7, 0.0)) == fn.scalar(0.7)
-        d = ex.evaluate(ex.derive(e, "x"), (0.7, 0.0))
+        assert evaluate(e, (0.7, 0.0)) == fn.scalar(0.7)
+        d = evaluate(ex.derive(e, "x"), (0.7, 0.0))
         fd = (fn.scalar(0.7 + 1e-6) - fn.scalar(0.7 - 1e-6)) / 2e-6
         assert d == pytest.approx(fd, rel=1e-8), name
     for unsupported in ("tan(x)", "sqrt(x)", "abs(x)"):
         with pytest.raises(ex.UnknownIdentifierError):
             ex.parse(unsupported, XY)
     with pytest.raises(ex.EvaluationDomainError):
-        ex.evaluate(ex.parse("log(x)", XY), (-1.0, 0.0))
+        evaluate(ex.parse("log(x)", XY), (-1.0, 0.0))
 
 
 # --- randomized derivative oracle -----------------------------------------
@@ -238,7 +244,7 @@ def central_difference(e, frame, q, i, h):
     hi = list(q)
     lo[i] -= h
     hi[i] += h
-    return (ex.evaluate(e, hi) - ex.evaluate(e, lo)) / (2 * h)
+    return (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
 
 
 def test_random_derivatives_match_finite_differences():
@@ -248,11 +254,11 @@ def test_random_derivatives_match_finite_differences():
     while checked < 300:
         e = random_expr(rng, frame, depth=4)
         q = tuple(rng.uniform(-2, 2, size=3))
-        val = ex.evaluate(e, q)
+        val = evaluate(e, q)
         if not math.isfinite(val) or abs(val) > 1e6:
             continue
         i = int(rng.integers(3))
-        sym = ex.evaluate(ex.derive(e, frame.names[i]), q)
+        sym = evaluate(ex.derive(e, frame.names[i]), q)
         if abs(sym) > 1e6:
             continue
         fd = central_difference(e, frame, q, i, 1e-6 * (1 + abs(q[i])))
@@ -325,7 +331,7 @@ _SETTINGS = hyp.settings(max_examples=60, deadline=None,
 
 def _evaluate(e, point):
     try:
-        return ex.evaluate(e, point[:2], point[2])
+        return evaluate(e, point[:2], point[2])
     except ex.EvaluationDomainError:
         return None
 

@@ -7,6 +7,8 @@ import worldline.expr as ex
 import worldline.fields as fl
 import worldline.geometry as geo
 
+import oracles
+
 XY = ex.CoordinateFrame(("x", "y"))
 
 
@@ -45,8 +47,8 @@ def test_g_adjoint_minkowski():
 def test_decompose_recomposes_and_splits():
     m = minkowski2()
     fp = fl.FieldPack(XY, force_operator=parse_matrix([["0", "1"], ["1", "0"]]))
-    d = fl.decompose(m, fp, (0.0, 0.0))
-    F = fp.force_matrix((0.0, 0.0))
+    d = oracles.decompose(m, fp, (0.0, 0.0))
+    F = fp.force_batch(np.zeros((1, 2)))[0]
     assert np.allclose(d.S + d.H, F)
     # this operator is skew-adjoint for the Minkowski metric, so S vanishes
     assert np.allclose(d.S, 0.0, atol=1e-14)
@@ -79,21 +81,21 @@ def test_gradient_flat_and_curved():
     # a potential drives X = -grad V
     m = euclid2()
     fp = fl.FieldPack(XY, potential=ex.parse("x", XY))
-    assert np.allclose(-fl.drive_vector(m, fp, (3.0, 4.0)), [1.0, 0.0])
+    assert np.allclose(-fl.drive_vectors(m, fp, np.array([[3.0, 4.0]])), [1.0, 0.0])
     # null-plane metric dx dy: grad V has components g^{ij} dV_j
     null = geo.manifold_from_components(
         XY, {(0, 1): ex.ONE}, geo.ChartDomain.unbounded(2), geo.LORENTZIAN)
     fp2 = fl.FieldPack(XY, potential=ex.parse("x", XY))
-    assert np.allclose(-fl.drive_vector(null, fp2, (0.0, 0.0)), [0.0, 1.0])
+    assert np.allclose(-fl.drive_vectors(null, fp2, np.zeros((1, 2))), [0.0, 1.0])
 
 
 def test_drive_vector_prefers_potential():
     m = euclid2()
     fp = fl.FieldPack(XY, potential=ex.parse("x^2", XY))
-    assert np.allclose(fl.drive_vector(m, fp, (2.0, 0.0)), [-4.0, 0.0])
+    assert np.allclose(fl.drive_vectors(m, fp, np.array([[2.0, 0.0]])), [-4.0, 0.0])
     fp2 = fl.FieldPack(XY, force_vector=(ex.parse("y", XY), ex.ZERO))
-    assert np.allclose(fl.drive_vector(m, fp2, (0.0, 7.0)), [7.0, 0.0])
-    assert np.allclose(fl.drive_vector(m, fl.FieldPack(XY), (1.0, 1.0)), 0.0)
+    assert np.allclose(fl.drive_vectors(m, fp2, np.array([[0.0, 7.0]])), [7.0, 0.0])
+    assert np.allclose(fl.drive_vectors(m, fl.FieldPack(XY), np.ones((1, 2))), 0.0)
 
 
 def test_annihilates():
