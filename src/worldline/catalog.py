@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import dynamics as dy
 from . import expr as ex
 from . import fields as fl
 from . import geometry as geo
 
-_INTEGRATION_KEYS = ("t_max", "rtol", "atol", "v_max", "h_min", "stride")
+_INTEGRATION_KEYS = tuple(f.name for f in fields(dy.IntegrationConfig))
 # the keys a scenario document may hold, at the top level and in each object
 _KEYS = ("name", "dimension", "coordinates", "metric", "quotient", "domain", "fields",
          "initial", "config")

@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -84,11 +85,6 @@ def _finite_or_none(x):
 def _finite_or_nan(x):
     x = _finite_or_none(x)
     return math.nan if x is None else x
-
-
-def _config_doc(cfg: dy.IntegrationConfig) -> dict:
-    return {"t_max": cfg.t_max, "rtol": cfg.rtol, "atol": cfg.atol,
-            "v_max": cfg.v_max, "h_min": cfg.h_min, "stride": cfg.stride}
 
 
 def _resolved_config(s: cat.Scenario, args) -> dy.IntegrationConfig:
@@ -218,7 +214,7 @@ def _emit(doc: dict, outdir, report_name: str):
 
 
 def _field_norm_maxima(s: cat.Scenario) -> dict:
-    pts = geo.sample_points(s.manifold, _NORM_POINTS)
+    pts = geo.sample_points(s.manifold)[:_NORM_POINTS]
     norms = fl.invariant_norms(s.manifold, s.fields, pts)
     return {k: _finite_or_none(np.max(np.abs(v))) for k, v in sorted(norms.items())}
 
@@ -278,7 +274,7 @@ def _run_report(s: cat.Scenario, cfg: dy.IntegrationConfig, q, v,
                          "max_speed": result.backward.max_speed,
                          "accepted_steps": result.backward.accepted},
         },
-        "config": _config_doc(cfg),
+        "config": asdict(cfg),
         "initial": {"q": list(q), "v": list(v)},
         "provenance": "sampled check, not a proof",
     }
@@ -392,7 +388,7 @@ def cmd_sweep(args) -> int:
         "max_speed": max_speed,
         "max_certificate_bound": max_bound,
         "certificates_consistent": consistent if max_bound is not None else None,
-        "config": _config_doc(cfg),
+        "config": asdict(cfg),
         "provenance": "sampled check, not a proof",
     }
     _emit(doc, args.output, "sweep_report.json")

@@ -7,13 +7,15 @@ linear growth of the force, or quadratic growth of -V and |dV/dt|).
 
 Every verdict is a finite-sample proxy for a pointwise-everywhere statement
 and is labeled as such; enlarging the sample set can only flip pass to fail.
+The pointwise hypotheses read the one sample of ``geometry`` and its checked
+metric; the growth envelopes read one checked ball, drawn once per manifold.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +59,11 @@ class HypothesisReport:
         raise KeyError(name)
 
 
+def _hypothesis(name: str, check: fl.SampledCheck, note: str = "") -> Hypothesis:
+    return Hypothesis(name, "pass" if check.passed else "fail", measured=check.worst,
+                      samples=check.points, note=note)
+
+
 def _conclude(theorem, hyps) -> HypothesisReport:
     ok = all(h.verdict == "pass" for h in hyps)
     return HypothesisReport(theorem, tuple(hyps),
@@ -67,13 +74,8 @@ def _conclude(theorem, hyps) -> HypothesisReport:
 
 def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
     """Compactness, autonomy, skew F, conformal timelike K with F(K) = 0,
-    and a potential-only extra force."""
+    and a potential-only extra force, for a Lorentzian spec."""
     hyps = []
-    if m.signature != geo.LORENTZIAN:
-        hyps.append(Hypothesis("lorentzian-signature", "fail",
-                               note="metric is not Lorentzian"))
-        return _conclude("lorentzian-conformastationary", hyps)
-
     compact = m.quotient is not None and geo.fundamental_domain_bounded(m)
     hyps.append(Hypothesis("compact-quotient", "pass" if compact else "fail",
                            note="quotient with bounded fundamental domain"
@@ -82,31 +84,18 @@ def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack) -> Hypothesi
     autonomous = not fp.time_dependent  # the metric is autonomous by construction
     hyps.append(Hypothesis("autonomous", "pass" if autonomous else "fail"))
 
-    skew = fl.is_skew_adjoint(m, fp)
-    hyps.append(Hypothesis("force-operator-skew", "pass" if skew.passed else "fail",
-                           measured=skew.worst, samples=skew.points))
+    hyps.append(_hypothesis("force-operator-skew", fl.is_skew_adjoint(m, fp)))
 
     if fp.reference_field is None:
-        hyps.append(Hypothesis("reference-conformal", "not-applicable",
-                               note="no reference field"))
-        hyps.append(Hypothesis("reference-timelike", "not-applicable",
-                               note="no reference field"))
-        hyps.append(Hypothesis("force-annihilates-reference", "not-applicable",
-                               note="no reference field"))
+        for name in ("reference-conformal", "reference-timelike", "force-annihilates-reference"):
+            hyps.append(Hypothesis(name, "not-applicable", note="no reference field"))
     else:
         res, _ = fl.conformal_report(m, fp)
-        hyps.append(Hypothesis("reference-conformal",
-                               "pass" if res <= fl._CONFORMAL_TOL else "fail",
-                               measured=res, samples=fl._POINTS))
-        tl = fl.is_timelike_everywhere(m, fp)
-        hyps.append(Hypothesis("reference-timelike",
-                               "pass" if tl.passed else "fail",
-                               measured=tl.worst, samples=tl.points,
-                               note="largest sampled g(K,K)"))
-        ann = fl.annihilates(m, fp)
-        hyps.append(Hypothesis("force-annihilates-reference",
-                               "pass" if ann.passed else "fail",
-                               measured=ann.worst, samples=ann.points))
+        hyps.append(_hypothesis("reference-conformal", fl.SampledCheck(
+            res <= fl._CONFORMAL_TOL, res, geo.SAMPLE_POINTS)))
+        hyps.append(_hypothesis("reference-timelike", fl.is_timelike_everywhere(m, fp),
+                                "largest sampled g(K,K)"))
+        hyps.append(_hypothesis("force-annihilates-reference", fl.annihilates(m, fp)))
 
     potential_only = fp.force_vector is None
     hyps.append(Hypothesis("potential-force", "pass" if potential_only else "fail",
@@ -132,8 +121,8 @@ def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack):
         raise geo.SignatureError("unit-sphere bounds need a Riemannian metric")
     if fp.force_operator is None:
         return 0.0, 0.0, 0.0
-    pts = geo.sample_points(m, fl._POINTS)
-    g = geo.metrics_at(m, pts)  # positive definite at every point, for Cholesky
+    pts = geo.sample_points(m)
+    g = geo.sample_metrics(m)  # positive definite at every point, for Cholesky
     L = np.linalg.cholesky(g)
     s_sup = -math.inf
     s_inf = math.inf
@@ -163,11 +152,17 @@ class GrowthReport:
     note: str = "distances use the chart Euclidean proxy"
 
 
+@lru_cache(maxsize=32)
 def _region_points(m: geo.ManifoldSpec):
+    """(p0, points, g), read-only: the growth ball about p0, p0 first, and
+    the metric checked at each point.  p0 is the origin, else the centre of
+    the sampling box, else the first point of the sample, all in the chart."""
     p0 = (0.0,) * m.dim
     if not m.domain.contains(p0):
         lo, hi = geo.sampling_box(m, _REGION_HALFWIDTH)
         p0 = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+    if not m.domain.contains(p0):
+        p0 = tuple(geo.sample_points(m)[0].tolist())
     h = _REGION_HALFWIDTH
     lo = tuple(max(c - h, b) for c, b in zip(p0, m.domain.lower))
     hi = tuple(min(c + h, b) for c, b in zip(p0, m.domain.upper))
@@ -179,10 +174,14 @@ def _region_points(m: geo.ManifoldSpec):
         ball = [sum((a - b) ** 2 for a, b in zip(q, p0)) <= h * h for q in qs]
         return np.array(ball, dtype=bool) & m.domain.contains_rows(qs)
 
-    pts = sampling.sample_predicate(fl._POINTS, lo, hi, keep)
+    pts = sampling.sample_predicate(geo.SAMPLE_POINTS, lo, hi, keep)
     # the base point itself anchors the envelope at distance zero
     p0 = np.asarray(p0, dtype=float)
-    return p0, np.vstack([p0[None, :], pts])
+    pts = np.vstack([p0[None, :], pts])
+    g = geo.metrics_at(m, pts)
+    for a in (p0, pts, g):
+        a.setflags(write=False)
+    return p0, pts, g
 
 
 def _envelope_fit(d: np.ndarray, y: np.ndarray, axis_power: int):
@@ -218,14 +217,23 @@ def _loglog_slope(d: np.ndarray, y: np.ndarray):
     return float(np.polyfit(ld[top], ly[top], 1)[0])
 
 
-def _classify(slope, lower, upper, labels):
-    if slope is None:
-        return labels[1]
-    if slope > upper:
-        return labels[2]
-    if slope < lower:
-        return labels[0]
-    return labels[1]
+def _growth(m: geo.ManifoldSpec, quantity: str, y: np.ndarray, power: int, order: str,
+            flat_note: str) -> GrowthReport:
+    """Envelope y <= A d^power + C over the growth ball, d the distance to p0,
+    classed by the log-log slope of y's positive part: "sub" + order below
+    power - 0.2, "super" + order above power + 0.2, else (or y <= 1e-12) order."""
+    p0, pts, _ = _region_points(m)
+    d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
+    A, C = _envelope_fit(d, y, power)
+    if np.max(y) <= 1e-12:
+        return GrowthReport(quantity, max(A, 0.0), C, order, None, tuple(p0), len(pts),
+                            note=flat_note)
+    slope = _loglog_slope(d, np.maximum(y, 0.0))
+    if slope is not None and slope > power + 0.2:
+        order = "super" + order
+    elif slope is not None and slope < power - 0.2:
+        order = "sub" + order
+    return GrowthReport(quantity, A, C, order, slope, tuple(p0), len(pts))
 
 
 def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
@@ -235,31 +243,22 @@ def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,
     quantity "force" measures the explicit X (or -grad V when only a
     potential is given); "gradient" forces the -grad V route.
     """
-    p0, pts = _region_points(m)
-    g = geo.finite("metric", pts, m.metric_batch)
+    _, pts, g = _region_points(m)
     use_gradient = quantity == "gradient" or fp.force_vector is None
     y = np.zeros(len(pts))
     for t in _time_grid(fp.time_dependent):
         ts = np.full(len(pts), float(t))
-        if use_gradient:
-            if fp.potential is None:
-                vals = np.zeros(len(pts))
-            else:
-                dv = geo.finite(f"derivative of V at t={float(t)!r}", pts,
-                                fp.potential_derivative_batch, ts)
-                vals = np.einsum("mi,mij,mj->m", dv, np.linalg.inv(g), dv)
-        else:
+        if not use_gradient:
             X = geo.finite(f"force vector X at t={float(t)!r}", pts, fp.vector_batch, ts)
             vals = np.einsum("mi,mij,mj->m", X, g, X)
+        elif fp.potential is not None:
+            dv = geo.finite(f"derivative of V at t={float(t)!r}", pts,
+                            fp.potential_derivative_batch, ts)
+            vals = np.einsum("mi,mij,mj->m", dv, np.linalg.inv(g), dv)
+        else:  # no force at all: y stays zero
+            continue
         y = np.maximum(y, np.sqrt(np.maximum(vals, 0.0)))
-    d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
-    A, C = _envelope_fit(d, y, 1)
-    if np.max(y) <= 1e-12:
-        return GrowthReport("|X|_g", 0.0, 0.0, "linear", None, tuple(p0), len(pts),
-                            note="force vanishes on samples")
-    slope = _loglog_slope(d, y)
-    cls = _classify(slope, 0.8, 1.2, ("sublinear", "linear", "superlinear"))
-    return GrowthReport("|X|_g", A, C, cls, slope, tuple(p0), len(pts))
+    return _growth(m, "|X|_g", y, 1, "linear", "force vanishes on samples")
 
 
 def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
@@ -269,37 +268,25 @@ def check_quadratic_growth(m: geo.ManifoldSpec, u: ex.Expr,
     Negative values are trivially covered; the log-log class looks at the
     positive part.
     """
-    p0, pts = _region_points(m)
-    times = _time_grid(ex.references_time(u))
+    _, pts, _ = _region_points(m)
     f = ex.compile_batch([u], m.frame)
     y = np.full(len(pts), -math.inf)
-    for t in times:
+    for t in _time_grid(ex.references_time(u)):
         y = np.maximum(y, geo.finite(f"{quantity} at t={float(t)!r}", pts, f,
                                      np.full(len(pts), float(t)))[:, 0])
-    d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
-    A, C = _envelope_fit(d, y, 2)
-    if np.max(y) <= 1e-12:
-        return GrowthReport(quantity, max(A, 0.0), C, "quadratic", None, tuple(p0),
-                            len(pts), note="bounded above by zero on samples")
-    slope = _loglog_slope(d, np.maximum(y, 0.0))
-    cls = _classify(slope, 1.8, 2.2, ("subquadratic", "quadratic", "superquadratic"))
-    return GrowthReport(quantity, A, C, cls, slope, tuple(p0), len(pts))
+    return _growth(m, quantity, y, 2, "quadratic", "bounded above by zero on samples")
 
 
-def _growth_hypothesis(name, rep: GrowthReport, bad: str) -> Hypothesis:
-    ok = rep.growth_class != bad
-    return Hypothesis(name, "pass" if ok else "fail", measured=rep.slope,
-                      samples=rep.samples,
-                      note=f"{rep.growth_class}; A={rep.bound_rate:.6g} C={rep.bound_offset:.6g}")
+def _growth_hypothesis(name, rep: GrowthReport, note: str = "") -> Hypothesis:
+    """Passes unless the growth is above the order the theorem allows."""
+    return _hypothesis(
+        name, fl.SampledCheck(not rep.growth_class.startswith("super"), rep.slope, rep.samples),
+        f"{rep.growth_class}; A={rep.bound_rate:.6g} C={rep.bound_offset:.6g}{note}")
 
 
 def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
-    """Dispatch among the growth criteria for a complete Riemannian base."""
+    """Dispatch among the growth criteria for a Riemannian spec with a complete base."""
     hyps = []
-    if m.signature != geo.RIEMANNIAN:
-        hyps.append(Hypothesis("riemannian-signature", "fail",
-                               note="growth criteria need a Riemannian metric"))
-        return _conclude("riemannian-growth", hyps)
     compact = m.quotient is not None and geo.fundamental_domain_bounded(m)
     complete_base = compact or m.declared_complete
     hyps.append(Hypothesis("complete-base", "pass" if complete_base else "fail",
@@ -314,31 +301,28 @@ def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack) -> Hypothes
         return _conclude("riemannian-compact", hyps)
 
     s_sup, s_inf, s_norm = estimate_S_bounds(m, fp)
-    hyps.append(Hypothesis("symmetric-part-bounded", "pass", measured=s_norm,
-                           samples=fl._POINTS,
-                           note=f"S_sup={s_sup:.6g} S_inf={s_inf:.6g} on sampled region"))
+    hyps.append(_hypothesis("symmetric-part-bounded",
+                            fl.SampledCheck(True, s_norm, geo.SAMPLE_POINTS),
+                            f"S_sup={s_sup:.6g} S_inf={s_inf:.6g} on sampled region"))
 
     if fp.potential is not None:
-        grad_rep = check_linear_growth(m, fp, quantity="gradient")
-        grad_h = _growth_hypothesis("gradient-linear-growth", grad_rep, "superlinear")
+        grad_h = _growth_hypothesis("gradient-linear-growth",
+                                    check_linear_growth(m, fp, quantity="gradient"))
         if grad_h.verdict == "pass":
             hyps.append(grad_h)
             return _conclude("riemannian-gradient-linear", hyps)
-        neg_v = check_quadratic_growth(m, ex.neg(fp.potential), quantity="-V")
-        nv_h = _growth_hypothesis("minus-potential-quadratic-growth",
-                                  neg_v, "superquadratic")
-        hyps.append(dataclasses.replace(
-            nv_h, note=nv_h.note + "; gradient growth was not linear, "
-                                   "fell back to the quadratic route"))
+        hyps.append(_growth_hypothesis(
+            "minus-potential-quadratic-growth",
+            check_quadratic_growth(m, ex.neg(fp.potential), quantity="-V"),
+            "; gradient growth was not linear, fell back to the quadratic route"))
         dV_dt = ex.derive(fp.potential, ex.TIME_NAME)
         for label, e in (("dV/dt", dV_dt), ("-dV/dt", ex.neg(dV_dt))):
-            rep = check_quadratic_growth(m, e, quantity=label)
             hyps.append(_growth_hypothesis(f"time-derivative-quadratic ({label})",
-                                           rep, "superquadratic"))
+                                           check_quadratic_growth(m, e, quantity=label)))
         return _conclude("riemannian-potential-quadratic", hyps)
 
-    force_rep = check_linear_growth(m, fp, quantity="force")
-    hyps.append(_growth_hypothesis("force-linear-growth", force_rep, "superlinear"))
+    hyps.append(_growth_hypothesis("force-linear-growth",
+                                   check_linear_growth(m, fp, quantity="force")))
     return _conclude("riemannian-force-linear", hyps)
 
 

@@ -912,7 +912,7 @@ def _evaluate(m: geo.ManifoldSpec, fp: fl.FieldPack, ts, qs, vs):
     if fl.conformal_report(m, fp)[1] <= fl._CONFORMAL_TOL:
         sigma = np.zeros(len(ts))
     else:
-        sigma = fl.conformal_factors(m, fp.reference_field, qs)[0]
+        sigma = fl.conformal_factors(m, fp.reference_field, qs, g)[0]
     return gvv, energy, gkv, gkk, -k_dot_grad + sigma * gvv
 
 

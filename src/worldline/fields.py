@@ -23,12 +23,7 @@ _ANNIHILATE_TOL = 1e-10
 _CONFORMAL_TOL = 1e-9
 _TIMELIKE_MARGIN = -1e-10
 
-# The one sample of every sampled hypothesis: ``check`` prints its verdicts,
-# and the monitors and the certificate of ``run`` and ``sweep`` read the same
-# cached ones.
-_POINTS = 1000
-_DIRECTIONS = 8
-_VALIDATION_POINTS = 100  # of the structural checks a scenario passes on load
+_DIRECTIONS = 8  # of the skew test at each point of geo.sample_points
 
 
 @dataclass(frozen=True)
@@ -149,15 +144,14 @@ def is_skew_adjoint(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     """Does g(v, Fv) vanish for all sampled points and directions?"""
     if fp.force_operator is None:
         return SampledCheck(True, 0.0, 0)
-    pts = geo.sample_points(m, _POINTS)
-    dirs = sampling.sample_directions(_POINTS * _DIRECTIONS, m.dim).reshape(
-        _POINTS, _DIRECTIONS, m.dim)
-    g = geo.finite("metric", pts, m.metric_batch)
+    pts, g = geo.sample_points(m), geo.sample_metrics(m)
+    dirs = sampling.sample_directions(len(pts) * _DIRECTIONS, m.dim).reshape(
+        len(pts), _DIRECTIONS, m.dim)
     F = geo.finite("force operator F", pts, fp.force_batch)
     vals = (np.abs(np.einsum("mdi,mij,mdj->md", dirs, g @ F, dirs))
             / (1.0 + np.einsum("mdi,mdi->md", dirs, dirs)))
     worst = float(vals.max())
-    return SampledCheck(worst <= _SKEW_TOL, worst, _POINTS)
+    return SampledCheck(worst <= _SKEW_TOL, worst, len(pts))
 
 
 @lru_cache(maxsize=32)
@@ -165,14 +159,12 @@ def annihilates(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     """Does F send the reference field K to zero at sampled points?"""
     if fp.force_operator is None:
         return SampledCheck(True, 0.0, 0)
-    if fp.reference_field is None:
-        raise geo.ValidationError("no reference field K in this pack")
-    pts = geo.sample_points(m, _POINTS)
+    pts = geo.sample_points(m)  # reference_batch refuses a pack without K
     F = geo.finite("force operator F", pts, fp.force_batch)
     k = geo.finite("reference field K", pts, fp.reference_batch)
     fk = np.einsum("mij,mj->mi", F, k)
     worst = float(np.sqrt(np.einsum("mi,mi->m", fk, fk)).max())
-    return SampledCheck(worst <= _ANNIHILATE_TOL, worst, _POINTS)
+    return SampledCheck(worst <= _ANNIHILATE_TOL, worst, len(pts))
 
 
 def drive_vectors(m: geo.ManifoldSpec, fp: FieldPack, qs, ts=None) -> np.ndarray:
@@ -210,16 +202,14 @@ def _lie_system(m: geo.ManifoldSpec, K: tuple):
     return ex.compile_batch(geo.mirrored(lie), frame)
 
 
-def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs):
-    """(sigma, residual) of L_K g = 2 sigma g at an (k, n) array of points.
+def conformal_factors(m: geo.ManifoldSpec, K: tuple, qs, g):
+    """(sigma, residual) of L_K g = 2 sigma g at each row of qs, g the metric there.
 
     sigma is extracted by trace even when K is not conformal; the residual
-    (max-abs entry of L_K g - 2 sigma g) quantifies the failure.  The metric
-    is checked as by metric_at.
+    (max-abs entry of L_K g - 2 sigma g) quantifies the failure.
     """
     qs = np.asarray(qs, dtype=float)
     n = m.dim
-    g = geo.metrics_at(m, qs)
     L = _lie_system(m, K)(qs, np.zeros(len(qs))).reshape(len(qs), n, n)
     sigma = np.trace(np.linalg.solve(g, L), axis1=-2, axis2=-1) / (2 * n)
     residual = np.max(np.abs(L - 2.0 * sigma[:, None, None] * g), axis=(-2, -1))
@@ -235,10 +225,10 @@ def conformal_report(m: geo.ManifoldSpec, fp: FieldPack):
     """
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
-    pts = geo.sample_points(m, _POINTS)
     sigma, residual = geo.finite(
-        "conformal factor of K", pts,
-        lambda qs: np.column_stack(conformal_factors(m, fp.reference_field, qs))).T
+        "conformal factor of K", geo.sample_points(m),
+        lambda qs, g: np.column_stack(conformal_factors(m, fp.reference_field, qs, g)),
+        geo.sample_metrics(m)).T
     return float(residual.max()), float(np.abs(sigma).max())
 
 
@@ -247,11 +237,10 @@ def is_timelike_everywhere(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     """g(K,K) < -1e-10 at every sampled point; worst is the largest value seen."""
     if fp.reference_field is None:
         raise geo.ValidationError("no reference field K in this pack")
-    pts = geo.sample_points(m, _POINTS)
-    g = geo.finite("metric", pts, m.metric_batch)
+    pts, g = geo.sample_points(m), geo.sample_metrics(m)
     k = geo.finite("reference field K", pts, fp.reference_batch)
     worst = float(np.einsum("mi,mij,mj->m", k, g, k).max())
-    return SampledCheck(worst < _TIMELIKE_MARGIN, worst, _POINTS)
+    return SampledCheck(worst < _TIMELIKE_MARGIN, worst, len(pts))
 
 
 def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, qs, t: float = 0.0) -> dict:
@@ -282,7 +271,7 @@ def validate_fields(m: geo.ManifoldSpec, fp: FieldPack):
     """Sampled structural checks: finite evaluation, X vs -grad V agreement."""
     if fp.frame != m.frame:
         raise geo.ValidationError("field pack and manifold use different frames")
-    pts = geo.sample_points(m, _VALIDATION_POINTS)
+    pts = geo.sample_points(m)[:geo.VALIDATION_POINTS]
     if fp.force_operator is not None:
         geo.finite("force operator F", pts, fp.force_batch)
     if fp.potential is not None:

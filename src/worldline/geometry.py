@@ -25,6 +25,9 @@ LORENTZIAN = "lorentzian"
 _DEGENERACY_TOL = 1e-12
 _MAX_SYMBOLIC_DIM = 4
 
+SAMPLE_POINTS = 1000  # of every sampled hypothesis, in check, run and sweep alike
+VALIDATION_POINTS = 100  # its prefix, on which a scenario is checked on load
+
 
 class GeometryError(ValueError):
     pass
@@ -363,13 +366,23 @@ def in_fundamental_domain(m: ManifoldSpec, qs) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def sample_points(m: ManifoldSpec, count: int) -> np.ndarray:
-    """Low-discrepancy points in the fundamental domain, as a read-only array
-    shared by every caller asking for the same manifold and count."""
+def sample_points(m: ManifoldSpec) -> np.ndarray:
+    """Low-discrepancy points in the fundamental domain, drawn once per
+    manifold as a read-only array.  Its first k rows are the sample of size
+    k, bit for bit, since ``sampling.sample_predicate`` walks one stream."""
     lo, hi = sampling_box(m)
-    pts = sampling.sample_predicate(count, lo, hi, partial(in_fundamental_domain, m))
+    pts = sampling.sample_predicate(SAMPLE_POINTS, lo, hi, partial(in_fundamental_domain, m))
     pts.setflags(write=False)
     return pts
+
+
+@lru_cache(maxsize=64)
+def sample_metrics(m: ManifoldSpec) -> np.ndarray:
+    """g at each row of ``sample_points(m)``, checked once by ``metrics_at``
+    and read-only: every sampled hypothesis reads these."""
+    g = metrics_at(m, sample_points(m))
+    g.setflags(write=False)
+    return g
 
 
 # --- validation ------------------------------------------------------------
@@ -390,13 +403,15 @@ def deck_transforms(m: ManifoldSpec):
     return out
 
 
-def validate_manifold(m: ManifoldSpec, points: int = 100):
-    """Sampled structural checks: signature, non-degeneracy, deck isometry.
+def validate_manifold(m: ManifoldSpec):
+    """Structural checks on the first ``VALIDATION_POINTS`` sample points:
+    signature, non-degeneracy, deck isometry (``sample_metrics`` checks the
+    metric on the whole sample).
 
     Raises ValidationError on failure; silent on success.
     """
     try:
-        pts = sample_points(m, points)
+        pts = sample_points(m)[:VALIDATION_POINTS]
     except ValueError as err:
         raise ValidationError(f"cannot sample the fundamental domain: {err}") from err
     try:
@@ -407,8 +422,8 @@ def validate_manifold(m: ManifoldSpec, points: int = 100):
     if not transforms:
         return
     # u and v from disjoint index ranges of one direction sequence
-    dirs = sampling.sample_directions(2 * points, m.dim)
-    u, v = dirs[:points], dirs[points:]
+    dirs = sampling.sample_directions(2 * len(pts), m.dim)
+    u, v = dirs[:len(pts)], dirs[len(pts):]
     base = np.einsum("mi,mij,mj->m", u, g, v)
     with np.errstate(all="ignore"):
         moved = np.array([

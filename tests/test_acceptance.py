@@ -115,7 +115,7 @@ def test_criterion_6_skew_iff_vanishing_symmetric_part():
         if s.fields.force_operator is None:
             continue
         skew = fl.is_skew_adjoint(s.manifold, s.fields)
-        pts = geo.sample_points(s.manifold, 1000)
+        pts = geo.sample_points(s.manifold)
         s_norm = max(float(np.max(np.abs(
             oracles.decompose(s.manifold, s.fields, tuple(q)).S))) for q in pts)
         agree = skew.passed == (s_norm <= 1e-9)

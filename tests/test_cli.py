@@ -105,6 +105,26 @@ def test_check_refuses_metric_indefinite_between_validation_samples(tmp_path, ca
     assert "negative eigenvalues" in capsys.readouterr().err
 
 
+def test_check_refuses_metric_indefinite_in_the_growth_ball(capsys):
+    # g = 1 - x^2/2500 is positive on the sampling box |x| <= 10 and negative
+    # past |x| = 50, inside the radius-100 ball the growth envelope samples
+    path = os.path.join(DATA, "probe-indefinite-line.json")
+    assert cli.main(["check", "--scenario", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "metric at (81.25,) has 1 negative eigenvalues, expected 0 for a riemannian spec" in err
+
+
+def test_growth_ball_of_a_chart_without_the_origin_lies_in_the_chart(capsys):
+    # the log-polar flat cylinder excludes the origin, the centre of its
+    # sampling box too; its growth ball is anchored at a sample point
+    path = os.path.join(DATA, "probe-log-polar-cylinder.json")
+    code, out = invoke(["check", "--scenario", path], capsys)
+    assert code == 0 and json.loads(out)["prediction"] == "Complete"
+    code, out = invoke(["run", "--scenario", path], capsys)
+    assert code == 0 and json.loads(out)["classification"] == "CompleteToHorizon"
+
+
 def test_check_refuses_a_quotient_that_is_not_an_isometry(tmp_path, capsys):
     path = _field_file(tmp_path, {}, metric={"g_0_0": "1 + 0.5*x", "g_1_1": "1"},
                        quotient={"lattice": [1.0, 1.0]})

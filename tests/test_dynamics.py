@@ -17,6 +17,7 @@ import worldline.dynamics as dy
 import worldline.expr as ex
 import worldline.fields as fl
 import worldline.geometry as geo
+import worldline.sampling as sampling
 from worldline import cli
 
 import oracles
@@ -258,7 +259,7 @@ def test_generated_kernel_matches_generic():
         m, fp = s.manifold, s.fields
         sysd = dy.compiled_system(m, fp)
         step = oracles.single_step(sysd)
-        for q in geo.sample_points(m, 4):
+        for q in geo.sample_points(m)[:4]:
             y = np.concatenate([q, rng.uniform(-1, 1, m.dim)])
             k1 = np.asarray(sysd.rhs_flat(0.3, tuple(y)))
             for h in (1e-3, 1e-2):
@@ -310,7 +311,7 @@ def test_kernel_is_the_tableau_step_bit_for_bit():
         sysd = dy.compiled_system(m, s.fields)
         step = oracles.single_step(sysd)
         starts = []
-        for i, q in enumerate(geo.sample_points(m, 6)):
+        for i, q in enumerate(geo.sample_points(m)[:6]):
             v = rng.uniform(-1, 1, m.dim)
             signs = (np.arange(m.dim) + i // 2) % 2
             if i % 2:  # signed zeros in the velocity and the position
@@ -404,7 +405,7 @@ def test_division_solve_is_the_elimination_bit_for_bit():
         assert "_check_det(" in dy._accel_source(m, fp)[0]
         assert "_solve(" in dy._accel_source(m_pad, fp_pad)[0]
         rhs, rhs_pad = (dy.compiled_system(*pair).rhs_flat for pair in ((m, fp), (m_pad, fp_pad)))
-        for q in geo.sample_points(m, 40):
+        for q in geo.sample_points(m)[:40]:
             y = tuple(map(float, q)) + tuple(rng.uniform(-2, 2, 5))
             assert _outcome(rhs, 0.3, y) == _outcome(rhs_pad, 0.3, y)
         for y in refused_states:
@@ -585,25 +586,38 @@ SAMPLED_CHECKS = (fl.is_skew_adjoint, fl.conformal_report, fl.is_timelike_everyw
 
 def test_check_and_monitors_read_one_sample_per_hypothesis(monkeypatch):
     # check, the step loop's speed form, the monitors and the certificate all
-    # read the same verdicts: in one process each sampled hypothesis draws
-    # its points once
+    # read the same verdicts: in one process each sampled hypothesis reads the
+    # sample once, and the sample is drawn, and its metric checked, once
     s = cat.builtin("t3-magnetic")
     m, fp = s.manifold, s.fields
-    for cached in (*SAMPLED_CHECKS, dy._inverse_norm_bound, dy.compiled_system):
+    for cached in (*SAMPLED_CHECKS, dy._inverse_norm_bound, dy.compiled_system,
+                   geo.sample_points, geo.sample_metrics, cr._region_points):
         cached.cache_clear()
-    callers = []
+    callers, draws, checked = [], [], []
 
     def sample_points(*args, _f=geo.sample_points):
         callers.append(sys._getframe(1).f_code.co_name)
         return _f(*args)
 
+    def sample_predicate(count, *args, _f=sampling.sample_predicate):
+        draws.append(count)
+        return _f(count, *args)
+
+    def metrics_at(m, qs, _f=geo.metrics_at):
+        checked.append(len(qs))
+        return _f(m, qs)
+
     monkeypatch.setattr(geo, "sample_points", sample_points)
+    monkeypatch.setattr(sampling, "sample_predicate", sample_predicate)
+    monkeypatch.setattr(geo, "metrics_at", metrics_at)
     report = cr.evaluate(m, fp)
     res = dy.integrate_maximal(m, fp, s.initial, s.integration_config(t_max=1.0))
     energy = dy.energy_monitor(res)
     killing = dy.killing_charge_monitor(res)
     assert not dy.certificate(res).refused
-    assert sorted(callers) == sorted(f.__name__ for f in SAMPLED_CHECKS)
+    assert sorted(callers) == sorted([*(f.__name__ for f in SAMPLED_CHECKS), "sample_metrics"])
+    assert draws == [geo.SAMPLE_POINTS]
+    assert checked == [geo.SAMPLE_POINTS]
     assert report.hypothesis("force-operator-skew").verdict == "pass"
     assert energy.applicable and killing.rate_residual is not None
 
@@ -1294,7 +1308,7 @@ def test_generated_rhs_matches_numeric_oracle():
     for s in scenarios:
         m, fp = s.manifold, s.fields
         rhs_flat = dy.compiled_system(m, fp).rhs_flat
-        for q in geo.sample_points(m, 40):
+        for q in geo.sample_points(m)[:40]:
             st = geo.TrajectoryState(0.3, tuple(q), tuple(rng.uniform(-2, 2, m.dim)))
             got = np.asarray(rhs_flat(st.t, st.q + st.v))
             want = np.concatenate(oracles.rhs(m, fp, st))

@@ -118,7 +118,8 @@ def test_conformal_factor_homothety():
                                      geo.ChartDomain.unbounded(1),
                                      geo.RIEMANNIAN)
     # K = x d/dx scales the flat metric: L_K g = 2 g
-    (sigma,), (residual,) = fl.conformal_factors(m, (ex.parse("x", frame),), [(0.4,)])
+    (sigma,), (residual,) = fl.conformal_factors(m, (ex.parse("x", frame),), [(0.4,)],
+                                                 geo.metrics_at(m, [(0.4,)]))
     assert sigma == pytest.approx(1.0)
     assert residual <= 1e-12
 
@@ -127,7 +128,7 @@ def test_conformal_factor_rotation_is_killing():
     m = euclid2()
     K = (ex.parse("-y", XY), ex.parse("x", XY))
     for p in [(1.0, 0.0), (0.3, -2.0)]:
-        (sigma,), (residual,) = fl.conformal_factors(m, K, [p])
+        (sigma,), (residual,) = fl.conformal_factors(m, K, [p], geo.metrics_at(m, [p]))
         assert abs(sigma) <= 1e-12
         assert residual <= 1e-12
 
