@@ -11,6 +11,7 @@ import contextlib
 import json
 import math
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -301,9 +302,8 @@ def cmd_check(args) -> int:
 
 def _sample_initial_point(m: geo.ManifoldSpec, rng) -> tuple:
     lo, hi = geo.sampling_box(m)
-    lo, hi = np.asarray(lo), np.asarray(hi)
     for _ in range(10000):
-        q = tuple(lo + (hi - lo) * rng.random(m.dim))
+        q = tuple(a + (b - a) * rng.random() for a, b in zip(lo, hi))
         if geo.in_fundamental_domain(m, [q])[0]:
             return q
     raise geo.ValidationError("could not sample a point in the fundamental domain")
@@ -321,8 +321,8 @@ def _sample_velocity(m: geo.ManifoldSpec, fp: fl.FieldPack, q, rng,
             z = k / math.sqrt(-gkk)
             gz = g @ z
             form = g + 2.0 * np.outer(gz, gz)
-            return tuple(sampling.quadratic_form_ball_point(rng, form, radius))
-    return tuple(sampling.ball_point(rng, m.dim, radius))
+            return sampling.quadratic_form_ball_point(rng, form, radius)
+    return sampling.ball_point(rng, m.dim, radius)
 
 
 def cmd_sweep(args) -> int:
@@ -333,7 +333,7 @@ def cmd_sweep(args) -> int:
     s = cat.resolve(args.scenario)
     cfg = _resolved_config(s, args)
     radius = s.velocity_radius
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     m, fp = s.manifold, s.fields
 
     n = m.dim

@@ -880,11 +880,11 @@ class Certificates:
 
 @lru_cache(maxsize=32)
 def _inverse_norm_bound(m, fp):
-    """max over fundamental-domain samples of 1/|K| (K timelike), or None."""
-    try:
-        timelike = fl.is_timelike_everywhere(m, fp)
-    except geo.ValidationError:  # a non-finite sample
+    """max over fundamental-domain samples of 1/|K| (K timelike), or None;
+    a sample the checks refuse raises as it does in ``check``."""
+    if fp.reference_field is None:
         return None
+    timelike = fl.is_timelike_everywhere(m, fp)
     # 1/sqrt(-x) rises with x, so its maximum is at the largest g(K,K)
     return 1.0 / math.sqrt(-timelike.worst) if timelike.passed else None
 

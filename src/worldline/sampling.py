@@ -4,9 +4,10 @@ Global claims ("skew-adjoint everywhere", "timelike everywhere", ...) are
 decided by sampling: low-discrepancy Halton points in the fundamental
 domain and low-discrepancy directions, neither of them seeded.  Only a
 sweep's start points (``ball_point``, ``quadratic_form_ball_point``) come
-from a seeded ``numpy.random.Generator``, which the caller makes, so no
-check imports ``numpy.random``.  Everything here is deterministic for fixed
-inputs, so reports and sweeps reproduce bit-for-bit.
+from a seeded stdlib ``random.Random``, which the caller makes.  They call
+only its ``random()``, whose stream Python keeps the same across versions for
+a given seed, and no numpy generator is loaded.  Everything here is
+deterministic for fixed inputs, so reports and sweeps reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -94,26 +95,25 @@ def sample_directions(count: int, dim: int) -> np.ndarray:
     return out
 
 
-def ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """One point uniform in the Euclidean ball of the given radius."""
-    v = rng.standard_normal(dim)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return np.zeros(dim)
-    r = radius * rng.random() ** (1.0 / dim)
-    return v * (r / n)
+def ball_point(rng, dim: int, radius: float) -> tuple:
+    """One point uniform in the Euclidean ball of the given radius, as plain
+    floats: points of the cube [-1, 1)^dim drawn from ``rng.random()`` until
+    one lies in the unit ball, scaled by the radius."""
+    while True:
+        u = [2.0 * rng.random() - 1.0 for _ in range(dim)]
+        if sum(x * x for x in u) <= 1.0:
+            return tuple(radius * x for x in u)
 
 
-def quadratic_form_ball_point(rng: np.random.Generator, form: np.ndarray,
-                              radius: float) -> np.ndarray:
+def quadratic_form_ball_point(rng, form: np.ndarray, radius: float) -> tuple:
     """One point uniform in {v : v^T A v <= radius^2} for positive definite A."""
     w = np.linalg.eigh(form)
     vals, vecs = w.eigenvalues, w.eigenvectors
     if np.any(vals <= 0.0):
         raise ValueError("quadratic form is not positive definite")
-    u = ball_point(rng, form.shape[0], radius)
+    u = np.array(ball_point(rng, form.shape[0], radius))
     # map the unit-form ball through A^{-1/2}
-    return vecs @ (u / np.sqrt(vals))
+    return tuple((vecs @ (u / np.sqrt(vals))).tolist())
 
 
 def log_bin_envelope(d: np.ndarray, y: np.ndarray, bins: int = 64):

@@ -115,6 +115,19 @@ def test_check_refuses_metric_indefinite_in_the_growth_ball(capsys):
     assert "metric at (81.25,) has 1 negative eigenvalues, expected 0 for a riemannian spec" in err
 
 
+def test_every_command_refuses_a_reference_field_not_finite_at_sample_points(capsys):
+    # K = (1 + 0*log(t - 0.004), 0) is not finite where t < 0.004: at rows of
+    # the 1000-point sample, at none of the 100 validation points; run and
+    # sweep read the same sample through the reference speed bound
+    path = os.path.join(DATA, "probe-nonfinite-K.json")
+    cat.load(path)
+    for argv in (["check"], ["run", "--t-max", "2"], ["sweep", "-n", "2", "--t-max", "2"]):
+        assert cli.main([*argv, "--scenario", path]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert "reference field K is not finite at (0.00390625, 0.757201646090535)" in err
+
+
 def test_growth_ball_of_a_chart_without_the_origin_lies_in_the_chart(capsys):
     # the log-polar flat cylinder excludes the origin, the centre of its
     # sampling box too; its growth ball is anchored at a sample point
@@ -132,10 +145,11 @@ def test_check_refuses_a_quotient_that_is_not_an_isometry(tmp_path, capsys):
     assert "quotient map is not an isometry" in capsys.readouterr().err
 
 
-def test_only_sweep_imports_numpy_random():
-    # checks sample unseeded directions; only a sweep's start points come
-    # from a seeded generator.  t3-magnetic has a lattice quotient and a skew
-    # F, so check draws directions for the deck isometry and the skew test.
+def test_no_command_imports_numpy_random():
+    # checks sample unseeded directions, and a sweep draws its start points
+    # from the stdlib generator.  t3-magnetic has a lattice quotient, a skew
+    # F and a timelike K, so check draws directions for the deck isometry and
+    # the skew test, and a sweep draws from the positive-form ball.
     script = (
         "import contextlib, io, sys\n"
         "from worldline import cli\n"
@@ -151,7 +165,7 @@ def test_only_sweep_imports_numpy_random():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_run_initial_override(capsys):

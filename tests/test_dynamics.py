@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import random
 import sys
 
 import numpy as np
@@ -670,13 +671,15 @@ STEP_LOOP_INPUTS = ["t3-magnetic", "clifton-pohl", "riemann-superlinear",
 
 @pytest.mark.parametrize("source", STEP_LOOP_INPUTS, ids=lambda x: os.path.basename(x))
 def test_numpy_start_data_steps_in_plain_floats(source, monkeypatch):
-    # a sweep draws its start points as numpy floats; the start-up converts
-    # them once, so the step loop sees plain floats and the result is the same
+    # a library caller may pass numpy floats as start data; the start-up
+    # converts them once, so the step loop sees plain floats and the result
+    # is the same
     s = cat.resolve(source)
     m, fp = s.manifold, s.fields
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     q = cli._sample_initial_point(m, rng)
     v = cli._sample_velocity(m, fp, q, rng, 1.0)
+    q, v = tuple(map(np.float64, q)), tuple(map(np.float64, v))
     assert all(type(c) is np.float64 for c in q + v)
     drawn = geo.TrajectoryState(np.float64(0.0), q, v)
     plain = geo.TrajectoryState(0.0, tuple(map(float, q)), tuple(map(float, v)))
@@ -880,7 +883,7 @@ def _loop_cases():
     cases = [(s.name, s.manifold, s.fields, s.initial,
               s.integration_config(t_max=min(s.integration_config().t_max, 20.0)))
              for s in scenarios]
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for s in scenarios:
         m, fp = s.manifold, s.fields
         for _ in range(4 if s.name == "clifton-pohl" else 1):

@@ -1,11 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+import worldline.catalog as cat
 import worldline.expr as ex
 import worldline.geometry as geo
 import worldline.sampling as sampling
+from worldline import cli
 
 from oracles import christoffel_at
 
@@ -191,7 +194,6 @@ def test_normalize_scaling():
 
 
 def test_deck_isometry_on_builtin_quotients():
-    import worldline.catalog as cat
     for name in cat.list_builtins():
         geo.validate_manifold(cat.builtin(name).manifold)
 
@@ -234,7 +236,6 @@ def _scalar_in_fundamental_domain(m, q):
 def test_fundamental_domain_mask_is_the_scalar_predicate():
     import os
 
-    import worldline.catalog as cat
     scaled = geo.manifold_from_components(
         ex.CoordinateFrame(("u", "v")), {(0, 0): ex.ONE, (1, 1): ex.ONE},
         geo.ChartDomain((-1.5, -math.inf), (math.inf, 1.5), exclude_origin_radius=1.25),
@@ -305,3 +306,56 @@ def test_sample_directions_are_deterministic_unit_rows_and_prefixes():
             assert sampling.sample_directions(k, dim).tobytes() == dirs[:k].tobytes(), (dim, k)
     with pytest.raises(ValueError):
         sampling.sample_directions(1, 9)
+
+
+def test_ball_point_is_uniform_in_the_ball():
+    # a uniform point lies within half the radius with probability 2^-dim;
+    # the share of 4000 draws stays within four standard deviations of it
+    rng, draws = random.Random(1), 4000
+    for dim in range(1, 6):
+        radius = 0.5 * dim
+        pts = np.array([sampling.ball_point(rng, dim, radius) for _ in range(draws)])
+        r2 = np.einsum("ki,ki->k", pts, pts)
+        assert np.all(r2 <= radius * radius * (1.0 + 1e-15)), dim
+        p = 0.5 ** dim
+        share = np.count_nonzero(r2 <= 0.25 * radius * radius) / draws
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws), (dim, share)
+
+
+def test_quadratic_form_ball_point_lies_in_the_form_ball():
+    rng = random.Random(2)
+    for form in (np.diag([1.0, 4.0, 0.25]), np.array([[3.0, 1.0], [1.0, 2.0]]),
+                 np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.2, 0.0],
+                           [0.0, 0.2, 5.0, 1.0], [0.1, 0.0, 1.0, 1.5]])):
+        for _ in range(500):
+            v = np.array(sampling.quadratic_form_ball_point(rng, form, 1.5))
+            assert v @ form @ v <= 1.5 ** 2 * (1.0 + 1e-12)
+    with pytest.raises(ValueError):
+        sampling.quadratic_form_ball_point(rng, np.diag([1.0, -1.0]), 1.0)
+
+
+def test_sweep_start_draws_are_plain_floats_in_the_fundamental_domain():
+    # clifton-pohl's fundamental domain is the annulus 1 <= |q| < 2
+    annulus = cat.builtin("clifton-pohl").manifold
+    torus = flat2(quotient=geo.LatticeQuotient((1.0, 1.0)))
+    form = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+    def draws(seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(200):
+            for m in (annulus, torus):
+                out.append(cli._sample_initial_point(m, rng))
+            out.append(sampling.ball_point(rng, 2, 1.0))
+            out.append(sampling.quadratic_form_ball_point(rng, form, 1.0))
+        return out
+
+    got = draws(7)
+    assert all(type(c) is float for row in got for c in row)
+    qs = np.array(got).reshape(200, 4, 2)
+    radii = np.hypot(qs[:, 0, 0], qs[:, 0, 1])
+    assert np.all((radii >= 1.0) & (radii < 2.0))
+    assert np.all((qs[:, 1] >= 0.0) & (qs[:, 1] < 1.0))
+    assert geo.in_fundamental_domain(annulus, qs[:, 0]).all()
+    assert geo.in_fundamental_domain(torus, qs[:, 1]).all()
+    assert got == draws(7) and got != draws(8)

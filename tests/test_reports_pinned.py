@@ -4,11 +4,12 @@ and of a dimension-5 scenario file.
 Each input is checked and run at its own configuration.  The check report
 and the run report must match the stored files byte for byte; the run's
 trajectory CSV is pinned by its sha256 and row count.  Each input is also
-swept once with a small ensemble: sweeps draw their start points as numpy
-floats, which ``run`` never does.  The sweep report is pinned byte for byte
-and ``sweep.csv`` by its sha256 and row count.  A change that moves bytes on
-purpose regenerates the files and shows the moved values in the diff of
-``tests/data/reports``:
+swept once with a small ensemble: sweeps draw seeded start points, which
+``run`` never does.  The sweep report is pinned byte for byte and
+``sweep.csv`` by its sha256 and row count.  A change that moves bytes on
+purpose regenerates these files and the golden clifton-pohl sweep that
+``test_cli.py`` compares with, and shows the moved values in the diff of
+``tests/data``:
 
     PYTHONPATH=src python tests/test_reports_pinned.py
 """
@@ -29,6 +30,10 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 REPORTS = os.path.join(DATA, "reports")
 CSV_PINS = os.path.join(REPORTS, "trajectory_csv.json")
 SWEEP_CSV_PINS = os.path.join(REPORTS, "sweep_csv.json")
+# The golden sweep: its arguments and the report keys it keeps.
+GOLDEN = os.path.join(DATA, "clifton_pohl_sweep_seed7.json")
+GOLDEN_SWEEP = ["--scenario", "clifton-pohl", "-n", "50", "--seed", "7"]
+GOLDEN_KEYS = ("classifications", "counts", "n", "scenario", "seed")
 # The dimension-5 file is the only input stepped above the symbolic limit.
 INPUTS = [*cat.list_builtins(), os.path.join(DATA, "curved-5d.json")]
 # Sweep arguments per input, small enough to keep the test to a few seconds.
@@ -147,8 +152,13 @@ def _regenerate():
             for kind, data in (("check", check), ("run", run), ("sweep", sweep)):
                 with open(os.path.join(REPORTS, f"{name}_{kind}.json"), "wb") as fh:
                     fh.write(data)
+        golden = os.path.join(workdir, "golden")
+        assert cli.main(["sweep", *GOLDEN_SWEEP, "--output", golden]) == 0
+        with open(os.path.join(golden, "sweep_report.json")) as fh:
+            doc = json.load(fh)
     _dump_pins(CSV_PINS, pins)
     _dump_pins(SWEEP_CSV_PINS, sweep_pins)
+    _dump_pins(GOLDEN, {key: doc[key] for key in GOLDEN_KEYS})
 
 
 if __name__ == "__main__":
