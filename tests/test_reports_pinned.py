@@ -3,9 +3,10 @@ and of a dimension-5 scenario file.
 
 Each input is checked and run at its own configuration.  The check report
 and the run report must match the stored files byte for byte; the run's
-trajectory CSV is pinned by its sha256 and row count.  Each input is also
-swept once with a small ensemble: sweeps draw seeded start points, which
-``run`` never does.  The sweep report is pinned byte for byte and
+trajectory CSV is pinned by its sha256 and row count, and the stdout of
+``run --format json``, which embeds the sample table, by its sha256 and
+line count.  Each input is also swept once with a small ensemble: sweeps
+draw seeded start points, which ``run`` never does.  The sweep report is pinned byte for byte and
 ``sweep.csv`` by its sha256 and row count.  A change that moves bytes on
 purpose regenerates these files and the golden clifton-pohl sweep that
 ``test_cli.py`` compares with, and shows the moved values in the diff of
@@ -17,6 +18,7 @@ purpose regenerates these files and the golden clifton-pohl sweep that
 import contextlib
 import difflib
 import hashlib
+import io
 import json
 import os
 
@@ -29,6 +31,7 @@ from worldline import cli
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 REPORTS = os.path.join(DATA, "reports")
 CSV_PINS = os.path.join(REPORTS, "trajectory_csv.json")
+JSON_PINS = os.path.join(REPORTS, "trajectory_json.json")
 SWEEP_CSV_PINS = os.path.join(REPORTS, "sweep_csv.json")
 # The golden sweep: its arguments and the report keys it keeps.
 GOLDEN = os.path.join(DATA, "clifton_pohl_sweep_seed7.json")
@@ -55,6 +58,17 @@ def _name(source):
 
 def _pin(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "rows": data.count(b"\n") - 1}
+
+
+def _json_pin(data: bytes) -> dict:
+    return {"lines": data.count(b"\n"), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _json_stdout(source) -> bytes:
+    """The stdout of ``run --format json`` on one input."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["run", "--scenario", source, "--format", "json"]) == 0
+    return out.getvalue().encode()
 
 
 def _read(path) -> bytes:
@@ -114,13 +128,16 @@ def test_reports_match_pins(source, tmp_path, capsys):
 def test_trajectory_csv_pins_hold_for_any_block_size(source, block, tmp_path, capsys,
                                                      monkeypatch):
     # blocks of 1 and 7 rows put block edges, and the reversal of the
-    # backward blocks, where the default block size rarely reaches
+    # backward blocks, where the default block size rarely reaches; in the
+    # JSON table they also fall on the separators between rows
     monkeypatch.setattr(dy, "_BLOCK", block)
     out = os.path.join(str(tmp_path), "run")
     assert cli.main(["run", "--scenario", source, "--output", out]) == 0
     capsys.readouterr()
     with open(CSV_PINS) as fh:
         assert _pin(_read(os.path.join(out, "run_trajectory.csv"))) == json.load(fh)[_name(source)]
+    with open(JSON_PINS) as fh:
+        assert _json_pin(_json_stdout(source)) == json.load(fh)[_name(source)]
 
 
 @pytest.mark.parametrize("source", INPUTS, ids=_name)
@@ -143,11 +160,12 @@ def _regenerate():
     import tempfile
 
     os.makedirs(REPORTS, exist_ok=True)
-    pins, sweep_pins = {}, {}
+    pins, json_pins, sweep_pins = {}, {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for source in INPUTS:
             name = _name(source)
             check, run, pins[name] = _outputs(source, workdir)
+            json_pins[name] = _json_pin(_json_stdout(source))
             sweep, sweep_pins[name] = _sweep_outputs(source, workdir)
             for kind, data in (("check", check), ("run", run), ("sweep", sweep)):
                 with open(os.path.join(REPORTS, f"{name}_{kind}.json"), "wb") as fh:
@@ -157,6 +175,7 @@ def _regenerate():
         with open(os.path.join(golden, "sweep_report.json")) as fh:
             doc = json.load(fh)
     _dump_pins(CSV_PINS, pins)
+    _dump_pins(JSON_PINS, json_pins)
     _dump_pins(SWEEP_CSV_PINS, sweep_pins)
     _dump_pins(GOLDEN, {key: doc[key] for key in GOLDEN_KEYS})
 
