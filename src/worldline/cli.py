@@ -12,7 +12,6 @@ import json
 import math
 import os
 import random
-import shutil
 import sys
 import tempfile
 from dataclasses import asdict
@@ -29,8 +28,9 @@ from . import sampling
 
 _CONFIG_ERRORS = (geo.GeometryError, ex.ExprError, OSError)
 _NORM_POINTS = 200  # of the field norm maxima in a run report
-_CSV_BLOCK = 256  # rows formatted by one % operation
-_COPY_BYTES = 1 << 16  # spooled CSV text copied at a time
+_TEXT_BLOCK = 256  # rows formatted by one % operation
+_COPY_BYTES = 1 << 16  # spooled text copied at a time
+_ROWS = "\0rows"  # stands for the spooled rows in a report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,55 +123,53 @@ def _table_columns(n: int) -> list:
             + ["energy_c", "killing_charge", "gR_speed"])
 
 
-def _csv_text(rows, width: int):
-    """The lines of ``rows``, a 2-D float array or a list of lists of floats
-    and strings, as text of at most ``_CSV_BLOCK`` lines at a time.
+def _table_text(rows, line: str, nonfinite=None):
+    """The text of ``rows``, a 2-D float array or a list of lists of floats
+    and strings, as bytes of at most ``_TEXT_BLOCK`` rows at a time.
 
-    Each text is one ``%`` of the row template ``%s,...,%s`` repeated per
-    row: ``%s`` of a float is str, its repr, and a string passes through.
+    Each text is one ``%`` of the row template ``line`` repeated per row:
+    ``%s`` of a float is str, its repr, and a string passes through; with
+    ``nonfinite``, a non-finite float of an array prints as ``nonfinite(x)``.
     Blocks stay a few hundred rows long because a block's cells are held as
     float objects and its text at once: with 4096-row blocks a run's peak
     RSS rose by a tenth and the time saved was gone in a fresh process.
     """
-    line = ",".join(["%s"] * width) + "\n"
-    for i in range(0, len(rows), _CSV_BLOCK):
-        block = rows[i:i + _CSV_BLOCK]
-        cells = (block.ravel().tolist() if isinstance(block, np.ndarray)
-                 else [c for row in block for c in row])
-        yield line * len(block) % tuple(cells)
+    for i in range(0, len(rows), _TEXT_BLOCK):
+        block = rows[i:i + _TEXT_BLOCK]
+        if isinstance(block, np.ndarray):
+            cells = block.ravel().tolist()
+            if nonfinite is not None:
+                cells = [c if math.isfinite(c) else nonfinite(c) for c in cells]
+        else:
+            cells = [c for row in block for c in row]
+        yield (line * len(block) % tuple(cells)).encode()
 
 
-def _write_csv(path, columns, rows):
-    """A header line, then one line per row (see ``_csv_text``)."""
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(_csv_text(rows, len(columns)))
+def _csv_line(width: int) -> str:
+    return ",".join(["%s"] * width) + "\n"
 
 
-class _CsvSpool:
-    """The trajectory CSV of ``run --output``, spooled block by block as the
-    fold hands the blocks over, so that the run holds one block of the
-    sample table at a time.
+class _Spool:
+    """The sample table of ``run`` as text, spooled block by block as the
+    fold hands the blocks over, so that the run holds one block at a time.
 
-    ``add`` writes a block's lines, reversed when backward, to one anonymous
-    spool file per direction; ``write`` assembles the CSV in increasing t:
-    the header, the backward blocks last to first, then the forward ones.
-    The spool files vanish when ``close`` closes them.
+    ``add`` prints a block's rows through ``row + sep`` (see
+    ``_table_text``), reversed when backward, to one anonymous spool file
+    per direction.  ``pieces`` reads the table back in increasing t, the
+    backward blocks last to first, then the forward ones, without the
+    ``sep`` after the last row, which is a forward one.  The spool files
+    vanish when the spool exits.
     """
 
-    def __init__(self, columns):
-        self._header = ",".join(columns) + "\n"
-        self._width = len(columns)
+    def __init__(self, row: str, sep: str = "", nonfinite=None):
+        self._line, self._sep, self._nonfinite = row + sep, len(sep), nonfinite
         self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
-        self._sizes = []  # bytes of each backward block, in the order spooled
+        self._spans = []  # (start, size) in bytes of each backward block
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
-
-    def close(self):
         for fh in self._files:
             fh.close()
 
@@ -179,39 +177,53 @@ class _CsvSpool:
         rows = np.column_stack(columns)
         fh = self._files[backward]
         start = fh.tell()
-        for text in _csv_text(rows[::-1] if backward else rows, self._width):
-            fh.write(text.encode())
+        fh.writelines(_table_text(rows[::-1] if backward else rows, self._line,
+                                  self._nonfinite))
         if backward:
-            self._sizes.append(fh.tell() - start)
+            self._spans.append((start, fh.tell() - start))
 
-    def write(self, path):
+    def pieces(self, head: bytes, tail: bytes = b""):
+        """``head``, the table, then ``tail``: the table in pieces of at most
+        ``_COPY_BYTES``, so that no block's text is held at once."""
         forward, backward = self._files
-        with open(path, "wb") as out:
-            out.write(self._header.encode())
-            end = backward.tell()
-            for size in reversed(self._sizes):
-                end -= size
-                backward.seek(end)
-                while size:  # in pieces, so that no block's text is held at once
-                    piece = backward.read(min(size, _COPY_BYTES))
-                    out.write(piece)
-                    size -= len(piece)
-            forward.seek(0)
-            shutil.copyfileobj(forward, out, _COPY_BYTES)
+        yield head
+        spans = [(backward, *span) for span in reversed(self._spans)]
+        for fh, start, size in [*spans, (forward, 0, forward.seek(0, os.SEEK_END) - self._sep)]:
+            fh.seek(start)
+            while size:
+                piece = fh.read(min(size, _COPY_BYTES))
+                yield piece
+                size -= len(piece)
+        yield tail
 
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc: dict, outdir, report_name: str):
-    """Print the report and, when a directory is given, write it there."""
-    sys.stdout.write(_dump(doc))
-    if outdir is None:
-        return
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, report_name), "w") as fh:
-        fh.write(_dump(doc))
+def _emit(doc: dict, outdir, report_name: str, rows=None, files=()):
+    """Print the report and, when a directory is given, write it there as
+    ``report_name``, with each (file name, bytes pieces) of ``files``.
+
+    With the spool ``rows``, its table streams into both copies of the
+    report where ``doc`` holds ``[_ROWS]``.  The directory is made and
+    every file opened before stdout gets a byte, so an output that cannot
+    be written leaves stdout empty.
+    """
+    head, _, tail = _dump(doc).partition(json.dumps(_ROWS))
+    report = [head.encode()] if rows is None else rows.pieces(head.encode(), tail.encode())
+    with contextlib.ExitStack() as stack:
+        opened = []
+        if outdir is not None:
+            os.makedirs(outdir, exist_ok=True)
+            opened = [stack.enter_context(open(os.path.join(outdir, name), "wb"))
+                      for name in (report_name, *(name for name, _ in files))]
+        for piece in report:
+            sys.stdout.write(piece.decode())
+            if opened:
+                opened[0].write(piece)
+        for fh, (_, pieces) in zip(opened[1:], files):
+            fh.writelines(pieces)
 
 
 def _field_norm_maxima(s: cat.Scenario) -> dict:
@@ -229,20 +241,26 @@ def cmd_run(args) -> int:
     v = s.initial.v if args.v is None else _parse_vector(args.v, s.manifold.dim, "v")
     s0 = geo.TrajectoryState(0.0, q, v)
 
-    # the sample table is spooled to the CSV of --output, or kept in memory
-    # for the report of --format json
-    csv = args.output is not None and args.format == "csv"
-    with _CsvSpool(_table_columns(s.manifold.dim)) if csv else contextlib.nullcontext() as spool:
-        result = dy.integrate_maximal(s.manifold, s.fields, s0, cfg,
-                                      table=spool if csv else args.format == "json")
+    # the sample table is spooled when it is shown: as the report's samples,
+    # rows printed as _dump prints them, or as the CSV of --output
+    columns = _table_columns(s.manifold.dim)
+    as_json = args.format == "json"
+    spool = None
+    if as_json:
+        row = "[\n" + ",\n".join(["        %s"] * len(columns)) + "\n      ]"
+        spool = _Spool(row, ",\n      ", json.dumps)
+    elif args.output is not None:
+        spool = _Spool(_csv_line(len(columns)))
+    with spool or contextlib.nullcontext():
+        result = dy.integrate_maximal(s.manifold, s.fields, s0, cfg, table=spool)
         doc = _run_report(s, cfg, q, v, result)
-        if args.format == "json":
-            rows = np.column_stack(result.table.columns)
-            doc["samples"] = {"columns": _table_columns(s.manifold.dim),
-                              "rows": [row.tolist() for row in rows]}
-        _emit(doc, args.output, "run_report.json")
-        if csv:
-            spool.write(os.path.join(args.output, "run_trajectory.csv"))
+        files = ()
+        if as_json:
+            doc["samples"] = {"columns": columns, "rows": [_ROWS]}
+        elif spool is not None:
+            header = (_csv_line(len(columns)) % tuple(columns)).encode()
+            files = [("run_trajectory.csv", spool.pieces(header))]
+        _emit(doc, args.output, "run_report.json", spool if as_json else None, files)
     return 0
 
 
@@ -352,8 +370,7 @@ def cmd_sweep(args) -> int:
     for index in range(args.n):
         q = _sample_initial_point(m, rng)
         v = _sample_velocity(m, fp, q, rng, radius)
-        result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg,
-                                      table=False)
+        result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg)
         cls = result.classification
         energy = dy.energy_monitor(result)
         killing = dy.killing_charge_monitor(result)
@@ -391,9 +408,8 @@ def cmd_sweep(args) -> int:
         "config": asdict(cfg),
         "provenance": "sampled check, not a proof",
     }
-    _emit(doc, args.output, "sweep_report.json")
-    if args.output is not None:
-        _write_csv(os.path.join(args.output, "sweep.csv"), columns, rows)
+    csv = _table_text([columns, *rows], _csv_line(len(columns)))
+    _emit(doc, args.output, "sweep_report.json", files=[("sweep.csv", csv)])
     return 0
 
 

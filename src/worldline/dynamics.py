@@ -27,12 +27,11 @@ it and reads its verdict.
 The step loop hands the samples it keeps to a sink in blocks of at most
 ``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold that evaluates each
 block once and keeps only the running values the monitors, the certificate
-and a sweep row read, so a run without a sample table holds memory that does
-not grow with the horizon.  A run that asks for the table has the fold hand
-each block on, with its energy, charge and speed columns, to a block
-consumer: ``SampleTable`` keeps them, the one place the table exists in
-full, and the result holds it as ``table``; ``run --output`` spools them to
-its CSV.
+and a sweep row read, so the memory of a run does not grow with the
+horizon.  A run that asks for the sample table has the fold hand each block
+on, with its energy, charge and speed columns, to a block consumer; ``run``
+spools them as the text of its CSV or of its JSON report, and the table is
+never held in full.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -43,9 +42,7 @@ time itself comes later, and in general outside the bracket.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
@@ -131,36 +128,20 @@ class DirectionReport:
     rejected: int
 
 
-class _States(Sequence):
-    """Read-only view of the sample arrays: its length is the sample count,
-    and an index builds one TrajectoryState."""
-
-    def __init__(self, ts, qs, vs):
-        self._ts, self._qs, self._vs = ts, qs, vs
-
-    def __len__(self):
-        return len(self._ts)
-
-    def __getitem__(self, i):
-        i = operator.index(i)
-        return TrajectoryState(float(self._ts[i]), tuple(self._qs[i].tolist()),
-                               tuple(self._vs[i].tolist()))
-
-
 class TrajectoryResult:
-    """Both direction verdicts, the fold of the samples and the sample table.
+    """Both direction verdicts and the fold of the samples.
 
     ``series`` is the ``SampleSeries`` made during the integration, under
     the (m, fp) of the run; the monitors and the certificate read it.
-    ``table`` is the ``SampleTable`` the run kept, with every column empty
-    when it kept none.  ``arrays()`` gives its normalized samples as columns
-    in strictly increasing t and ``states`` reads them one state at a time.
     """
 
-    def __init__(self, series: SampleSeries, table: SampleTable, forward: DirectionReport,
+    # no result keeps samples; the traced bench run counts
+    # dynamics.samples_kept as len(result.states) (bench/layers.py)
+    states = ()
+
+    def __init__(self, series: SampleSeries, forward: DirectionReport,
                  backward: DirectionReport, speed_mode: str):
-        self.series, self.table = series, table
-        self.states = _States(table.ts, table.qs, table.vs)
+        self.series = series
         self.forward = forward
         self.backward = backward
         self.speed_mode = speed_mode  # "reference" or "euclidean"
@@ -173,10 +154,6 @@ class TrajectoryResult:
             return self.backward.classification
         fwd = self.forward.classification
         return replace(fwd, marginal=fwd.marginal or self.backward.classification.marginal)
-
-    def arrays(self):
-        """(ts, qs, vs): contiguous numpy arrays of shapes (m,), (m, n), (m, n)."""
-        return self.table.ts, self.table.qs, self.table.vs
 
 
 # --- compiled system -------------------------------------------------------
@@ -826,23 +803,19 @@ def _mid(bracket):
 
 
 def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState,
-                      cfg: IntegrationConfig, table=True) -> TrajectoryResult:
+                      cfg: IntegrationConfig, table=None) -> TrajectoryResult:
     """Integrate both directions to the horizon and classify inextendibility.
 
-    Every kept sample is folded into the result's ``series`` under (m, fp).
-    With ``table`` True the result also keeps the sample table in memory
-    (``result.table``); with False it keeps none, and the memory of the run
-    does not grow with the horizon.  Any other ``table`` is a block consumer
-    that the fold hands the table's rows to instead (see ``SampleSeries``),
-    and the result keeps none."""
+    Every kept sample is folded into the result's ``series`` under (m, fp),
+    which keeps no sample, so the memory of the run does not grow with the
+    horizon.  A ``table`` is a block consumer that the fold also hands the
+    rows of the sample table to (see ``SampleSeries``)."""
     sysd = compiled_system(m, fp)
-    kept = SampleTable(m.dim)
-    series = SampleSeries(m, fp, kept if table is True else table or None)
+    series = SampleSeries(m, fp, table)
     fwd = _run_direction(sysd, s0, cfg, +1.0, series.add)
     back = _run_direction(sysd, s0, cfg, -1.0, series.add)
-    kept.close()
     mode = "reference" if sysd.use_reference_speed else "euclidean"
-    return TrajectoryResult(series, kept, fwd, back, mode)
+    return TrajectoryResult(series, fwd, back, mode)
 
 
 # --- monitors --------------------------------------------------------------
@@ -946,8 +919,8 @@ class SampleSeries:
     rows, ``charge`` g(K,v) (nan without K) and ``speed`` the
     classification speed, from the positive form where the certificate
     takes K, else Euclidean.  Each is an elementwise formula, so a row's
-    values do not depend on its block.  ``SampleTable`` keeps the blocks in
-    memory; ``run --output`` spools them to its CSV.
+    values do not depend on its block.  ``run`` spools the blocks as the
+    text of its CSV or of its JSON report.
     """
 
     def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, table=None):
@@ -1008,36 +981,6 @@ class SampleSeries:
                 t, q, r = t[::-1], q[::-1], r[::-1]
             self.rate_residual = _fold_max(
                 self.rate_residual, np.abs(_nonuniform_derivative(t, q) - r[1:-1]))
-
-
-class SampleTable:
-    """The sample table in memory, the block consumer of a fold that keeps
-    every block.
-
-    ``close`` joins the blocks in increasing t, the backward blocks last to
-    first, each reversed, then the forward ones, into ``columns``, ``(ts,
-    qs, vs, energy, charge, speed)``, each also an attribute of that name.
-    Until then, and without blocks, every column is empty.
-    """
-
-    def __init__(self, n: int):
-        self._blocks = ([], [])  # forward, backward
-        self._set((np.empty(0), np.empty((0, n)), np.empty((0, n)),
-                   np.empty(0), np.empty(0), np.empty(0)))
-
-    def _set(self, columns):
-        self.columns = columns
-        self.ts, self.qs, self.vs, self.energy, self.charge, self.speed = columns
-
-    def add(self, columns, backward: bool):
-        self._blocks[backward].append(columns)
-
-    def close(self):
-        forward, backward = self._blocks
-        self._blocks = ([], [])
-        if forward or backward:
-            blocks = [[c[::-1] for c in b] for b in reversed(backward)] + forward
-            self._set(tuple(map(np.concatenate, zip(*blocks))))
 
 
 def energy_monitor(result: TrajectoryResult) -> EnergyRecord:

@@ -4,7 +4,8 @@
 ``rhs`` form the equation numerically from g and its derivatives, not from
 the generated contraction; ``decompose`` splits F at one point; and
 ``single_step`` is one step of the generated stage lines, for the
-handwritten loop that checks the generated step loop."""
+handwritten loop that checks the generated step loop; and ``SampleTable``
+keeps the sample table of a run in memory, which no command does."""
 
 import collections
 import functools
@@ -113,3 +114,44 @@ def single_step(sysd):
         dy._indent(["except OverflowError:", "    return inf, None, None",
                     f"return err, {dy._tuple(y5)}, {dy._tuple(k7)}"], 1)])
     return ex.compile_source(source, "_kernel", sysd.kernel.__globals__)
+
+
+class SampleTable:
+    """A block consumer for ``integrate_maximal(table=...)`` that keeps every
+    block of the sample table in memory.
+
+    ``columns`` joins the blocks in increasing t, the backward blocks last
+    to first, each reversed, then the forward ones: ``(ts, qs, vs, energy,
+    charge, speed)``.  ``arrays()`` is ``(ts, qs, vs)`` and ``states`` holds
+    one TrajectoryState of plain floats per row.  Read them once the
+    integration has returned.
+    """
+
+    def __init__(self):
+        self._blocks = ([], [])  # forward, backward
+
+    def add(self, columns, backward):
+        self._blocks[backward].append(columns)
+
+    @functools.cached_property
+    def columns(self):
+        forward, backward = self._blocks
+        blocks = [[c[::-1] for c in b] for b in reversed(backward)] + forward
+        return tuple(map(np.concatenate, zip(*blocks)))
+
+    charge = property(lambda self: self.columns[4])
+    speed = property(lambda self: self.columns[5])
+
+    def arrays(self):
+        return self.columns[:3]
+
+    @functools.cached_property
+    def states(self):
+        return [geo.TrajectoryState(t, tuple(q), tuple(v))
+                for t, q, v in zip(*(c.tolist() for c in self.arrays()))]
+
+
+def integrate_kept(m, fp, s0, cfg):
+    """``integrate_maximal`` with its sample table kept: (result, table)."""
+    table = SampleTable()
+    return dy.integrate_maximal(m, fp, s0, cfg, table=table), table

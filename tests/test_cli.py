@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -210,13 +211,13 @@ def test_run_json_format_embeds_samples(tmp_path, capsys):
 
 
 def test_run_builds_the_sample_table_only_to_write_it(tmp_path, capsys, monkeypatch):
-    # --output spools the table and a bare run keeps none: only --format
-    # json holds it in memory, to embed it in the report
-    results = []
+    # a bare run hands its table to no consumer; --output and --format json
+    # spool it, the one to the CSV and the other to the report
+    tables = []
 
     def integrate(*args, _f=dy.integrate_maximal, **kwargs):
-        results.append(_f(*args, **kwargs))
-        return results[-1]
+        tables.append(kwargs.get("table"))
+        return _f(*args, **kwargs)
 
     monkeypatch.setattr(dy, "integrate_maximal", integrate)
     argv = ["run", "--scenario", "clifton-pohl"]
@@ -226,9 +227,9 @@ def test_run_builds_the_sample_table_only_to_write_it(tmp_path, capsys, monkeypa
     assert code == 0 and bare == written
     code, embedded = invoke(argv + ["--format", "json"], capsys)
     assert code == 0
-    kept = [len(res.table.ts) for res in results]
-    assert kept[:2] == [0, 0]
-    assert kept[2] == len(json.loads(embedded)["samples"]["rows"]) > 0
+    assert [type(t) for t in tables] == [cli._Spool, type(None), cli._Spool]
+    rows = (tmp_path / "run_trajectory.csv").read_bytes().count(b"\n") - 1
+    assert len(json.loads(embedded)["samples"]["rows"]) == rows > 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -553,20 +554,25 @@ def test_overflowing_stage_is_an_error_control_rejection(tmp_path, capsys):
     assert doc["detail"] == "step collapse under error control"
 
 
-def test_run_output_streams_in_bounded_memory(tmp_path, capsys):
-    # run --output spools its sample table block by block, so the peak of
-    # the run does not grow with the horizon; at t_max = 300 the table's
-    # float columns alone would take 2.5 MB
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_output_streams_in_bounded_memory(fmt, tmp_path, capsys):
+    # run spools its sample table block by block, to the CSV of --output or
+    # to the report of --format json, so the peak of the run does not grow
+    # with the horizon; at t_max = 300 the table's float columns alone
+    # would take 2.5 MB.  stdout goes to a file, which holds no text.
     def peak(t_max):
         out = tmp_path / t_max
         tracemalloc.start()
         try:
-            code = cli.main(["run", "--scenario", "t3-magnetic", "--t-max", t_max,
-                             "--output", str(out)])
+            with open(tmp_path / f"{t_max}.out", "w") as fh, contextlib.redirect_stdout(fh):
+                code = cli.main(["run", "--scenario", "t3-magnetic", "--t-max", t_max,
+                                 "--format", fmt, "--output", str(out)])
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
+        if fmt == "json":
+            return top, len(json.loads((out / "run_report.json").read_bytes())["samples"]["rows"])
         return top, (out / "run_trajectory.csv").read_bytes().count(b"\n") - 1
 
     peak("1")  # compiles the system and fills the sampled-check caches
@@ -591,7 +597,7 @@ def test_run_closes_its_spool_files_and_writes_nothing_on_failure(tmp_path, caps
     assert code == 0 and (tmp_path / "ok" / "run_trajectory.csv").exists()
     assert spooled and all(fh.closed for fh in spooled)
     code, _ = invoke([*argv, str(tmp_path / "json"), "--format", "json"], capsys)
-    assert code == 0 and len(spooled) == 2  # the table stays in memory
+    assert code == 0 and len(spooled) == 4 and all(fh.closed for fh in spooled)
 
     calls = []
 
@@ -609,7 +615,21 @@ def test_run_closes_its_spool_files_and_writes_nothing_on_failure(tmp_path, caps
         assert code == 2 and "error:" in capsys.readouterr().err, name
         assert not (tmp_path / name).exists(), name
         assert all(fh.closed for fh in spooled), name
-    assert len(spooled) == 6  # two per run that spools: ok, refused, failed
+    assert len(spooled) == 8  # two per run: ok, json, refused, failed
+
+
+@pytest.mark.parametrize("argv", [["run"], ["check"], ["sweep", "-n", "1", "--t-max", "1"]],
+                         ids=lambda argv: argv[0])
+def test_output_naming_a_file_exits_two_before_printing(argv, tmp_path, capsys):
+    # the directory is made and the report file opened before stdout gets
+    # a byte, so a report is never printed for a run that then fails
+    path = tmp_path / "file"
+    path.write_text("kept\n")
+    code = cli.main([*argv, "--scenario", "clifton-pohl", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert path.read_text() == "kept\n"
 
 
 def test_run_monitors_agree_with_check_on_a_narrow_bump(tmp_path, capsys):
