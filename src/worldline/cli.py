@@ -129,7 +129,7 @@ def _table_text(rows, line: str, nonfinite=None):
 
     Each text is one ``%`` of the row template ``line`` repeated per row:
     ``%s`` of a float is str, its repr, and a string passes through; with
-    ``nonfinite``, a non-finite float of an array prints as ``nonfinite(x)``.
+    ``nonfinite``, a non-finite float of an array prints as that text.
     Blocks stay a few hundred rows long because a block's cells are held as
     float objects and its text at once: with 4096-row blocks a run's peak
     RSS rose by a tenth and the time saved was gone in a fresh process.
@@ -139,7 +139,7 @@ def _table_text(rows, line: str, nonfinite=None):
         if isinstance(block, np.ndarray):
             cells = block.ravel().tolist()
             if nonfinite is not None:
-                cells = [c if math.isfinite(c) else nonfinite(c) for c in cells]
+                cells = [c if math.isfinite(c) else nonfinite for c in cells]
         else:
             cells = [c for row in block for c in row]
         yield (line * len(block) % tuple(cells)).encode()
@@ -242,13 +242,13 @@ def cmd_run(args) -> int:
     s0 = geo.TrajectoryState(0.0, q, v)
 
     # the sample table is spooled when it is shown: as the report's samples,
-    # rows printed as _dump prints them, or as the CSV of --output
+    # rows printed as _dump prints them but strict, or as the CSV of --output
     columns = _table_columns(s.manifold.dim)
     as_json = args.format == "json"
     spool = None
     if as_json:
         row = "[\n" + ",\n".join(["        %s"] * len(columns)) + "\n      ]"
-        spool = _Spool(row, ",\n      ", json.dumps)
+        spool = _Spool(row, ",\n      ", "null")
     elif args.output is not None:
         spool = _Spool(_csv_line(len(columns)))
     with spool or contextlib.nullcontext():

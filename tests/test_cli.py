@@ -204,10 +204,14 @@ def test_run_json_format_embeds_samples(tmp_path, capsys):
     code, out = invoke(["run", "--scenario", "riemann-superlinear",
                         "--format", "json", "--output", str(out_dir)], capsys)
     assert code == 0
-    doc = json.loads((out_dir / "run_report.json").read_text())
+    assert (out_dir / "run_report.json").read_text() == out
+    doc = _strict_json(out)
     assert doc["samples"]["columns"][0] == "t"
     assert len(doc["samples"]["rows"]) > 10
     assert not (out_dir / "run_trajectory.csv").exists()
+    # without a symmetry field the charge is not a number, printed as null
+    charge = doc["samples"]["columns"].index("killing_charge")
+    assert all(row[charge] is None for row in doc["samples"]["rows"])
 
 
 def test_run_builds_the_sample_table_only_to_write_it(tmp_path, capsys, monkeypatch):
