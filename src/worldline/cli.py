@@ -210,8 +210,11 @@ def _emit(doc: dict, outdir, report_name: str, rows=None, files=()):
     every file opened before stdout gets a byte, so an output that cannot
     be written leaves stdout empty.
     """
-    head, _, tail = _dump(doc).partition(json.dumps(_ROWS))
-    report = [head.encode()] if rows is None else rows.pieces(head.encode(), tail.encode())
+    text = _dump(doc)
+    report = [text.encode()]
+    if rows is not None:
+        head, _, tail = text.partition(json.dumps(_ROWS))
+        report = rows.pieces(head.encode(), tail.encode())
     with contextlib.ExitStack() as stack:
         opened = []
         if outdir is not None:
@@ -258,8 +261,7 @@ def cmd_run(args) -> int:
         if as_json:
             doc["samples"] = {"columns": columns, "rows": [_ROWS]}
         elif spool is not None:
-            header = (_csv_line(len(columns)) % tuple(columns)).encode()
-            files = [("run_trajectory.csv", spool.pieces(header))]
+            files = [("run_trajectory.csv", spool.pieces((",".join(columns) + "\n").encode()))]
         _emit(doc, args.output, "run_report.json", spool if as_json else None, files)
     return 0
 
