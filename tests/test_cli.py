@@ -563,7 +563,8 @@ def test_run_output_streams_in_bounded_memory(fmt, tmp_path, capsys):
     # run spools its sample table block by block, to the CSV of --output or
     # to the report of --format json, so the peak of the run does not grow
     # with the horizon; at t_max = 300 the table's float columns alone
-    # would take 2.5 MB.  stdout goes to a file, which holds no text.
+    # would take 2.5 MB.  stdout goes to a file, not to a capture buffer
+    # that would hold the JSON report's text.
     def peak(t_max):
         out = tmp_path / t_max
         tracemalloc.start()
