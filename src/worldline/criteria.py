@@ -14,8 +14,8 @@ metric; the growth envelopes read one checked ball, drawn once per manifold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ _T_WINDOW = 10.0
 _T_GRID = 11
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     name: str
     verdict: str  # "pass" | "fail" | "not-applicable"
     measured: float | None = None
@@ -45,8 +44,7 @@ class Hypothesis:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     theorem: str
     hypotheses: tuple
     prediction: str
@@ -140,14 +138,12 @@ def estimate_S_bounds(m: geo.ManifoldSpec, fp: fl.FieldPack):
     return s_sup, s_inf, max(abs(s_sup), abs(s_inf))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     quantity: str
     bound_rate: float       # A_T
     bound_offset: float     # C_T
     growth_class: str
     slope: float | None
-    base_point: tuple
     samples: int
     note: str = "distances use the chart Euclidean proxy"
 
@@ -226,14 +222,14 @@ def _growth(m: geo.ManifoldSpec, quantity: str, y: np.ndarray, power: int, order
     d = np.sqrt(((pts - p0) ** 2).sum(axis=1))
     A, C = _envelope_fit(d, y, power)
     if np.max(y) <= 1e-12:
-        return GrowthReport(quantity, max(A, 0.0), C, order, None, tuple(p0), len(pts),
+        return GrowthReport(quantity, max(A, 0.0), C, order, None, len(pts),
                             note=flat_note)
     slope = _loglog_slope(d, np.maximum(y, 0.0))
     if slope is not None and slope > power + 0.2:
         order = "super" + order
     elif slope is not None and slope < power - 0.2:
         order = "sub" + order
-    return GrowthReport(quantity, A, C, order, slope, tuple(p0), len(pts))
+    return GrowthReport(quantity, A, C, order, slope, len(pts))
 
 
 def check_linear_growth(m: geo.ManifoldSpec, fp: fl.FieldPack,

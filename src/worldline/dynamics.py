@@ -3,9 +3,10 @@
 The second-order equation is integrated as a first-order system on
 (position, velocity) pairs with an embedded Dormand-Prince 5(4) pair and PI
 step control.  The right-hand side, the speed and the step loop are
-generated as flat Python functions in every dimension, each stage one block
-printed by ``expr.emit_block`` from trees that ``expr.simplify`` has
-rewritten exactly.  In every dimension the acceleration is one formula,
+generated as flat Python functions in every dimension, one module per system
+and one ``expr.compile_source`` call, each stage one block printed by
+``expr.emit_block`` from trees that ``expr.simplify`` has rewritten
+exactly.  In every dimension the acceleration is one formula,
 dv = g^-1 r + F v + X with r_l = -(w_l + d_l V), where w contracts the
 symbolic derivatives of g with the velocity (``_accel_parts``).  Up to
 dimension 4 g^-1 is the symbolic inverse; above it each stage calls one
@@ -43,8 +44,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +113,7 @@ class IntegrationConfig:
                 f"monitor stride must be an integer >= 1, got {self.stride!r}")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str
     t_star: float | None = None
     t_star_halfwidth: float | None = None
@@ -120,8 +121,7 @@ class Classification:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class DirectionReport:
+class DirectionReport(NamedTuple):
     classification: Classification
     max_speed: float
     accepted: int
@@ -153,13 +153,14 @@ class TrajectoryResult:
         if self.backward.classification.kind != COMPLETE:
             return self.backward.classification
         fwd = self.forward.classification
-        return replace(fwd, marginal=fwd.marginal or self.backward.classification.marginal)
+        return fwd._replace(marginal=fwd.marginal or self.backward.classification.marginal)
 
 
 # --- compiled system -------------------------------------------------------
 
 class _System:
-    """Everything integrate_maximal needs, compiled once per (manifold, fields)."""
+    """Everything integrate_maximal needs, compiled once per (manifold, fields)
+    from one generated module, ``kernel_source``."""
 
     def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack):
         self.m = m
@@ -167,19 +168,16 @@ class _System:
         self.n = m.dim
         # the K-based positive form only where the certificate accepts K
         self.use_reference_speed = _inverse_norm_bound(m, fp) is not None
-        ns = dict(ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _check_det=_check_det,
-                  _finite=_finite)
-        self.rhs_source, step, accel_source = _generate_sources(m, fp)
-        if accel_source is not None:
-            ns["_accel"] = ex.compile_source(accel_source, "_accel", ns)
+        rhs, step, accel = _generate_sources(m, fp)
         speed = _speed_lines(m, fp, self.use_reference_speed)
-        self.speed_source = _speed_source(speed, 2 * self.n)
-        self.rhs_flat = ex.compile_source(self.rhs_source, "_rhs", ns)
-        self.speed_sq = ex.compile_source(self.speed_source, "_speed_sq", ns)
-        self.kernel_source = _loop_source(m, step, speed)
+        self.kernel_source = "".join([accel or "", rhs, _speed_source(speed, 2 * self.n),
+                                      _loop_source(m, step, speed)])
         self.kernel = ex.compile_source(self.kernel_source, "_advance", dict(
-            ns, _rhs=self.rhs_flat, geo=geo, _m=m, isfinite=math.isfinite,
+            ex._SCALAR_NS, sqrt=math.sqrt, _solve=_solve, _check_det=_check_det,
+            _finite=_finite, geo=geo, _m=m, isfinite=math.isfinite,
             _EVAL_ERRORS=_EVAL_ERRORS))
+        module = self.kernel.__globals__
+        self.rhs_flat, self.speed_sq = module["_rhs"], module["_speed_sq"]
 
 
 @lru_cache(maxsize=16)
@@ -811,7 +809,7 @@ def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState
     horizon.  A ``table`` is a block consumer that the fold also hands the
     rows of the sample table to (see ``SampleSeries``)."""
     sysd = compiled_system(m, fp)
-    series = SampleSeries(m, fp, table)
+    series = SampleSeries(sysd, table)
     fwd = _run_direction(sysd, s0, cfg, +1.0, series.add)
     back = _run_direction(sysd, s0, cfg, -1.0, series.add)
     mode = "reference" if sysd.use_reference_speed else "euclidean"
@@ -820,16 +818,14 @@ def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState
 
 # --- monitors --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyRecord:
+class EnergyRecord(NamedTuple):
     applicable: bool
     reference: float
     max_drift: float
     note: str = ""
 
 
-@dataclass(frozen=True)
-class KillingRecord:
+class KillingRecord(NamedTuple):
     present: bool
     constant_case: bool
     reference: float
@@ -839,8 +835,7 @@ class KillingRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Certificates:
+class Certificates(NamedTuple):
     refused: bool
     reason: str
     c1: float = math.nan
@@ -897,7 +892,7 @@ def _fold_max(running, values):
 
 
 class SampleSeries:
-    """A fold over the sample blocks of one result under (m, fp).
+    """A fold over the sample blocks of one result under the (m, fp) of ``sysd``.
 
     ``add`` evaluates each block once with ``_evaluate`` and keeps running
     values only:
@@ -923,10 +918,10 @@ class SampleSeries:
     text of its CSV or of its JSON report.
     """
 
-    def __init__(self, m: geo.ManifoldSpec, fp: fl.FieldPack, table=None):
-        self.m, self.fp = m, fp
+    def __init__(self, sysd: _System, table=None):
+        self.m, self.fp = sysd.m, sysd.fp
         self._table = table
-        self._gr_form = fp.reference_field is not None and _inverse_norm_bound(m, fp) is not None
+        self._gr_form = sysd.use_reference_speed
         self.energy_ref = self.energy_drift = self.gvv_max = None
         self.charge_ref = self.charge_drift = self.charge_bound = None
         self.gkk_max = self.rate_max = self.gr_form_max = self.rate_residual = None

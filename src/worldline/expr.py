@@ -2,14 +2,15 @@
 
 Expressions are small immutable ASTs built from constants, coordinate
 variables, the four arithmetic operations, integer powers, unary negation
-and the functions of ``FUNCTIONS`` (sin, cos, exp, log).  They support exact
-symbolic partial derivatives.  ``emit_block``, the one printer of generated
-code, turns a list of them into straight-line Python with one local per
-shared subexpression: scalar code over math functions (``_SCALAR_NS``) for the
-stepper, or numpy code over arrays of points (``compile_batch``).  The
-stepper first passes its trees through ``simplify``, an exact rewrite that
-folds constants, drops units and cancels negations without changing a bit of
-any result.
+and the functions of ``FUNCTIONS`` (sin, cos, exp, log), each node a
+``__slots__`` object with its parts in the slots its class tuple ``_fields``
+names.  They support exact symbolic partial derivatives.  ``emit_block``, the
+one printer of generated code, turns a list of them into straight-line
+Python with one local per shared subexpression: scalar code over math
+functions (``_SCALAR_NS``) for the stepper, or numpy code over arrays of
+points (``compile_batch``).  The stepper first passes its trees through
+``simplify``, an exact rewrite that folds constants, drops units and cancels
+negations without changing a bit of any result.
 
 Grammar (whitespace insignificant)::
 
@@ -31,12 +32,13 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 TIME_NAME = "t"
 TIME_INDEX = -1
+_set = object.__setattr__  # fills the slots of a node, which refuses assignment
 
 
 class ExprError(ValueError):
@@ -92,16 +94,31 @@ class CoordinateFrame:
 
 # --- AST nodes -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Expr:
-    """A node.  Equality is structural (Const(0.0) == Const(-0.0), as for
-    floats); neither it nor the hash, cached from the children's at
-    construction, recurses, so any tree deeper than the recursion limit
-    compares and hashes."""
+    """An immutable node, its parts in the slots ``_fields`` names.  Equality
+    is structural (Const(0.0) == Const(-0.0), as for floats); neither it nor
+    the hash, cached from the children's at construction, recurses, so any
+    tree deeper than the recursion limit compares and hashes."""
 
-    def __post_init__(self):
-        # the fields, before _hash joins them
-        object.__setattr__(self, "_hash", hash((type(self), *self.__dict__.values())))
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __init__(self, *parts):
+        fields = self._fields
+        if len(parts) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} parts")
+        for name, x in zip(fields, parts):
+            _set(self, name, x)
+        _set(self, "_hash", hash((type(self), *parts)))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({parts})"
 
     def __hash__(self):
         return self._hash
@@ -126,53 +143,39 @@ class Expr:
 
 def _parts(e: Expr) -> list:
     """The fields of a node in declaration order."""
-    return [getattr(e, name) for name in e.__match_args__]
+    return [getattr(e, name) for name in e._fields]
 
 
-@dataclass(frozen=True, eq=False)
 class Const(Expr):
-    value: float
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Expr):
-    name: str
-    index: int  # position in the frame, or TIME_INDEX
+    __slots__ = _fields = ("name", "index")  # index: position in the frame, or TIME_INDEX
 
 
-@dataclass(frozen=True, eq=False)
 class Add(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True, eq=False)
 class Mul(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True, eq=False)
 class Div(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True, eq=False)
 class Neg(Expr):
-    a: Expr
+    __slots__ = _fields = ("a",)
 
 
-@dataclass(frozen=True, eq=False)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")  # exponent: an int
 
 
-@dataclass(frozen=True, eq=False)
 class Fun(Expr):
-    name: str
-    arg: Expr
+    __slots__ = _fields = ("name", "arg")
 
 
 ZERO = Const(0.0)
@@ -256,8 +259,7 @@ def _log(x: float) -> float:
     return math.log(x)
 
 
-@dataclass(frozen=True)
-class Function:
+class Function(NamedTuple):
     """One elementary function: its scalar and numpy forms, and its
     derivative ``derive(node, d_arg)`` given that of its argument."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,9 @@ class FieldPack:
         """Partial derivatives dV/dx_i at each point."""
         return self._compiled.dV(qs, _times(qs, ts))
 
-    def reference_value(self, q, t: float = 0.0) -> np.ndarray:
-        return self.reference_batch(*_one(q, t))[0]
+    def reference_value(self, q) -> np.ndarray:
+        """K at one point, at t = 0."""
+        return self.reference_batch(*_one(q, 0.0))[0]
 
 
 def _one(q, t):
@@ -124,8 +126,7 @@ class _CompiledFields:
         self.dV = None if V is None else batch(ex.derive(V, name) for name in frame.names)
 
 
-@dataclass(frozen=True)
-class SampledCheck:
+class SampledCheck(NamedTuple):
     """Outcome of a pointwise-everywhere hypothesis tested on finite samples."""
 
     passed: bool
@@ -243,23 +244,22 @@ def is_timelike_everywhere(m: geo.ManifoldSpec, fp: FieldPack) -> SampledCheck:
     return SampledCheck(worst < _TIMELIKE_MARGIN, worst, len(pts))
 
 
-def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, qs, t: float = 0.0) -> dict:
+def invariant_norms(m: geo.ManifoldSpec, fp: FieldPack, qs) -> dict:
     """Size diagnostics under both the metric and plain sums at an (k, n)
-    array of points; each value is an array over the points.
+    array of points, at t = 0; each value is an array over the points.
 
     Metric contractions can vanish on null data, so the Euclidean figures are
     reported alongside rather than folded into one number.
     """
     qs = np.asarray(qs, dtype=float)
-    ts = np.full(len(qs), float(t))
     g = geo.metrics_at(m, qs)
     out = {}
     if fp.force_vector is not None or fp.potential is not None:
-        x = geo.finite("force vector X", qs, lambda q: drive_vectors(m, fp, q, ts))
+        x = geo.finite("force vector X", qs, lambda q: drive_vectors(m, fp, q))
         out["g_XX"] = np.einsum("mi,mij,mj->m", x, g, x)
         out["euclid_XX"] = np.einsum("mi,mi->m", x, x)
     if fp.force_operator is not None:
-        F = geo.finite("force operator F", qs, fp.force_batch, ts)
+        F = geo.finite("force operator F", qs, fp.force_batch)
         # full contraction F^{mu nu} F_{mu nu} = F^i_j F^k_l g_{ik} g^{jl}
         ginv = np.linalg.inv(g)
         out["F_full_contraction"] = np.einsum("mij,mkl,mik,mjl->m", F, F, g, ginv)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +113,7 @@ class ScalingQuotient:
             raise ValidationError(f"scaling factor must exceed 1 and be finite, got {self.factor}")
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
+class TrajectoryState(NamedTuple):
     """Affine parameter, base point and velocity components."""
 
     t: float

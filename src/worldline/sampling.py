@@ -19,6 +19,8 @@ import numpy as np
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 DEFAULT_SEED = 20240811
+_MAX_BATCHES = 64  # Halton batches sample_predicate walks before it gives up
+_ENVELOPE_BINS = 64  # log-d bins of log_bin_envelope
 
 
 def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
@@ -47,7 +49,7 @@ def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
     return out
 
 
-def sample_predicate(count: int, lo, hi, keep, max_batches: int = 64) -> np.ndarray:
+def sample_predicate(count: int, lo, hi, keep) -> np.ndarray:
     """Halton points in the box filtered by ``keep(points) -> mask``, a
     boolean per row of a (k, n) array.
 
@@ -60,7 +62,7 @@ def sample_predicate(count: int, lo, hi, keep, max_batches: int = 64) -> np.ndar
     out = []
     need = count
     skip = 20
-    for _ in range(max_batches):
+    for _ in range(_MAX_BATCHES):
         batch = lo + halton(count, lo.size, skip=skip) * (hi - lo)
         skip += count
         out.append(batch[keep(batch)][:need])
@@ -116,7 +118,7 @@ def quadratic_form_ball_point(rng, form: np.ndarray, radius: float) -> tuple:
     return tuple((vecs @ (u / np.sqrt(vals))).tolist())
 
 
-def log_bin_envelope(d: np.ndarray, y: np.ndarray, bins: int = 64):
+def log_bin_envelope(d: np.ndarray, y: np.ndarray):
     """Upper envelope of (d, y) on a log-d grid: per-bin max of y.
 
     Returns (d_mid, y_max) for the non-empty bins with positive d and y.
@@ -129,11 +131,11 @@ def log_bin_envelope(d: np.ndarray, y: np.ndarray, bins: int = 64):
     lo, hi = ld.min(), ld.max()
     if hi - lo < 1e-12:
         return np.array([math.exp(lo)]), np.array([y.max()])
-    idx = np.minimum(((ld - lo) / (hi - lo) * bins).astype(int), bins - 1)
+    idx = np.minimum(((ld - lo) / (hi - lo) * _ENVELOPE_BINS).astype(int), _ENVELOPE_BINS - 1)
     d_mid, y_max = [], []
-    for b in range(bins):
+    for b in range(_ENVELOPE_BINS):
         sel = idx == b
         if np.any(sel):
-            d_mid.append(math.exp(lo + (b + 0.5) * (hi - lo) / bins))
+            d_mid.append(math.exp(lo + (b + 0.5) * (hi - lo) / _ENVELOPE_BINS))
             y_max.append(y[sel].max())
     return np.array(d_mid), np.array(y_max)

@@ -559,12 +559,15 @@ def test_overflowing_stage_is_an_error_control_rejection(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_run_output_streams_in_bounded_memory(fmt, tmp_path, capsys):
+def test_run_output_streams_in_bounded_memory(fmt, tmp_path, capsys, monkeypatch):
     # run spools its sample table block by block, to the CSV of --output or
     # to the report of --format json, so the peak of the run does not grow
-    # with the horizon; at t_max = 300 the table's float columns alone
-    # would take 2.5 MB.  stdout goes to a file, not to a capture buffer
-    # that would hold the JSON report's text.
+    # with the horizon.  In blocks of 64 rows, t_max = 30 keeps more than
+    # 3000 rows, whose float columns alone would take 0.25 MB, against a
+    # bound of 100 KiB: the ratio of 30000 rows at t_max = 300 to 1 MiB, in
+    # blocks of _BLOCK rows.  stdout goes to a file, not to a capture
+    # buffer that would hold the JSON report's text.
+    monkeypatch.setattr(dy, "_BLOCK", 64)
     def peak(t_max):
         out = tmp_path / t_max
         tracemalloc.start()
@@ -581,10 +584,10 @@ def test_run_output_streams_in_bounded_memory(fmt, tmp_path, capsys):
         return top, (out / "run_trajectory.csv").read_bytes().count(b"\n") - 1
 
     peak("1")  # compiles the system and fills the sampled-check caches
-    (short, _), (long, rows) = peak("30"), peak("300")
+    (short, _), (long, rows) = peak("3"), peak("30")
     capsys.readouterr()
-    assert rows > 30000
-    assert long <= short + 1024 * 1024, (short, long)
+    assert rows > 3000
+    assert long <= short + 100 * 1024, (short, long)
 
 
 def test_run_closes_its_spool_files_and_writes_nothing_on_failure(tmp_path, capsys,

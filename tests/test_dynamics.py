@@ -1,5 +1,4 @@
 import array
-import dataclasses
 import functools
 import json
 import math
@@ -866,7 +865,7 @@ def _reference_direction(sysd, s0, cfg, sign, sink):
     if verdict.kind == dy.COMPLETE and (max_speed >= v_max / 10.0
                                         or min_h <= 10.0 * h_min):
         marginal = True
-    verdict = dataclasses.replace(verdict, marginal=marginal)
+    verdict = verdict._replace(marginal=marginal)
     return dy.DirectionReport(verdict, max_speed, accepted, rejected)
 
 
@@ -1167,6 +1166,41 @@ _STEPS = strategies.lists(strategies.floats(1e-3, 1.0), max_size=12)
 _VALUES = strategies.floats(-1e3, 1e3)
 
 
+@pytest.mark.parametrize("record", [
+    dy.Classification(dy.COMPLETE), dy.DirectionReport(dy.Classification(dy.BLOWUP), 1.0, 2, 0),
+    dy.EnergyRecord(True, 1.0, 0.0), dy.KillingRecord(False, False, 0.0, 0.0, None, 0.0),
+    dy.Certificates(True, "no reference field"), cr.Hypothesis("autonomous", "pass"),
+    cr.HypothesisReport("riemannian-compact", (), cr.COMPLETE),
+    cr.GrowthReport("|X|_g", 0.0, 0.0, "linear", None, 1), fl.SampledCheck(True, 0.0, 0),
+    geo.TrajectoryState(0.0, (1.0,), (1.0,)), ex.FUNCTIONS["sin"]], ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_replace_keeps_their_type(record):
+    assert not hasattr(record, "__dict__")
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    first = record._fields[0]
+    changed = record._replace(**{first: None})
+    assert type(changed) is type(record) and getattr(changed, first) is None
+    assert changed._replace(**{first: getattr(record, first)}) == record
+
+
+def test_a_compiled_system_is_one_generated_module(monkeypatch):
+    s = cat.load(CURVED_5D)
+    dy.compiled_system(s.manifold, s.fields)  # fills the caches of the sampled checks
+    calls = []
+
+    def counted(source, name, namespace, _f=ex.compile_source):
+        calls.append(name)
+        return _f(source, name, namespace)
+
+    monkeypatch.setattr(ex, "compile_source", counted)
+    sysd = dy._System(s.manifold, s.fields)
+    assert calls == ["_advance"]
+    for name in ("_accel", "_rhs", "_speed_sq", "_advance"):
+        assert f"def {name}(" in sysd.kernel_source, name
+    assert sysd.rhs_flat.__globals__ is sysd.kernel.__globals__ is sysd.speed_sq.__globals__
+
+
 @settings(max_examples=300, deadline=None)
 @given(forward=_STEPS, backward=_STEPS, data=strategies.data())
 def test_rate_residual_fold_takes_every_triple_in_time_order(forward, backward, data):
@@ -1179,7 +1213,7 @@ def test_rate_residual_fold_takes_every_triple_in_time_order(forward, backward, 
     q = np.array(data.draw(strategies.lists(_VALUES, min_size=rows, max_size=rows)))
     r = np.array(data.draw(strategies.lists(_VALUES, min_size=rows, max_size=rows)))
     s = cat.builtin("t3-magnetic")
-    series = dy.SampleSeries(s.manifold, s.fields)
+    series = dy.SampleSeries(dy.compiled_system(s.manifold, s.fields))
     start = len(t_fwd)
     for lo, hi, ts, back in ((0, start, t_fwd, False), (start, rows, t_back, True)):
         cuts = data.draw(strategies.lists(strategies.integers(1, max(hi - lo - 1, 1)), max_size=4))

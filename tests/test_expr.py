@@ -148,7 +148,7 @@ def test_emitter_shares_nodes_but_not_signed_zeros():
     x = ex.Var("x", 0)
     shared = ex.Fun("sin", ex.Mul(x, x))
     plus, minus = ex.Add(x, ex.Const(0.0)), ex.Add(x, ex.Const(-0.0))
-    assert plus == minus  # dataclass equality cannot tell 0.0 from -0.0
+    assert plus == minus  # node equality cannot tell 0.0 from -0.0
     f, lines = _scalar_function(
         [ex.Add(shared, ex.Fun("sin", ex.Mul(x, x))), plus, minus], ("x",))
     assert lines == ["_e0 = sin((x * x))"]  # one local, for the repeated node
@@ -158,6 +158,31 @@ def test_emitter_shares_nodes_but_not_signed_zeros():
     # a negative literal raised to a power keeps its sign inside the power
     f, _ = _scalar_function([ex.Pow(ex.Const(-2.0), 2)], ())
     assert f() == (4.0,) == (evaluate(ex.Pow(ex.Const(-2.0), 2), ()),)
+
+
+def test_nodes_are_slotted_immutable_and_compare_past_the_recursion_limit():
+    x = ex.Var("x", 0)
+    node = ex.Add(x, ex.Const(1.0))
+    assert not hasattr(node, "__dict__")
+    for name in ("a", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, x)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert node == ex.Add(ex.Var("x", 0), ex.Const(1.0))
+    assert repr(node) == "Add(a=Var(name='x', index=0), b=Const(value=1.0))"
+    with pytest.raises(TypeError):
+        ex.Add(x)
+    # x/(x/(...)) 400 deep: each level adds four to the depth of its derivative
+    e = x
+    for _ in range(400):
+        e = ex.Div(x, e)
+    d, again = ex.derive(e, "x"), ex.derive(e, "x")
+    with pytest.raises(RecursionError):
+        ex.to_text(d)  # one frame per level
+    assert d is not again and d == again and hash(d) == hash(again)
+    assert {d: 1}[again] == 1
+    assert d != ex.derive(ex.Div(ex.Const(2.0), e), "x")
 
 
 def test_emitter_splits_deep_trees():
