@@ -116,6 +116,9 @@ class Expr:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # copy and pickle rebuild a node from its parts
+        return type(self), tuple(_parts(self))
+
     def __repr__(self):
         parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({parts})"

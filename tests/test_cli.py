@@ -563,11 +563,12 @@ def test_run_output_streams_in_bounded_memory(fmt, tmp_path, capsys, monkeypatch
     # run spools its sample table block by block, to the CSV of --output or
     # to the report of --format json, so the peak of the run does not grow
     # with the horizon.  In blocks of 64 rows, t_max = 30 keeps more than
-    # 3000 rows, whose float columns alone would take 0.25 MB, against a
-    # bound of 100 KiB: the ratio of 30000 rows at t_max = 300 to 1 MiB, in
-    # blocks of _BLOCK rows.  stdout goes to a file, not to a capture
-    # buffer that would hold the JSON report's text.
+    # 3000 rows, whose float columns alone would take 0.25 MB; the bound of
+    # 100 KiB keeps 30 rows per KiB of it, as 30000 rows against 1 MiB did
+    # at t_max = 300.  stdout goes to a file, not to a capture buffer that
+    # would hold the JSON report's text.
     monkeypatch.setattr(dy, "_BLOCK", 64)
+
     def peak(t_max):
         out = tmp_path / t_max
         tracemalloc.start()

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -170,6 +172,7 @@ def test_nodes_are_slotted_immutable_and_compare_past_the_recursion_limit():
         with pytest.raises(AttributeError):
             delattr(node, name)
     assert node == ex.Add(ex.Var("x", 0), ex.Const(1.0))
+    assert copy.deepcopy(node) == node and pickle.loads(pickle.dumps(node)) == node
     assert repr(node) == "Add(a=Var(name='x', index=0), b=Const(value=1.0))"
     with pytest.raises(TypeError):
         ex.Add(x)
