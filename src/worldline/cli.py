@@ -12,8 +12,10 @@ import json
 import math
 import os
 import random
+import struct
 import sys
 import tempfile
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -149,45 +151,126 @@ def _csv_line(width: int) -> str:
     return ",".join(["%s"] * width) + "\n"
 
 
-class _Spool:
-    """The sample table of ``run`` as text, spooled block by block as the
-    fold hands the blocks over, so that the run holds one block at a time.
+_FRAME = struct.Struct("<?Q")  # a block sent to the writer: backward, bytes of its rows
 
-    ``add`` prints a block's rows through ``row + sep`` (see
-    ``_table_text``), reversed when backward, to one anonymous spool file
-    per direction.  ``pieces`` reads the table back in increasing t, the
-    backward blocks last to first, then the forward ones, without the
-    ``sep`` after the last row, which is a forward one.  The spool files
-    vanish when the spool exits.
+
+def _write_table(blocks: int, replies: int, files, line: str, width: int,
+                 nonfinite) -> int:
+    """The body of a ``_Spool``'s writer process; returns its exit code.
+
+    Reads framed blocks of float64 rows from the pipe ``blocks`` until it
+    closes and prints each through ``line`` (see ``_table_text``), reversed
+    when backward, to ``files[backward]``.  Then it sends to ``replies`` the
+    (start, size) in bytes of each backward block, or the text of the error
+    that stopped it."""
+    spans, code = array("q"), 0
+    try:
+        with open(blocks, "rb") as src:
+            while header := src.read(_FRAME.size):
+                backward, size = _FRAME.unpack(header)
+                rows = np.frombuffer(src.read(size)).reshape(-1, width)
+                fh = files[backward]
+                start = fh.tell()
+                fh.writelines(_table_text(rows[::-1] if backward else rows, line, nonfinite))
+                if backward:
+                    spans.extend((start, fh.tell() - start))
+        for fh in files:
+            fh.flush()
+        reply = spans.tobytes()
+    except Exception as err:
+        reply, code = f"{type(err).__name__}: {err}".encode(), 1
+    with open(replies, "wb") as out:
+        out.write(reply)
+    return code
+
+
+class _Spool:
+    """The sample table of ``run`` as text, printed by a writer process while
+    the run integrates, so that the run neither holds more than one block
+    of the table nor formats a float of it.
+
+    Entering the spool forks the writer (POSIX ``fork``), which leaves only
+    through ``os._exit``.  ``add`` sends a block's rows, raw float64, down a
+    pipe; the writer prints them through ``row + sep`` (``_write_table``) to
+    one anonymous spool file per direction.  ``pieces`` closes the pipe,
+    takes the spans of the backward blocks from the writer and reaps it,
+    then reads the table back in increasing t: the backward blocks last to
+    first, then the forward ones, without the ``sep`` after the last row,
+    which is a forward one.  A writer that failed makes ``pieces`` (or
+    ``add``) raise ``OSError`` with its error.  Leaving the spool reaps the
+    writer if ``pieces`` did not, and closes the spool files, which vanish.
+    A run killed mid-way closes the pipe, and the writer ends at its end.
     """
 
     def __init__(self, row: str, sep: str = "", nonfinite=None):
-        self._line, self._sep, self._nonfinite = row + sep, len(sep), nonfinite
-        self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
-        self._spans = []  # (start, size) in bytes of each backward block
+        self._format = row + sep, row.count("%s"), nonfinite
+        self._sep = len(sep)
+        self._pid = None
 
     def __enter__(self):
+        self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
+        blocks, pipe = os.pipe()
+        self._replies, replies = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self._pid = os.fork()
+        if self._pid == 0:  # the writer
+            code = 1
+            try:
+                os.close(pipe)
+                os.close(self._replies)
+                code = _write_table(blocks, replies, self._files, *self._format)
+            finally:
+                os._exit(code)
+        os.close(blocks)
+        os.close(replies)
+        self._pipe = open(pipe, "wb")
         return self
 
     def __exit__(self, *exc):
-        for fh in self._files:
-            fh.close()
+        try:
+            if self._pid is not None:  # the run failed before ``pieces``
+                with contextlib.suppress(OSError):
+                    self._reap()
+        finally:
+            for fh in self._files:
+                fh.close()
+
+    def _reap(self):
+        """Close the pipe, so that the writer finishes, and reap it; return
+        its spans of the backward blocks, or raise ``OSError`` if it failed."""
+        pid, self._pid = self._pid, None
+        with contextlib.suppress(BrokenPipeError):
+            self._pipe.close()
+        with open(self._replies, "rb") as fh:
+            reply = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise OSError(f"sample table writer failed: {reply.decode(errors='replace')}"
+                          if reply else f"sample table writer ended with status {code}")
+        spans = array("q", reply)
+        return list(zip(spans[::2], spans[1::2]))
 
     def add(self, columns, backward: bool):
-        rows = np.column_stack(columns)
-        fh = self._files[backward]
-        start = fh.tell()
-        fh.writelines(_table_text(rows[::-1] if backward else rows, self._line,
-                                  self._nonfinite))
-        if backward:
-            self._spans.append((start, fh.tell() - start))
+        rows = np.column_stack(columns).tobytes()
+        try:
+            self._pipe.write(_FRAME.pack(backward, len(rows)))
+            self._pipe.write(rows)
+            self._pipe.flush()
+        except BrokenPipeError:  # the writer is gone
+            self._reap()  # raises its error
+            raise
 
     def pieces(self, head: bytes, tail: bytes = b""):
         """``head``, the table, then ``tail``: the table in pieces of at most
-        ``_COPY_BYTES``, so that no block's text is held at once."""
+        ``_COPY_BYTES``, so that no block's text is held at once.  The
+        writer is reaped here, before the first piece is asked for."""
+        return self._read(head, self._reap(), tail)
+
+    def _read(self, head, spans, tail):
         forward, backward = self._files
         yield head
-        spans = [(backward, *span) for span in reversed(self._spans)]
+        spans = [(backward, *span) for span in reversed(spans)]
         for fh, start, size in [*spans, (forward, 0, forward.seek(0, os.SEEK_END) - self._sep)]:
             fh.seek(start)
             while size:
@@ -239,6 +322,7 @@ def _field_norm_maxima(s: cat.Scenario) -> dict:
 
 def cmd_run(args) -> int:
     s = cat.resolve(args.scenario)
+    cr.check_growth_ball(s.manifold)
     cfg = _resolved_config(s, args)
     q = s.initial.q if args.q is None else _parse_vector(args.q, s.manifold.dim, "q")
     v = s.initial.v if args.v is None else _parse_vector(args.v, s.manifold.dim, "v")
@@ -351,6 +435,7 @@ def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise geo.ValidationError("--seed must be non-negative")
     s = cat.resolve(args.scenario)
+    cr.check_growth_ball(s.manifold)
     cfg = _resolved_config(s, args)
     radius = s.velocity_radius
     rng = random.Random(args.seed)

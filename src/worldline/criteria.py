@@ -68,13 +68,26 @@ def _conclude(theorem, hyps) -> HypothesisReport:
                             COMPLETE if ok else NO_PREDICTION)
 
 
+def _compact(m: geo.ManifoldSpec) -> bool:
+    return m.quotient is not None and geo.fundamental_domain_bounded(m)
+
+
+def check_growth_ball(m: geo.ManifoldSpec) -> None:
+    """Refuse, as ``check`` does, a metric that is degenerate or of the wrong
+    signature in the growth ball.  ``check`` reads the ball exactly when it
+    decides a growth route: for a declared-complete Riemannian spec without
+    a compact quotient."""
+    if m.signature != geo.LORENTZIAN and m.declared_complete and not _compact(m):
+        _region_points(m)
+
+
 # --- Lorentzian route ------------------------------------------------------
 
 def check_lorentzian_theorem(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
     """Compactness, autonomy, skew F, conformal timelike K with F(K) = 0,
     and a potential-only extra force, for a Lorentzian spec."""
     hyps = []
-    compact = m.quotient is not None and geo.fundamental_domain_bounded(m)
+    compact = _compact(m)
     hyps.append(Hypothesis("compact-quotient", "pass" if compact else "fail",
                            note="quotient with bounded fundamental domain"
                            if compact else "no quotient or unbounded domain"))
@@ -283,7 +296,7 @@ def _growth_hypothesis(name, rep: GrowthReport, note: str = "") -> Hypothesis:
 def check_riemannian_theorems(m: geo.ManifoldSpec, fp: fl.FieldPack) -> HypothesisReport:
     """Dispatch among the growth criteria for a Riemannian spec with a complete base."""
     hyps = []
-    compact = m.quotient is not None and geo.fundamental_domain_bounded(m)
+    compact = _compact(m)
     complete_base = compact or m.declared_complete
     hyps.append(Hypothesis("complete-base", "pass" if complete_base else "fail",
                            note="compact quotient" if compact else

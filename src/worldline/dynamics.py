@@ -26,13 +26,14 @@ scaling renormalization and the kept rows.  ``_run_direction`` only starts
 it and reads its verdict.
 
 The step loop hands the samples it keeps to a sink in blocks of at most
-``_BLOCK`` rows.  The sink is a ``SampleSeries``, a fold that evaluates each
-block once and keeps only the running values the monitors, the certificate
-and a sweep row read, so the memory of a run does not grow with the
-horizon.  A run that asks for the sample table has the fold hand each block
-on, with its energy, charge and speed columns, to a block consumer; ``run``
-spools them as the text of its CSV or of its JSON report, and the table is
-never held in full.
+``_BLOCK`` (512) rows.  The sink is a ``SampleSeries``, a fold that
+evaluates each block once and keeps only the running values the monitors,
+the certificate and a sweep row read, so the memory of a run does not grow
+with the horizon.  A run that asks for the sample table has the fold hand
+each block on, with its energy, charge and speed columns, to a block
+consumer; ``run`` sends them to a writer process that prints the text of its
+CSV or of its JSON report while the steps go on, and the table is never
+held in full.  No value depends on the block size.
 
 A run never raises on dynamical failure: divergence, domain exit and step
 collapse become classifications with a bracketed time.  For a blow-up the
@@ -62,7 +63,9 @@ STALLED = "StalledAt"
 
 _EVAL_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 _CONFIRM_STEPS = 200
-_BLOCK = 4096  # kept rows per block handed from the step loop to its sink
+# kept rows per block handed from the step loop to its sink; small, so that
+# the table writer of run gets its first block early and works alongside
+_BLOCK = 512
 
 # Dormand-Prince 5(4) tableau.  Rows 2..6 feed the stages, _B is the 5th
 # order combination (stage 7 is evaluated there: first-same-as-last).
@@ -914,8 +917,8 @@ class SampleSeries:
     rows, ``charge`` g(K,v) (nan without K) and ``speed`` the
     classification speed, from the positive form where the certificate
     takes K, else Euclidean.  Each is an elementwise formula, so a row's
-    values do not depend on its block.  ``run`` spools the blocks as the
-    text of its CSV or of its JSON report.
+    values do not depend on its block.  ``run`` sends the blocks to a writer
+    process, which prints them as the text of its CSV or of its JSON report.
     """
 
     def __init__(self, sysd: _System, table=None):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -108,12 +109,16 @@ def test_check_refuses_metric_indefinite_between_validation_samples(tmp_path, ca
 
 def test_check_refuses_metric_indefinite_in_the_growth_ball(capsys):
     # g = 1 - x^2/2500 is positive on the sampling box |x| <= 10 and negative
-    # past |x| = 50, inside the radius-100 ball the growth envelope samples
+    # past |x| = 50, inside the radius-100 ball the growth envelope samples;
+    # run and sweep read the same ball before they integrate
     path = os.path.join(DATA, "probe-indefinite-line.json")
-    assert cli.main(["check", "--scenario", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "metric at (81.25,) has 1 negative eigenvalues, expected 0 for a riemannian spec" in err
+    cat.load(path)
+    for argv in (["check"], ["run"], ["sweep", "-n", "2"]):
+        assert cli.main([*argv, "--scenario", path]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert ("metric at (81.25,) has 1 negative eigenvalues, expected 0 for a riemannian spec"
+                in err), argv
 
 
 def test_every_command_refuses_a_reference_field_not_finite_at_sample_points(capsys):
@@ -625,6 +630,94 @@ def test_run_closes_its_spool_files_and_writes_nothing_on_failure(tmp_path, caps
         assert not (tmp_path / name).exists(), name
         assert all(fh.closed for fh in spooled), name
     assert len(spooled) == 8  # two per run: ok, json, refused, failed
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+
+    def fork(_f=os.fork):
+        pid = _f()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failing_table_writer_fails_the_run_and_leaves_nothing(fmt, tmp_path, capsys,
+                                                                 monkeypatch):
+    # the writer process is forked from the test process, so it inherits
+    # the patched _table_text and fails on the first block it formats
+    def fails(*args):
+        raise RuntimeError("no text today")
+
+    monkeypatch.setattr(cli, "_table_text", fails)
+    forks = _counting_forks(monkeypatch)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", "clifton-pohl", "--format", fmt,
+                     "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: sample table writer failed: RuntimeError: no text today" in captured.err
+    assert not out.exists()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the writer was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_run_failing_after_its_writer_started_leaves_no_process(fmt, tmp_path, capsys,
+                                                                  monkeypatch):
+    # the start speed is refused inside the integration, after the spool
+    # forked its writer
+    forks = _counting_forks(monkeypatch)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", "clifton-pohl", "--v-max", "1e-6",
+                     "--format", fmt, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: initial speed" in captured.err
+    assert not out.exists()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_writer_of_a_killed_run_ends(tmp_path):
+    # a killed run closes its end of the pipe; the writer reads the end of
+    # the table there and exits, whoever reaps it then
+    script = (
+        "import sys, time\n"
+        "from worldline import cli\n"
+        "spool = cli._Spool(cli._csv_line(2)).__enter__()\n"
+        "spool.add(([0.0, 1.0], [2.0, 3.0]), False)\n"
+        "print(spool._pid, flush=True)\n"
+        "time.sleep(60)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    try:
+        writer = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+    def running():
+        try:
+            with open(f"/proc/{writer}/stat") as fh:
+                return fh.read().rpartition(")")[2].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 10.0
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running()
 
 
 @pytest.mark.parametrize("argv", [["run"], ["check"], ["sweep", "-n", "1", "--t-max", "1"]],

@@ -123,13 +123,14 @@ def test_reports_match_pins(source, tmp_path, capsys):
         assert pin == json.load(fh)[name], name
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 512, 4096])
 @pytest.mark.parametrize("source", INPUTS, ids=_name)
 def test_trajectory_csv_pins_hold_for_any_block_size(source, block, tmp_path, capsys,
                                                      monkeypatch):
     # blocks of 1 and 7 rows put block edges, and the reversal of the
-    # backward blocks, where the default block size rarely reaches; in the
-    # JSON table they also fall on the separators between rows
+    # backward blocks, where the default block size (512) rarely reaches; in
+    # the JSON table they also fall on the separators between rows.  Every
+    # block goes through the table writer process, at 4096 rows too
     monkeypatch.setattr(dy, "_BLOCK", block)
     out = os.path.join(str(tmp_path), "run")
     assert cli.main(["run", "--scenario", source, "--output", out]) == 0
