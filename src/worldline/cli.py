@@ -190,7 +190,9 @@ class _Spool:
     of the table nor formats a float of it.
 
     Entering the spool forks the writer (POSIX ``fork``), which leaves only
-    through ``os._exit``.  ``add`` sends a block's rows, raw float64, down a
+    through ``os._exit``.  The run starts no thread; the writer calls no
+    BLAS routine, so an idle BLAS thread pool that the fork leaves behind
+    does not matter to it.  ``add`` sends a block's rows, raw float64, down a
     pipe; the writer prints them through ``row + sep`` (``_write_table``) to
     one anonymous spool file per direction.  ``pieces`` closes the pipe,
     takes the spans of the backward blocks from the writer and reaps it,
