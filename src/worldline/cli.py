@@ -11,7 +11,9 @@ import contextlib
 import json
 import math
 import os
+import pickle
 import random
+import signal
 import struct
 import sys
 import tempfile
@@ -114,9 +116,10 @@ def _certificates_doc(energy: dy.EnergyRecord, cert: dy.Certificates) -> dict:
         doc.update({"c1": None, "c2": None, "m": None,
                     "refused_reason": cert.reason})
     else:
-        doc.update({"c1": cert.c1, "c2": cert.c2, "m": cert.m,
-                    "speed_form_max": cert.gr_form_max, "bound": cert.bound,
-                    "consistent": cert.consistent})
+        doc.update({"c1": _finite_or_none(cert.c1), "c2": _finite_or_none(cert.c2),
+                    "m": _finite_or_none(cert.m),
+                    "speed_form_max": _finite_or_none(cert.gr_form_max),
+                    "bound": _finite_or_none(cert.bound), "consistent": cert.consistent})
     return doc
 
 
@@ -149,6 +152,33 @@ def _table_text(rows, line: str, nonfinite=None):
 
 def _csv_line(width: int) -> str:
     return ",".join(["%s"] * width) + "\n"
+
+
+def _fork(child, *close) -> int:
+    """Fork a child process and return its pid.  The child closes the file
+    descriptors ``close`` (the parent's ends of its pipes), runs ``child()``
+    and leaves only through ``os._exit``, with the code ``child`` returns, or
+    1 if it raises.  stdout and stderr are flushed first, so the child
+    inherits no buffered text.  Each child reads a pipe until it closes, so
+    a parent that ends, killed or not, ends its children."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for fd in close:
+                os.close(fd)
+            code = child()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pid: int) -> int:
+    """Wait for the child ``pid``; its exit code, or minus the signal that
+    ended it."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 _FRAME = struct.Struct("<?Q")  # a block sent to the writer: backward, bytes of its rows
@@ -189,8 +219,8 @@ class _Spool:
     the run integrates, so that the run neither holds more than one block
     of the table nor formats a float of it.
 
-    Entering the spool forks the writer (POSIX ``fork``), which leaves only
-    through ``os._exit``.  The run starts no thread; the writer calls no
+    Entering the spool forks the writer (POSIX ``fork``, see ``_fork``).
+    The run starts no thread; the writer calls no
     BLAS routine, so an idle BLAS thread pool that the fork leaves behind
     does not matter to it.  ``add`` sends a block's rows, raw float64, down a
     pipe; the writer prints them through ``row + sep`` (``_write_table``) to
@@ -213,17 +243,8 @@ class _Spool:
         self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
         blocks, pipe = os.pipe()
         self._replies, replies = os.pipe()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        self._pid = os.fork()
-        if self._pid == 0:  # the writer
-            code = 1
-            try:
-                os.close(pipe)
-                os.close(self._replies)
-                code = _write_table(blocks, replies, self._files, *self._format)
-            finally:
-                os._exit(code)
+        self._pid = _fork(lambda: _write_table(blocks, replies, self._files, *self._format),
+                          pipe, self._replies)
         os.close(blocks)
         os.close(replies)
         self._pipe = open(pipe, "wb")
@@ -246,7 +267,7 @@ class _Spool:
             self._pipe.close()
         with open(self._replies, "rb") as fh:
             reply = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = _reap(pid)
         if code != 0:
             raise OSError(f"sample table writer failed: {reply.decode(errors='replace')}"
                           if reply else f"sample table writer ended with status {code}")
@@ -280,6 +301,110 @@ class _Spool:
                 yield piece
                 size -= len(piece)
         yield tail
+
+
+_SIZE = struct.Struct("<Q")  # a message between a sweep and its helper: bytes of its pickle
+
+
+def _send(fh, message):
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    fh.write(_SIZE.pack(len(data)))
+    fh.write(data)
+    fh.flush()
+
+
+def _receive(fh):
+    """The next message from ``fh``, or None at the end of the pipe."""
+    header = fh.read(_SIZE.size)
+    if len(header) < _SIZE.size:
+        return None
+    (size,) = _SIZE.unpack(header)
+    data = fh.read(size)
+    return pickle.loads(data) if len(data) == size else None
+
+
+def _serve_backward(jobs: int, replies: int, sysd) -> int:
+    """The body of a sweep's direction helper; returns its exit code.
+
+    Answers each (start state, config) read from the pipe ``jobs`` with
+    ``(True, dynamics.backward_half(...))`` or with ``(False, error)`` on
+    ``replies``, until ``jobs`` closes.  An error that would not reach the
+    sweep as itself through ``pickle`` goes as an ``OSError`` with its
+    text."""
+    with open(jobs, "rb") as src, open(replies, "wb") as out:
+        while (job := _receive(src)) is not None:
+            try:
+                reply = True, dy.backward_half(sysd, *job)
+            except Exception as err:
+                try:
+                    same = type(pickle.loads(pickle.dumps(err))) is type(err)
+                except Exception:
+                    same = False
+                reply = False, err if same else OSError(f"{type(err).__name__}: {err}")
+            _send(out, reply)
+    return 0
+
+
+class _Backward:
+    """The backward directions of a sweep, integrated by a helper process on
+    the other core while the sweep integrates the forward ones.
+
+    Entering forks the helper (POSIX ``fork``, see ``_fork``) once the
+    sweep's system is compiled, so that it inherits the compiled system and
+    the cached verdicts of the sampled checks; there is one helper per
+    sweep, whatever its size.  The sweep starts no thread, and numpy's
+    OpenBLAS, which the helper's fold may call, restarts its thread pool in
+    a forked child.  As the ``backward`` of
+    ``dynamics.integrate_maximal``, a call sends the start state and the
+    config down a pipe and returns the function that takes the reply: the
+    backward report and its fold values, or the backward error, raised with
+    its type and message.  The draws of the start points stay in the sweep.
+    A helper that is gone makes that function raise ``OSError``.  ``close``
+    closes the pipe, and the helper ends at its end.  Leaving reaps the
+    helper, killing it first when an error is on its way out, so that no
+    command waits for a backward direction it will not read.
+    """
+
+    def __init__(self, sysd):
+        self._sysd = sysd
+
+    def __enter__(self):
+        jobs, pipe = os.pipe()
+        self._replies, replies = os.pipe()
+        self._pid = _fork(lambda: _serve_backward(jobs, replies, self._sysd),
+                          pipe, self._replies)
+        os.close(jobs)
+        os.close(replies)
+        self._jobs, self._replies = open(pipe, "wb"), open(self._replies, "rb")
+        return self
+
+    def __call__(self, s0, cfg):
+        with contextlib.suppress(BrokenPipeError):  # a helper gone fails the reply
+            _send(self._jobs, (s0, cfg))
+        return self._reply
+
+    def _reply(self):
+        reply = _receive(self._replies)
+        if reply is None:
+            self.close()
+            pid, self._pid = self._pid, None
+            raise OSError(f"backward-direction helper ended with status {_reap(pid)}")
+        done, value = reply
+        if not done:
+            raise value
+        return value
+
+    def close(self):
+        with contextlib.suppress(BrokenPipeError):
+            self._jobs.close()
+
+    def __exit__(self, failed, *exc):
+        self.close()
+        self._replies.close()
+        if self._pid is not None:
+            if failed is not None:
+                os.kill(self._pid, signal.SIGKILL)
+            _reap(self._pid)
 
 
 def _dump(doc: dict) -> str:
@@ -375,10 +500,10 @@ def _run_report(s: cat.Scenario, cfg: dy.IntegrationConfig, q, v,
         "speed_mode": result.speed_mode,
         "directions": {
             "forward": {"classification": result.forward.classification.kind,
-                        "max_speed": result.forward.max_speed,
+                        "max_speed": _finite_or_none(result.forward.max_speed),
                         "accepted_steps": result.forward.accepted},
             "backward": {"classification": result.backward.classification.kind,
-                         "max_speed": result.backward.max_speed,
+                         "max_speed": _finite_or_none(result.backward.max_speed),
                          "accepted_steps": result.backward.accepted},
         },
         "config": asdict(cfg),
@@ -456,49 +581,52 @@ def cmd_sweep(args) -> int:
     max_speed = 0.0
     max_bound = None
     consistent = True
-    for index in range(args.n):
-        q = _sample_initial_point(m, rng)
-        v = _sample_velocity(m, fp, q, rng, radius)
-        result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg)
-        cls = result.classification
-        energy = dy.energy_monitor(result)
-        killing = dy.killing_charge_monitor(result)
-        cert = dy.certificate(result)
-        speed = max(result.forward.max_speed, result.backward.max_speed)
+    with _Backward(dy.compiled_system(m, fp)) as backward:
+        for index in range(args.n):
+            q = _sample_initial_point(m, rng)
+            v = _sample_velocity(m, fp, q, rng, radius)
+            result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg,
+                                           backward=backward)
+            cls = result.classification
+            energy = dy.energy_monitor(result)
+            killing = dy.killing_charge_monitor(result)
+            cert = dy.certificate(result)
+            speed = max(result.forward.max_speed, result.backward.max_speed)
 
-        counts[cls.kind] = counts.get(cls.kind, 0) + 1
-        classifications.append(cls.kind)
-        if energy.applicable:
-            max_energy = max(max_energy, energy.max_drift)
-        if killing.present and killing.constant_case:
-            max_killing = max(max_killing, killing.max_drift)
-        max_speed = max(max_speed, speed)
-        if not cert.refused:
-            max_bound = cert.bound if max_bound is None else max(max_bound, cert.bound)
-            consistent = consistent and cert.consistent
-        rows.append([float(index), *map(float, q), *map(float, v), cls.kind,
-                     _finite_or_nan(cls.t_star),
-                     _finite_or_nan(cls.t_star_halfwidth),
-                     float(cls.marginal), energy.max_drift,
-                     killing.max_drift if killing.present else math.nan, speed])
+            counts[cls.kind] = counts.get(cls.kind, 0) + 1
+            classifications.append(cls.kind)
+            if energy.applicable:
+                max_energy = max(max_energy, energy.max_drift)
+            if killing.present and killing.constant_case:
+                max_killing = max(max_killing, killing.max_drift)
+            max_speed = max(max_speed, speed)
+            if not cert.refused:
+                max_bound = cert.bound if max_bound is None else max(max_bound, cert.bound)
+                consistent = consistent and cert.consistent
+            rows.append([float(index), *map(float, q), *map(float, v), cls.kind,
+                         _finite_or_nan(cls.t_star),
+                         _finite_or_nan(cls.t_star_halfwidth),
+                         float(cls.marginal), energy.max_drift,
+                         killing.max_drift if killing.present else math.nan, speed])
 
-    doc = {
-        "scenario": s.name,
-        "n": args.n,
-        "seed": args.seed,
-        "velocity_radius": radius,
-        "counts": dict(sorted(counts.items())),
-        "classifications": classifications,
-        "max_energy_drift": max_energy,
-        "max_killing_drift": max_killing,
-        "max_speed": max_speed,
-        "max_certificate_bound": max_bound,
-        "certificates_consistent": consistent if max_bound is not None else None,
-        "config": asdict(cfg),
-        "provenance": "sampled check, not a proof",
-    }
-    csv = _table_text([columns, *rows], _csv_line(len(columns)))
-    _emit(doc, args.output, "sweep_report.json", files=[("sweep.csv", csv)])
+        backward.close()  # the helper ends while the report is written
+        doc = {
+            "scenario": s.name,
+            "n": args.n,
+            "seed": args.seed,
+            "velocity_radius": radius,
+            "counts": dict(sorted(counts.items())),
+            "classifications": classifications,
+            "max_energy_drift": _finite_or_none(max_energy),
+            "max_killing_drift": _finite_or_none(max_killing),
+            "max_speed": _finite_or_none(max_speed),
+            "max_certificate_bound": _finite_or_none(max_bound),
+            "certificates_consistent": consistent if max_bound is not None else None,
+            "config": asdict(cfg),
+            "provenance": "sampled check, not a proof",
+        }
+        csv = _table_text([columns, *rows], _csv_line(len(columns)))
+        _emit(doc, args.output, "sweep_report.json", files=[("sweep.csv", csv)])
     return 0
 
 

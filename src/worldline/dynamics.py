@@ -29,7 +29,10 @@ The step loop hands the samples it keeps to a sink in blocks of at most
 ``_BLOCK`` (512) rows.  The sink is a ``SampleSeries``, a fold that
 evaluates each block once and keeps only the running values the monitors,
 the certificate and a sweep row read, so the memory of a run does not grow
-with the horizon.  A run that asks for the sample table has the fold hand
+with the horizon.  Each direction has a fold of its own, and the result's
+is the forward fold merged with the backward one, so the backward
+direction may run in another process and send back a few values: ``sweep``
+runs it in a helper process on the other core.  A run that asks for the sample table has the fold hand
 each block on, with its energy, charge and speed columns, to a block
 consumer; ``run`` sends them to a writer process that prints the text of its
 CSV or of its JSON report while the steps go on, and the table is never
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -746,8 +749,9 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
     """Integrate one direction to the horizon or to a verdict, from the time
     ``s0.t``, with the generated step loop ``sysd.kernel``.  The kept
     samples go to ``sink(ts, qs, vs, backward)`` in the order they are
-    taken, in blocks of at most ``_BLOCK`` rows; the start row goes with the
-    forward direction only.  Returns the direction's report."""
+    taken, in blocks of at most ``_BLOCK`` rows, after the start row: the
+    forward direction's first row, and in the backward direction a block of
+    its own.  Returns the direction's report."""
     m = sysd.m
     n = sysd.n
     T, v_max, h_min = float(cfg.t_max), float(cfg.v_max), float(cfg.h_min)
@@ -780,8 +784,8 @@ def _run_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
         _hand(sink, rows, n, backward)
         return array("d")
 
-    rows = array("d") if backward else array("d", (t0, *y))
-    if len(rows) == full:  # blocks of one row
+    rows = array("d", (t0, *y))
+    if backward or len(rows) == full:  # the backward start row alone, or blocks of one row
         rows = hand(rows)
     end, a, b, max_speed, min_h, accepted, rejected, rows = sysd.kernel(
         y, k1, _initial_step(y, k1, cfg, h_max), spd,
@@ -803,18 +807,46 @@ def _mid(bracket):
     return 0.5 * (lo + hi), 0.5 * abs(hi - lo)
 
 
+def _integrate_direction(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig,
+                        sign: float, table=None):
+    """One direction from ``s0``, folded into its own ``SampleSeries``: the
+    direction's report and the series."""
+    series = SampleSeries(sysd, table)
+    return _run_direction(sysd, s0, cfg, sign, series.add), series
+
+
+def backward_half(sysd: _System, s0: TrajectoryState, cfg: IntegrationConfig, table=None):
+    """The backward direction from ``s0``: its report and the fold values
+    that ``SampleSeries.merge`` takes, a few floats and no row."""
+    report, series = _integrate_direction(sysd, s0, cfg, -1.0, table)
+    return report, series.fold()
+
+
 def integrate_maximal(m: geo.ManifoldSpec, fp: fl.FieldPack, s0: TrajectoryState,
-                      cfg: IntegrationConfig, table=None) -> TrajectoryResult:
+                      cfg: IntegrationConfig, table=None, backward=None) -> TrajectoryResult:
     """Integrate both directions to the horizon and classify inextendibility.
 
-    Every kept sample is folded into the result's ``series`` under (m, fp),
+    The forward and the backward direction from ``s0`` are two extension
+    problems; each is folded into its own ``SampleSeries`` under (m, fp),
     which keeps no sample, so the memory of the run does not grow with the
-    horizon.  A ``table`` is a block consumer that the fold also hands the
-    rows of the sample table to (see ``SampleSeries``)."""
+    horizon, and the result's ``series`` is the forward fold merged with the
+    backward one.  A ``table`` is a block consumer that the folds also hand
+    the rows of the sample table to.
+
+    The backward direction runs here, after the forward one, unless
+    ``backward`` runs it elsewhere: ``backward(s0, cfg)`` is called before
+    the forward direction starts and returns a function that, called once
+    the forward direction is done, gives what ``backward_half`` gives or
+    raises its error.  So an error of the forward direction comes first,
+    as it does here."""
     sysd = compiled_system(m, fp)
-    series = SampleSeries(sysd, table)
-    fwd = _run_direction(sysd, s0, cfg, +1.0, series.add)
-    back = _run_direction(sysd, s0, cfg, -1.0, series.add)
+    if backward is None:
+        pending = partial(backward_half, sysd, s0, cfg, table)
+    else:
+        pending = backward(s0, cfg)
+    fwd, series = _integrate_direction(sysd, s0, cfg, +1.0, table)
+    back, fold = pending()
+    series.merge(fold)
     mode = "reference" if sysd.use_reference_speed else "euclidean"
     return TrajectoryResult(series, fwd, back, mode)
 
@@ -894,22 +926,33 @@ def _fold_max(running, values):
     return top if running is None else np.maximum(running, top)
 
 
-class SampleSeries:
-    """A fold over the sample blocks of one result under the (m, fp) of ``sysd``.
+# the running maxima of a SampleSeries, in the order of its fold()
+_MAXIMA = ("energy_drift", "gvv_max", "charge_drift", "charge_bound", "gkk_max", "rate_max",
+           "gr_form_max", "rate_residual")
 
-    ``add`` evaluates each block once with ``_evaluate`` and keeps running
-    values only:
-    - ``energy_ref`` c and ``charge_ref`` q0, from the start row, which
-      comes first;
+
+class SampleSeries:
+    """A fold over the sample blocks of one direction under the (m, fp) of
+    ``sysd``.
+
+    A direction's stream is the start row, then the rows of the direction in
+    the order the step loop took them: increasing t forward, decreasing t
+    backward.  ``add`` evaluates each block once with ``_evaluate`` and
+    keeps running values only:
+    - ``energy_ref`` c and ``charge_ref`` q0, from the start row;
     - the maxima ``energy_drift`` |E - c| and ``gvv_max`` g(v,v);
     - with a reference field K, the maxima ``charge_drift`` |g(K,v) - q0|,
       ``charge_bound`` |g(K,v)|, ``gkk_max`` g(K,K) and ``rate_max`` |rate|;
       where the certificate takes K, ``gr_form_max`` of
       g(v,v) + 2 g(K,v)^2 / -g(K,K); and ``rate_residual``, the largest
       |d/dt g(K,v) - rate| with the three-point derivative over consecutive
-      rows, None below three rows.
-    A maximum over blocks is the maximum over all rows, so no value depends
-    on the block size.  Values a fold does not make are None.
+      rows of the stream, None below three rows.
+    The forward fold counts the start row in its maxima.  The backward
+    stream hands the start row on alone, as its first block, and the
+    backward fold takes it as its reference only, so that ``merge`` counts
+    it once.  A maximum over blocks is the maximum over all rows, so no
+    value depends on the block size, nor on the process a fold ran in.
+    Values a fold does not make are None.
 
     With a ``table``, the fold also hands each block on as rows of the
     sample table: ``table.add(columns, backward)`` with the columns ``(ts,
@@ -925,23 +968,24 @@ class SampleSeries:
         self.m, self.fp = sysd.m, sysd.fp
         self._table = table
         self._gr_form = sysd.use_reference_speed
-        self.energy_ref = self.energy_drift = self.gvv_max = None
-        self.charge_ref = self.charge_drift = self.charge_bound = None
-        self.gkk_max = self.rate_max = self.gr_form_max = self.rate_residual = None
-        # (t, g(K,v), rate) of the first two forward rows and the last two
-        # rows folded: the overlap of the three-point derivative
+        self.energy_ref = self.charge_ref = None
+        for name in _MAXIMA:
+            setattr(self, name, None)
+        # (t, g(K,v), rate) of the first two rows of the stream and of the
+        # last two rows folded: the overlaps of the three-point derivative
         self._head = self._tail = (np.empty(0),) * 3
-        self._turned = False
 
     def add(self, ts, qs, vs, backward: bool = False):
-        """Fold one block of contiguous rows, in the order the step loop took
-        them: the forward rows from the start row on, then the backward rows
-        in decreasing t."""
+        """Fold one block of contiguous rows of the stream."""
         gvv, energy, gkv, gkk, rate = _evaluate(self.m, self.fp, ts, qs, vs)
         if self.energy_ref is None:  # the start row
             self.energy_ref = float(energy[0])
             if gkv is not None:
                 self.charge_ref = float(gkv[0])
+            if backward:  # the forward fold counts it; here it starts the stream
+                if gkv is not None:
+                    self._fold_residual(ts, gkv, rate, backward)
+                return
         self.energy_drift = _fold_max(self.energy_drift, np.abs(energy - self.energy_ref))
         self.gvv_max = _fold_max(self.gvv_max, gvv)
         form = None
@@ -966,12 +1010,8 @@ class SampleSeries:
 
     def _fold_residual(self, ts, gkv, rate, backward):
         """Fold the residual over the triples of rows this block completes."""
-        if backward and not self._turned:
-            # the backward stream goes on from the start row, in decreasing t
-            self._turned = True
-            self._tail = tuple(a[1::-1] for a in self._head)
         t, q, r = (np.concatenate(pair) for pair in zip(self._tail, (ts, gkv, rate)))
-        if not backward and len(self._head[0]) < 2:
+        if len(self._head[0]) < 2:
             self._head = tuple(a[:2].copy() for a in (t, q, r))
         self._tail = tuple(a[-2:].copy() for a in (t, q, r))
         if len(t) >= 3:
@@ -979,6 +1019,29 @@ class SampleSeries:
                 t, q, r = t[::-1], q[::-1], r[::-1]
             self.rate_residual = _fold_max(
                 self.rate_residual, np.abs(_nonuniform_derivative(t, q) - r[1:-1]))
+
+    def fold(self):
+        """What ``merge`` takes of a backward fold: its maxima and the first
+        two rows of its stream."""
+        return tuple(getattr(self, name) for name in _MAXIMA), self._head
+
+    def merge(self, fold):
+        """Take in the ``fold()`` of the backward series from the same start
+        row: the residual of the one triple that spans both directions (the
+        first backward row, the start row, the first forward row), then the
+        backward maxima, each with ``np.maximum``.  The values are those of
+        one fold over the forward stream followed by the backward rows, bit
+        for bit: ``np.maximum`` keeps the first of equal values and the
+        first nan, so taking the backward maxima in at once gives what
+        taking them block by block after the forward ones gives."""
+        maxima, head = fold
+        t, q, r = (np.concatenate((b[::-1], f[1:])) for b, f in zip(head, self._head))
+        if len(t) == 3:
+            self.rate_residual = _fold_max(
+                self.rate_residual, np.abs(_nonuniform_derivative(t, q) - r[1:-1]))
+        for name, value in zip(_MAXIMA, maxima):
+            if value is not None:
+                setattr(self, name, _fold_max(getattr(self, name), value))
 
 
 def energy_monitor(result: TrajectoryResult) -> EnergyRecord:

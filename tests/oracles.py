@@ -4,8 +4,9 @@
 ``rhs`` form the equation numerically from g and its derivatives, not from
 the generated contraction; ``decompose`` splits F at one point; and
 ``single_step`` is one step of the generated stage lines, for the
-handwritten loop that checks the generated step loop; and ``SampleTable``
-keeps the sample table of a run in memory, which no command does."""
+handwritten loop that checks the generated step loop; ``SampleTable``
+keeps the sample table of a run in memory, which no command does; and
+``SequentialSeries`` folds both directions as one stream, in one series."""
 
 import collections
 import functools
@@ -155,3 +156,54 @@ def integrate_kept(m, fp, s0, cfg):
     """``integrate_maximal`` with its sample table kept: (result, table)."""
     table = SampleTable()
     return dy.integrate_maximal(m, fp, s0, cfg, table=table), table
+
+
+class SequentialSeries:
+    """The fold of ``dynamics.SampleSeries`` over both directions as one
+    stream in one series: the forward rows from the start row on, then the
+    backward rows in decreasing t, the residual's triples running on from
+    the start row.  The oracle of the per-direction folds and their merge;
+    ``add(ts, qs, vs, backward)`` takes the blocks in that order, without the
+    start row that the backward direction hands on alone."""
+
+    def __init__(self, sysd):
+        self.m, self.fp = sysd.m, sysd.fp
+        self._gr_form = sysd.use_reference_speed
+        self.energy_ref = self.charge_ref = None
+        for name in dy._MAXIMA:
+            setattr(self, name, None)
+        # (t, g(K,v), rate) of the first two forward rows and the last two
+        # rows folded: the overlap of the three-point derivative
+        self._head = self._tail = (np.empty(0),) * 3
+        self._turned = False
+
+    def add(self, ts, qs, vs, backward):
+        gvv, energy, gkv, gkk, rate = dy._evaluate(self.m, self.fp, ts, qs, vs)
+        if self.energy_ref is None:  # the start row
+            self.energy_ref = float(energy[0])
+            if gkv is not None:
+                self.charge_ref = float(gkv[0])
+        self.energy_drift = dy._fold_max(self.energy_drift, np.abs(energy - self.energy_ref))
+        self.gvv_max = dy._fold_max(self.gvv_max, gvv)
+        if gkv is None:
+            return
+        self.charge_drift = dy._fold_max(self.charge_drift, np.abs(gkv - self.charge_ref))
+        self.charge_bound = dy._fold_max(self.charge_bound, np.abs(gkv))
+        self.gkk_max = dy._fold_max(self.gkk_max, gkk)
+        self.rate_max = dy._fold_max(self.rate_max, np.abs(rate))
+        if self._gr_form:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.gr_form_max = dy._fold_max(self.gr_form_max, gvv + 2.0 * gkv * gkv / (-gkk))
+        if backward and not self._turned:
+            # the backward stream goes on from the start row, in decreasing t
+            self._turned = True
+            self._tail = tuple(a[1::-1] for a in self._head)
+        t, q, r = (np.concatenate(pair) for pair in zip(self._tail, (ts, gkv, rate)))
+        if not backward and len(self._head[0]) < 2:
+            self._head = tuple(a[:2].copy() for a in (t, q, r))
+        self._tail = tuple(a[-2:].copy() for a in (t, q, r))
+        if len(t) >= 3:
+            if backward:  # each triple in time order
+                t, q, r = t[::-1], q[::-1], r[::-1]
+            self.rate_residual = dy._fold_max(
+                self.rate_residual, np.abs(dy._nonuniform_derivative(t, q) - r[1:-1]))

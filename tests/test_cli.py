@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -481,6 +482,20 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def test_reports_are_strict_json_when_a_speed_overflows(capsys):
+    # the blow-up of null-plane-cubic under v_max = 1e300 reaches an infinite
+    # speed before the 10x confirmation; a report prints it as null
+    code, out = invoke(["run", "--scenario", "null-plane-cubic", "--v-max", "1e300"], capsys)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["classification"] == "BlowupAt"
+    assert doc["directions"]["forward"]["max_speed"] is None
+    code, out = invoke(["sweep", "--scenario", "null-plane-cubic", "-n", "3",
+                        "--v-max", "1e300"], capsys)
+    assert code == 0
+    assert _strict_json(out)["max_speed"] is None
+
+
 def test_non_finite_start_data_exit_two_with_a_message(tmp_path, capsys):
     nan_file = _builtin_file(tmp_path, "flat-lorentz-torus",
                              _set(("initial", "v"), [float("nan"), 0.3]))
@@ -685,23 +700,16 @@ def test_a_run_failing_after_its_writer_started_leaves_no_process(fmt, tmp_path,
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_the_writer_of_a_killed_run_ends(tmp_path):
-    # a killed run closes its end of the pipe; the writer reads the end of
-    # the table there and exits, whoever reaps it then
-    script = (
-        "import sys, time\n"
-        "from worldline import cli\n"
-        "spool = cli._Spool(cli._csv_line(2)).__enter__()\n"
-        "spool.add(([0.0, 1.0], [2.0, 3.0]), False)\n"
-        "print(spool._pid, flush=True)\n"
-        "time.sleep(60)\n")
+def _child_of_a_killed_process_ends(script):
+    """Run ``script``, which prints the pid of a child it forked and sleeps;
+    kill it, and tell whether that child is gone or a zombie within 10 s,
+    read from /proc."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=path))
     try:
-        writer = int(proc.stdout.readline())
+        child = int(proc.stdout.readline())
     finally:
         proc.kill()
         proc.wait()
@@ -709,7 +717,7 @@ def test_the_writer_of_a_killed_run_ends(tmp_path):
 
     def running():
         try:
-            with open(f"/proc/{writer}/stat") as fh:
+            with open(f"/proc/{child}/stat") as fh:
                 return fh.read().rpartition(")")[2].split()[0] != "Z"
         except FileNotFoundError:
             return False
@@ -717,7 +725,120 @@ def test_the_writer_of_a_killed_run_ends(tmp_path):
     deadline = time.monotonic() + 10.0
     while running() and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert not running()
+    return not running()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_writer_of_a_killed_run_ends(tmp_path):
+    # a killed run closes its end of the pipe; the writer reads the end of
+    # the table there and exits, whoever reaps it then
+    assert _child_of_a_killed_process_ends(
+        "import sys, time\n"
+        "from worldline import cli\n"
+        "spool = cli._Spool(cli._csv_line(2)).__enter__()\n"
+        "spool.add(([0.0, 1.0], [2.0, 3.0]), False)\n"
+        "print(spool._pid, flush=True)\n"
+        "time.sleep(60)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_helper_of_a_killed_sweep_ends():
+    # a killed sweep closes its end of the job pipe; the helper, waiting
+    # for its next start state, reads the end there and exits
+    assert _child_of_a_killed_process_ends(
+        "import time\n"
+        "from worldline import catalog, cli, dynamics\n"
+        "s = catalog.builtin('clifton-pohl')\n"
+        "helper = cli._Backward(dynamics.compiled_system(s.manifold, s.fields)).__enter__()\n"
+        "print(helper._pid, flush=True)\n"
+        "time.sleep(60)\n")
+
+
+def test_a_sweep_integrates_its_backward_directions_in_one_helper(capsys, monkeypatch):
+    # the helper is forked once per sweep, whatever -n is; the directions
+    # that the sweep's own process integrates are the forward ones, and the
+    # bytes are those of the one-process integration
+    signs = []
+
+    def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
+        signs.append(sign)  # the helper appends to its own copy
+        return _f(sysd, s0, cfg, sign, sink)
+
+    monkeypatch.setattr(dy, "_run_direction", run_direction)
+    forks = _counting_forks(monkeypatch)
+    argv = ["sweep", "--scenario", "t3-magnetic", "-n", "3", "--t-max", "5"]
+    code, out = invoke(argv, capsys)
+    assert code == 0
+    assert len(forks) == 1 and signs == [1.0] * 3
+    with pytest.raises(ChildProcessError):  # the helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+    def one_process(m, fp, s0, cfg, backward=None, _f=dy.integrate_maximal):
+        return _f(m, fp, s0, cfg)
+
+    monkeypatch.setattr(dy, "integrate_maximal", one_process)
+    assert invoke(argv, capsys) == (0, out)
+    assert len(forks) == 2 and signs[3:] == [1.0, -1.0] * 3
+
+
+def test_a_sweep_refused_in_the_forward_direction_leaves_no_process(capsys, monkeypatch):
+    # the start speed is refused in the forward direction while the helper
+    # works on the backward one
+    forks = _counting_forks(monkeypatch)
+    code = cli.main(["sweep", "--scenario", "clifton-pohl", "-n", "3", "--v-max", "1e-6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: initial speed" in captured.err
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_backward_error_reaches_the_sweep_as_itself(tmp_path, capsys, monkeypatch):
+    # the helper inherits the patched _evaluate, which refuses the blocks of
+    # rows before the start time, all of them backward; the sweep raises the
+    # error the one-process integration raises, with its type and message
+    def refuses_backward_rows(m, fp, ts, qs, vs, _f=dy._evaluate):
+        if len(ts) and ts[0] < 0.0:
+            raise geo.DegenerateMetricError(f"refused at t = {float(ts[0])!r}")
+        return _f(m, fp, ts, qs, vs)
+
+    monkeypatch.setattr(dy, "_evaluate", refuses_backward_rows)
+    s = cat.builtin("t3-magnetic")
+    cfg = s.integration_config(t_max=5.0)
+    with pytest.raises(geo.DegenerateMetricError, match=r"^refused at t = -") as refused:
+        dy.integrate_maximal(s.manifold, s.fields, s.initial, cfg)
+    forks = _counting_forks(monkeypatch)
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--scenario", "t3-magnetic", "-n", "3", "--t-max", "5",
+                     "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: refused at t = -")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert str(refused.value).startswith("refused at t = -")
+
+
+def test_a_sweep_whose_helper_dies_exits_two(capsys, monkeypatch):
+    # the helper is killed as the first forward direction starts; the sweep
+    # reads the end of its reply pipe and fails without printing
+    forks = _counting_forks(monkeypatch)
+
+    def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
+        if forks and sign > 0.0:
+            os.kill(forks[0], signal.SIGKILL)
+        return _f(sysd, s0, cfg, sign, sink)
+
+    monkeypatch.setattr(dy, "_run_direction", run_direction)
+    code = cli.main(["sweep", "--scenario", "t3-magnetic", "-n", "3", "--t-max", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: backward-direction helper ended with status -9" in captured.err
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv", [["run"], ["check"], ["sweep", "-n", "1", "--t-max", "1"]],

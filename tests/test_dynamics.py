@@ -548,7 +548,8 @@ def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
     # the monitors, the certificate, the speed series and the sample table
     # read g and K at each sample once per result: the fold evaluates each
     # block as the step loop hands it over, and nothing after the
-    # integration evaluates them again
+    # integration evaluates them again; only the start row is read by both
+    # directions' folds, the backward one taking it as its reference
     s = cat.builtin("t3-magnetic")
     m, fp = s.manifold, s.fields
     cfg = s.integration_config(t_max=5.0)
@@ -569,7 +570,7 @@ def test_monitors_share_one_evaluation_of_the_samples(monkeypatch):
             return _f(self, qs, *rest)
         monkeypatch.setattr(owner, attr, counted)
     records, table = read(oracles.integrate_kept(m, fp, s.initial, cfg))
-    assert sum(rows["metric_batch"]) == sum(rows["reference_batch"]) == len(table)
+    assert sum(rows["metric_batch"]) == sum(rows["reference_batch"]) == len(table) + 1
     assert max(rows["metric_batch"]) == max(rows["reference_batch"]) == 7
     # the series equal an evaluation in larger blocks
     assert records == fresh_records
@@ -733,8 +734,10 @@ def _reference_direction(sysd, s0, cfg, sign, sink):
             dy._hand(sink, rows, n, backward)
             rows = array.array("d")
 
-    if not backward:
-        keep(t0, y)
+    keep(t0, y)
+    if backward and rows:  # the backward start row goes alone
+        dy._hand(sink, rows, n, backward)
+        rows = array.array("d")
     tau = 0.0
     h = dy._initial_step(y, k1, cfg, h_max)
     err_old = 1e-4
@@ -1205,27 +1208,92 @@ def test_a_compiled_system_is_one_generated_module(monkeypatch):
 @given(forward=_STEPS, backward=_STEPS, data=strategies.data())
 def test_rate_residual_fold_takes_every_triple_in_time_order(forward, backward, data):
     # the fold of the rate-identity residual over the forward stream from
-    # t = 0, then the backward stream in decreasing t, cut into random
-    # blocks, against one evaluation over the table in increasing t
+    # t = 0 and the backward stream from the same start row in decreasing
+    # t, each in its own series cut into random blocks, then merged,
+    # against one evaluation over the table in increasing t
     t_fwd = np.cumsum([0.0, *forward])
     t_back = -np.cumsum(backward)
     rows = len(t_fwd) + len(t_back)
     q = np.array(data.draw(strategies.lists(_VALUES, min_size=rows, max_size=rows)))
     r = np.array(data.draw(strategies.lists(_VALUES, min_size=rows, max_size=rows)))
     s = cat.builtin("t3-magnetic")
-    series = dy.SampleSeries(dy.compiled_system(s.manifold, s.fields))
+    sysd = dy.compiled_system(s.manifold, s.fields)
+    series = dy.SampleSeries(sysd), dy.SampleSeries(sysd)
+    series[1]._fold_residual(t_fwd[:1], q[:1], r[:1], True)  # the backward start row
     start = len(t_fwd)
     for lo, hi, ts, back in ((0, start, t_fwd, False), (start, rows, t_back, True)):
         cuts = data.draw(strategies.lists(strategies.integers(1, max(hi - lo - 1, 1)), max_size=4))
         edges = [0, *sorted(c for c in set(cuts) if c < hi - lo), hi - lo]
         for a, b in zip(edges, edges[1:]) if hi > lo else ():
-            series._fold_residual(ts[a:b], q[lo + a:lo + b], r[lo + a:lo + b], back)
+            series[back]._fold_residual(ts[a:b], q[lo + a:lo + b], r[lo + a:lo + b], back)
+    series[0].merge(series[1].fold())
     order = np.r_[rows - 1:start - 1:-1, 0:start]  # the table in increasing t
     t = np.concatenate((t_fwd, t_back))[order]
     want = None
     if rows >= 3:
         want = np.max(np.abs(dy._nonuniform_derivative(t, q[order]) - r[order][1:-1]))
-    assert repr(series.rate_residual) == repr(want)
+    assert repr(series[0].rate_residual) == repr(want)
+
+
+def _streams(sysd, s0, cfg):
+    """The blocks each direction hands on, copied: (forward, backward)."""
+    blocks = ([], [])
+
+    def sink(ts, qs, vs, backward):
+        blocks[backward].append((ts.copy(), qs.copy(), vs.copy()))
+
+    for sign in (1.0, -1.0):
+        dy._run_direction(sysd, s0, cfg, sign, sink)
+    return blocks
+
+
+def _fold_values(series):
+    return [repr(getattr(series, name)) for name in ("energy_ref", "charge_ref", *dy._MAXIMA)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+def test_merged_fold_is_the_sequential_fold(block, monkeypatch):
+    # each direction folded into its own series and the two merged give the
+    # values of one fold over the forward stream and then the backward rows,
+    # bit for bit, whatever the block size
+    monkeypatch.setattr(dy, "_BLOCK", block)
+    for source in (*cat.list_builtins(), CURVED_5D):
+        s = cat.resolve(source)
+        m, fp = s.manifold, s.fields
+        cfg = s.integration_config()
+        cfg = s.integration_config(t_max=min(cfg.t_max, 20.0))
+        sysd = dy.compiled_system(m, fp)
+        forward, backward = _streams(sysd, s.initial, cfg)
+        assert len(backward[0][0]) == 1, source  # the backward start row goes alone
+        want = oracles.SequentialSeries(sysd)
+        for blocks, back in ((forward, False), (backward[1:], True)):
+            for ts, qs, vs in blocks:
+                want.add(ts, qs, vs, back)
+        got = dy.integrate_maximal(m, fp, s.initial, cfg).series
+        assert _fold_values(got) == _fold_values(want), source
+
+
+@pytest.mark.parametrize("backward_rows", [0, 1, 2])
+@pytest.mark.parametrize("forward_rows", [1, 2, 3])
+def test_merged_fold_of_the_shortest_streams(forward_rows, backward_rows):
+    # a forward stream of the start row alone and backward streams of 0, 1
+    # and 2 rows: the edges of the triple that spans both directions, which
+    # is the only triple of two forward rows and one backward row
+    s = cat.builtin("t3-magnetic")
+    sysd = dy.compiled_system(s.manifold, s.fields)
+    forward, backward = _streams(sysd, s.initial, s.integration_config(t_max=1.0))
+    head = tuple(a[:forward_rows] for a in forward[0])
+    tail = tuple(a[:backward_rows] for a in backward[1])
+    got, back, want = dy.SampleSeries(sysd), dy.SampleSeries(sysd), oracles.SequentialSeries(sysd)
+    got.add(*head)
+    want.add(*head, False)
+    back.add(*backward[0], True)
+    if backward_rows:
+        back.add(*tail, True)
+        want.add(*tail, True)
+    got.merge(back.fold())
+    assert _fold_values(got) == _fold_values(want)
+    assert (got.rate_residual is None) == (forward_rows + backward_rows < 3)
 
 
 def test_table_less_integration_holds_bounded_memory(monkeypatch):
