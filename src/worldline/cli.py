@@ -360,7 +360,9 @@ class _Backward:
     backward report and its fold values, or the backward error, raised with
     its type and message.  The draws of the start points stay in the sweep.
     A helper that is gone makes that function raise ``OSError``.  ``close``
-    closes the pipe, and the helper ends at its end.  Leaving reaps the
+    closes the pipe, and the helper ends at its end; a sweep killed in the
+    middle of a trajectory leaves the helper to finish that backward
+    direction, fail to send it, and end.  Leaving reaps the
     helper, killing it first when an error is on its way out, so that no
     command waits for a backward direction it will not read.
     """

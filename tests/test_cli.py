@@ -742,14 +742,17 @@ def test_the_writer_of_a_killed_run_ends(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_the_helper_of_a_killed_sweep_ends():
-    # a killed sweep closes its end of the job pipe; the helper, waiting
-    # for its next start state, reads the end there and exits
+@pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+def test_the_helper_of_a_killed_sweep_ends(busy):
+    # a killed sweep closes its ends of the pipes: an idle helper reads the
+    # end of the job pipe and exits; a helper killed in the middle of a
+    # backward direction fails to send its reply and exits
     assert _child_of_a_killed_process_ends(
         "import time\n"
         "from worldline import catalog, cli, dynamics\n"
-        "s = catalog.builtin('clifton-pohl')\n"
+        "s = catalog.builtin('t3-magnetic')\n"
         "helper = cli._Backward(dynamics.compiled_system(s.manifold, s.fields)).__enter__()\n"
+        f"{'' if busy else '# '}helper(s.initial, s.integration_config(t_max=1000.0))\n"
         "print(helper._pid, flush=True)\n"
         "time.sleep(60)\n")
 
