@@ -7,8 +7,9 @@ trajectory CSV is pinned by its sha256 and row count, and the stdout of
 ``run --format json``, which embeds the sample table, by its sha256 and
 line count.  Each input is also swept once with a small ensemble: sweeps
 draw seeded start points, which ``run`` never does.  The sweep report is pinned byte for byte and
-``sweep.csv`` by its sha256 and row count.  A change that moves bytes on
-purpose regenerates these files and the golden clifton-pohl sweep that
+``sweep.csv`` by its sha256 and row count.  The generated source of each
+input's compiled system, ``kernel_source``, is pinned by its sha256 and line
+count.  A change that moves bytes on purpose regenerates these files and the golden clifton-pohl sweep that
 ``test_cli.py`` compares with, and shows the moved values in the diff of
 ``tests/data``:
 
@@ -33,6 +34,7 @@ REPORTS = os.path.join(DATA, "reports")
 CSV_PINS = os.path.join(REPORTS, "trajectory_csv.json")
 JSON_PINS = os.path.join(REPORTS, "trajectory_json.json")
 SWEEP_CSV_PINS = os.path.join(REPORTS, "sweep_csv.json")
+KERNEL_PINS = os.path.join(REPORTS, "kernel_source.json")
 # The golden sweep: its arguments and the report keys it keeps.
 GOLDEN = os.path.join(DATA, "clifton_pohl_sweep_seed7.json")
 GOLDEN_SWEEP = ["--scenario", "clifton-pohl", "-n", "50", "--seed", "7"]
@@ -103,6 +105,13 @@ def _outputs(source, workdir):
             _pin(_read(os.path.join(run_dir, "run_trajectory.csv"))))
 
 
+def _kernel_pin(source) -> dict:
+    """The pin of the generated source of one input's compiled system."""
+    s = cat.resolve(source)
+    data = dy.compiled_system(s.manifold, s.fields).kernel_source.encode()
+    return {"lines": data.count(b"\n"), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def _sweep_outputs(source, workdir):
     """(sweep report bytes, sweep csv pin) of one input."""
     out = os.path.join(workdir, _name(source), "sweep")
@@ -151,6 +160,12 @@ def test_sweeps_match_pins(source, tmp_path, capsys):
         assert pin == json.load(fh)[name], name
 
 
+@pytest.mark.parametrize("source", INPUTS, ids=_name)
+def test_kernel_sources_match_pins(source):
+    with open(KERNEL_PINS) as fh:
+        assert _kernel_pin(source) == json.load(fh)[_name(source)]
+
+
 def _dump_pins(path, pins):
     with open(path, "w") as fh:
         json.dump(pins, fh, indent=2, sort_keys=True)
@@ -161,13 +176,14 @@ def _regenerate():
     import tempfile
 
     os.makedirs(REPORTS, exist_ok=True)
-    pins, json_pins, sweep_pins = {}, {}, {}
+    pins, json_pins, sweep_pins, kernel_pins = {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for source in INPUTS:
             name = _name(source)
             check, run, pins[name] = _outputs(source, workdir)
             json_pins[name] = _json_pin(_json_stdout(source))
             sweep, sweep_pins[name] = _sweep_outputs(source, workdir)
+            kernel_pins[name] = _kernel_pin(source)
             for kind, data in (("check", check), ("run", run), ("sweep", sweep)):
                 with open(os.path.join(REPORTS, f"{name}_{kind}.json"), "wb") as fh:
                     fh.write(data)
@@ -178,6 +194,7 @@ def _regenerate():
     _dump_pins(CSV_PINS, pins)
     _dump_pins(JSON_PINS, json_pins)
     _dump_pins(SWEEP_CSV_PINS, sweep_pins)
+    _dump_pins(KERNEL_PINS, kernel_pins)
     _dump_pins(GOLDEN, {key: doc[key] for key in GOLDEN_KEYS})
 
 
