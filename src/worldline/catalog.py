@@ -253,7 +253,9 @@ def save(s: Scenario, path):
 def load(path) -> Scenario:
     """Read and validate a scenario file.  Geometry and expression errors
     pass through as raised; any other failure to read the document as a
-    scenario becomes a ValidationError naming the file."""
+    scenario becomes a ValidationError naming the file.  ``json.load`` is the
+    one source of RecursionError: the expression walks do not recurse, and
+    the parser refuses input nested deeper than ``expr.MAX_DEPTH``."""
     try:
         with open(path) as fh:
             s = scenario_from_dict(json.load(fh))

@@ -4,11 +4,14 @@ Expressions are small immutable ASTs built from constants, coordinate
 variables, the four arithmetic operations, integer powers, unary negation
 and the functions of ``FUNCTIONS`` (sin, cos, exp, log), each node a
 ``__slots__`` object with its parts in the slots its class tuple ``_fields``
-names.  They support exact symbolic partial derivatives.  ``emit_block``, the
-one printer of generated code, turns a list of them into straight-line
-Python with one local per shared subexpression: scalar code over math
-functions (``_SCALAR_NS``) for the stepper, or numpy code over arrays of
-points (``compile_batch``).  The stepper first passes its trees through
+names.  Every pass over a tree but equality is a loop over one memoised
+post-order walk, ``_postorder``, that visits each distinct node once: exact
+symbolic partial derivatives (``derive``), the canonical text (``to_text``)
+and the passes below.  No walk recurses except the parser.  ``emit_block``, the one printer
+of generated code, turns a list of trees into straight-line Python with one
+local per shared subexpression: scalar code over math functions
+(``_SCALAR_NS``) for the stepper, or numpy code over arrays of points
+(``compile_batch``).  The stepper first passes its trees through
 ``simplify``, an exact rewrite that folds constants, drops units and cancels
 negations without changing a bit of any result.
 
@@ -149,6 +152,25 @@ def _parts(e: Expr) -> list:
     return [getattr(e, name) for name in e._fields]
 
 
+def _postorder(roots):
+    """Each distinct node under ``roots`` once, children first, in the order
+    a depth-first walk from each root in turn, last child first, finishes
+    them.  The memo holds each node, not only its id, so no id is reused
+    during the walk and callers may key their own tables by ``id``."""
+    done = {}  # id(node) -> node
+    stack = [*roots][::-1]  # the first root on top
+    while stack:
+        e = stack[-1]
+        if id(e) not in done:
+            pending = [x for x in _parts(e) if isinstance(x, Expr) and id(x) not in done]
+            if pending:
+                stack += pending
+                continue
+            done[id(e)] = e
+            yield e
+        stack.pop()
+
+
 class Const(Expr):
     __slots__ = _fields = ("value",)
 
@@ -282,10 +304,8 @@ FUNCTIONS = {
 # --- parsing ---------------------------------------------------------------
 
 # Deepest expression the parser accepts; each operator, function call and
-# pair of parentheses adds a level.  It keeps the parser (two frames per
-# parenthesised level), derive and to_text inside the recursion limit with
-# room for the caller.  Derivatives are deeper, but only code that does not
-# recurse walks them: the emitter, equality, hashing and references_time.
+# pair of parentheses adds a level.  Only the parser recurses, two frames per
+# parenthesised level, and this keeps it inside the recursion limit.
 MAX_DEPTH = 350
 
 
@@ -424,92 +444,91 @@ def parse(text: str, frame: CoordinateFrame) -> Expr:
 # --- differentiation -------------------------------------------------------
 
 def derive(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative with respect to the named variable."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Add):
-        return add(derive(e.a, var), derive(e.b, var))
-    if isinstance(e, Mul):
-        return add(mul(derive(e.a, var), e.b), mul(e.a, derive(e.b, var)))
-    if isinstance(e, Div):
-        num = sub(mul(derive(e.a, var), e.b), mul(e.a, derive(e.b, var)))
-        return div(num, power(e.b, 2))
-    if isinstance(e, Neg):
-        return neg(derive(e.a, var))
-    if isinstance(e, Pow):
-        return mul(mul(Const(float(e.exponent)), power(e.base, e.exponent - 1)),
-                   derive(e.base, var))
-    if isinstance(e, Fun):
-        return FUNCTIONS[e.name].derive(e, derive(e.arg, var))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Symbolic partial derivative with respect to the named variable; a
+    subtree reached by several paths is derived once."""
+    d = {}  # id(node) -> its derivative
+    for node in _postorder([e]):
+        if isinstance(node, (Const, Var)):
+            r = ONE if isinstance(node, Var) and node.name == var else ZERO
+        elif isinstance(node, Add):
+            r = add(d[id(node.a)], d[id(node.b)])
+        elif isinstance(node, (Mul, Div)):  # from p = a'b and q = ab'
+            p, q = mul(d[id(node.a)], node.b), mul(node.a, d[id(node.b)])
+            r = add(p, q) if isinstance(node, Mul) else div(sub(p, q), power(node.b, 2))
+        elif isinstance(node, Neg):
+            r = neg(d[id(node.a)])
+        elif isinstance(node, Pow):
+            r = mul(mul(Const(float(node.exponent)), power(node.base, node.exponent - 1)),
+                    d[id(node.base)])
+        else:
+            r = FUNCTIONS[node.name].derive(node, d[id(node.arg)])
+        d[id(node)] = r
+    return d[id(e)]
 
 
 def references_time(e: Expr) -> bool:
     """True if the expression mentions the parameter variable ``t``."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var) and node.index == TIME_INDEX:
-            return True
-        stack.extend(x for x in _parts(node) if isinstance(x, Expr))
-    return False
+    return any(isinstance(x, Var) and x.index == TIME_INDEX for x in _postorder([e]))
 
 
 # --- printing --------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW = 1, 2, 3, 4
+# How tightly each printed form binds; a child that binds looser than its
+# parent asks for is printed in parentheses.
+_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add,)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_UNARY
-    if isinstance(e, Const) and e.value < 0:
-        return _PREC_UNARY
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return 5
+def _shown(entry, minimum: int) -> tuple:
+    """(before, text, after): the printed entry (negations, text, precedence)
+    of a node as a parent that binds at ``minimum`` shows it, in pieces that
+    the parent joins at once, so no parenthesised copy of the text is made."""
+    negations, text, prec = entry
+    if negations:  # a '-' each, before text that binds at least as tightly
+        text = "-" * negations + (f"({text})" if prec < _PREC_UNARY else text)
+        prec = _PREC_UNARY
+    return ("(", text, ")") if prec < minimum else ("", text, "")
 
 
 def to_text(e: Expr) -> str:
-    """Canonical text form; ``parse(to_text(e))`` rebuilds an equal AST."""
-    if isinstance(e, Const):
-        v = e.value
-        if math.isinf(v):  # float("1e999") is inf: parse reads these back
-            return "1e999" if v > 0 else "-1e999"
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        left = _wrap(to_text(e.a), e.a, _PREC_ADD)
-        if isinstance(e.b, Neg):
-            return f"{left} - {_wrap(to_text(e.b.a), e.b.a, _PREC_MUL)}"
-        if isinstance(e.b, Const) and e.b.value < 0:
-            return f"{left} - {to_text(Const(-e.b.value))}"
-        return f"{left} + {_wrap(to_text(e.b), e.b, _PREC_ADD + 1)}"
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        return (f"{_wrap(to_text(e.a), e.a, _PREC_MUL)}{op}"
-                f"{_wrap(to_text(e.b), e.b, _PREC_MUL + 1)}")
-    if isinstance(e, Neg):
-        return f"-{_wrap(to_text(e.a), e.a, _PREC_UNARY)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(to_text(e.base), e.base, 5)}^{e.exponent}"
-    if isinstance(e, Fun):
-        return f"{e.name}({to_text(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    """Canonical text form; ``parse(to_text(e))`` rebuilds an equal AST.
+    Each node's text is built once and dropped when its last parent has read
+    it, so shared subtrees that print many times take memory of the order of
+    the text.  A negation, or a negative constant, keeps its operand's text,
+    so that ``a + -b`` prints ``a - b``."""
+    order = list(_postorder([e]))
+    readers = Counter(id(x) for node in order for x in _parts(node) if isinstance(x, Expr))
+    entries = {}  # id(node) -> (negations, text, precedence)
 
+    def take(x, minimum=None, strip=0):  # x's entry less ``strip`` negations
+        readers[id(x)] -= 1  # the last reader drops it
+        negations, text, prec = entries[id(x)] if readers[id(x)] else entries.pop(id(x))
+        entry = negations - strip, text, prec
+        return entry if minimum is None else _shown(entry, minimum)
 
-def _wrap(text: str, e: Expr, minimum: int) -> str:
-    # takes the text of ``e`` so that to_text recurses one frame per level
-    return f"({text})" if _prec(e) < minimum else text
+    for node in order:
+        if isinstance(node, Const):
+            v = abs(node.value)
+            text = ("1e999" if v == math.inf  # float("1e999") is inf: parse reads it back
+                    else str(int(v)) if v == int(v) and v < 1e16 else repr(v))
+            entry = int(node.value < 0), text, _PREC_ATOM
+        elif isinstance(node, Var):
+            entry = 0, node.name, _PREC_ATOM
+        elif isinstance(node, Neg):
+            entry = take(node.a, strip=-1)  # one negation more
+        elif isinstance(node, Add):
+            minus = isinstance(node.b, Neg) or isinstance(node.b, Const) and node.b.value < 0
+            right = _PREC_MUL if minus else _PREC_ADD + 1
+            entry = 0, "".join((*take(node.a, _PREC_ADD), " - " if minus else " + ",
+                                *take(node.b, right, strip=minus))), _PREC_ADD
+        elif isinstance(node, Pow):
+            entry = 0, "".join((*take(node.base, _PREC_ATOM), f"^{node.exponent}")), _PREC_POW
+        elif isinstance(node, Fun):
+            entry = 0, "".join((f"{node.name}(", *take(node.arg, 0), ")")), _PREC_ATOM
+        else:
+            entry = 0, "".join((*take(node.a, _PREC_MUL), "*" if isinstance(node, Mul) else "/",
+                                *take(node.b, _PREC_MUL + 1))), _PREC_MUL
+        entries[id(node)] = entry
+    return "".join(_shown(entries[id(e)], 0))
 
 
 # --- exact simplification of scalar code -----------------------------------
@@ -523,26 +542,12 @@ def simplify(exprs) -> list:
     products and quotients, cancelling in pairs.  ``x + 0.0`` and ``0.0*x``
     stay: they differ from x at x = -0.0 and x = inf.  The batch evaluator
     keeps its trees, since numpy's functions need not round as Python's do.
-    Nothing here recurses.
     """
-    done = {}  # id(node) -> rewritten node; nodes stay alive in ``exprs``
-    out = []
-    for root in exprs:
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if id(e) in done:
-                stack.pop()
-                continue
-            pending = [x for x in _parts(e) if isinstance(x, Expr) and id(x) not in done]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            done[id(e)] = _rewrite(e, [done[id(x)] if isinstance(x, Expr) else x
-                                       for x in _parts(e)])
-        out.append(done[id(root)])
-    return out
+    done = {}  # id(node) -> rewritten node
+    for e in _postorder(exprs):
+        done[id(e)] = _rewrite(e, [done[id(x)] if isinstance(x, Expr) else x
+                                   for x in _parts(e)])
+    return [done[id(root)] for root in exprs]
 
 
 # The Python operation of each node over constant operands.
@@ -623,34 +628,23 @@ def emit_block(exprs, rename, prefix: str = "_e"):
     printed ``_INLINE_DEPTH`` parentheses deep, gets one local
     ``{prefix}{k}``; constants and variables stay inline.  Each node is
     printed once, as its tree says, so the code computes the trees bit for
-    bit.  Nothing here recurses.
+    bit.  Locals are numbered in the order of ``_postorder``.
     """
-    slot_of = {}  # id(node) -> slot; nodes stay alive in ``exprs``
+    slot_of = {}  # id(node) -> slot
     slots = {}    # structural key -> slot, numbered children first
     nodes, kids = [], []
-    for root in exprs:
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if id(e) in slot_of:
-                stack.pop()
-                continue
-            parts = _parts(e)
-            pending = [x for x in parts if isinstance(x, Expr) and id(x) not in slot_of]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            # the key keeps the sign of a zero constant apart: x + 0.0 and
-            # x + -0.0 differ at x = -0.0, although Const(0.0) == Const(-0.0)
-            key = (type(e), *(slot_of[id(x)] if isinstance(x, Expr) else
-                              (x, math.copysign(1.0, x)) if isinstance(x, float) else x
-                              for x in parts))
-            slot = slots.setdefault(key, len(nodes))
-            if slot == len(nodes):
-                nodes.append(e)
-                kids.append([slot_of[id(x)] for x in parts if isinstance(x, Expr)])
-            slot_of[id(e)] = slot
+    for e in _postorder(exprs):
+        parts = _parts(e)
+        # the key keeps the sign of a zero constant apart: x + 0.0 and
+        # x + -0.0 differ at x = -0.0, although Const(0.0) == Const(-0.0)
+        key = (type(e), *(slot_of[id(x)] if isinstance(x, Expr) else
+                          (x, math.copysign(1.0, x)) if isinstance(x, float) else x
+                          for x in parts))
+        slot = slots.setdefault(key, len(nodes))
+        if slot == len(nodes):
+            nodes.append(e)
+            kids.append([slot_of[id(x)] for x in parts if isinstance(x, Expr)])
+        slot_of[id(e)] = slot
     roots = [slot_of[id(e)] for e in exprs]
     uses = Counter([*roots, *(k for ks in kids for k in ks)])
 

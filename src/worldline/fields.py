@@ -187,7 +187,7 @@ def _lie_system(m: geo.ManifoldSpec, K: tuple):
     """Compiled Lie derivative of g along K, its n x n entries row-major."""
     frame = m.frame
     n = m.dim
-    g = m.metric
+    g, dg = m.metric, m._sys.dg  # dg[l][i][j] = d_l g_ij, the stepper's table
     if len(K) != n:
         raise geo.ValidationError(f"vector field K must have {n} components")
     dK = [[ex.derive(K[l], frame.names[i]) for l in range(n)] for i in range(n)]
@@ -196,7 +196,7 @@ def _lie_system(m: geo.ManifoldSpec, K: tuple):
         for j in range(i, n):
             acc = ex.ZERO
             for l in range(n):
-                acc = ex.add(acc, ex.mul(K[l], ex.derive(g[i][j], frame.names[l])))
+                acc = ex.add(acc, ex.mul(K[l], dg[l][i][j]))
                 acc = ex.add(acc, ex.mul(g[l][j], dK[i][l]))
                 acc = ex.add(acc, ex.mul(g[i][l], dK[j][l]))
             lie[i][j] = acc

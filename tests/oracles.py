@@ -1,6 +1,7 @@
 """Test oracles, which no command runs.
 
-``evaluate`` walks the trees that the emitter prints; ``christoffel_at`` and
+``evaluate`` walks the trees that the emitter prints, and ``to_text``
+prints them recursively, one frame per level; ``christoffel_at`` and
 ``rhs`` form the equation numerically from g and its derivatives, not from
 the generated contraction; ``decompose`` splits F at one point; and
 ``single_step`` is one step of the generated stage lines, for the
@@ -53,6 +54,57 @@ def _eval(e, point, t):
     if isinstance(e, ex.Fun):
         return ex.FUNCTIONS[e.name].scalar(_eval(e.arg, point, t))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW = 1, 2, 3, 4
+
+
+def _prec(e):
+    if isinstance(e, ex.Add):
+        return _PREC_ADD
+    if isinstance(e, (ex.Mul, ex.Div)):
+        return _PREC_MUL
+    if isinstance(e, ex.Neg) or isinstance(e, ex.Const) and e.value < 0:
+        return _PREC_UNARY
+    if isinstance(e, ex.Pow):
+        return _PREC_POW
+    return 5
+
+
+def to_text(e):
+    """The canonical text form that ``expr.to_text`` prints, by recursion."""
+    if isinstance(e, ex.Const):
+        v = e.value
+        if math.isinf(v):
+            return "1e999" if v > 0 else "-1e999"
+        if v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        return repr(v)
+    if isinstance(e, ex.Var):
+        return e.name
+    if isinstance(e, ex.Add):
+        left = _wrap(to_text(e.a), e.a, _PREC_ADD)
+        if isinstance(e.b, ex.Neg):
+            return f"{left} - {_wrap(to_text(e.b.a), e.b.a, _PREC_MUL)}"
+        if isinstance(e.b, ex.Const) and e.b.value < 0:
+            return f"{left} - {to_text(ex.Const(-e.b.value))}"
+        return f"{left} + {_wrap(to_text(e.b), e.b, _PREC_ADD + 1)}"
+    if isinstance(e, (ex.Mul, ex.Div)):
+        op = "*" if isinstance(e, ex.Mul) else "/"
+        return (f"{_wrap(to_text(e.a), e.a, _PREC_MUL)}{op}"
+                f"{_wrap(to_text(e.b), e.b, _PREC_MUL + 1)}")
+    if isinstance(e, ex.Neg):
+        return f"-{_wrap(to_text(e.a), e.a, _PREC_UNARY)}"
+    if isinstance(e, ex.Pow):
+        return f"{_wrap(to_text(e.base), e.base, 5)}^{e.exponent}"
+    if isinstance(e, ex.Fun):
+        return f"{e.name}({to_text(e.arg)})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _wrap(text, e, minimum):
+    # takes the text of ``e`` so that to_text recurses one frame per level
+    return f"({text})" if _prec(e) < minimum else text
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,12 +1,15 @@
 import copy
 import math
 import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import worldline.expr as ex
 
+import oracles
 from oracles import evaluate
 
 XY = ex.CoordinateFrame(("x", "y"))
@@ -160,6 +163,13 @@ def test_emitter_shares_nodes_but_not_signed_zeros():
     # a negative literal raised to a power keeps its sign inside the power
     f, _ = _scalar_function([ex.Pow(ex.Const(-2.0), 2)], ())
     assert f() == (4.0,) == (evaluate(ex.Pow(ex.Const(-2.0), 2), ()),)
+    # x^(2^60) as 61 distinct nodes and 2^60 paths: each walk visits a node once
+    e = x
+    for _ in range(60):
+        e = ex.Mul(e, e)
+    assert not ex.references_time(e)
+    f, _ = _scalar_function([ex.derive(e, "x")], ("x",))
+    assert f(1.0) == (2.0 ** 60,)
 
 
 def test_nodes_are_slotted_immutable_and_compare_past_the_recursion_limit():
@@ -182,7 +192,22 @@ def test_nodes_are_slotted_immutable_and_compare_past_the_recursion_limit():
         e = ex.Div(x, e)
     d, again = ex.derive(e, "x"), ex.derive(e, "x")
     with pytest.raises(RecursionError):
-        ex.to_text(d)  # one frame per level
+        oracles.to_text(d)  # the recursive printer, one frame per level
+    tracemalloc.start()
+    try:
+        text = ex.to_text(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each node's text is dropped once read; the naive fold holds ~540 times the text
+    assert peak <= 4 * len(text)
+    assert text == ex.to_text(again)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4000)
+    try:
+        assert text == oracles.to_text(d)
+    finally:
+        sys.setrecursionlimit(limit)
     assert d is not again and d == again and hash(d) == hash(again)
     assert {d: 1}[again] == 1
     assert d != ex.derive(ex.Div(ex.Const(2.0), e), "x")
@@ -194,12 +219,18 @@ def test_emitter_splits_deep_trees():
     e = x
     for k in range(5000):
         e = ex.Add(ex.Mul(e, ex.Const(0.5)), x) if k % 2 else ex.Fun("cos", e)
-    f, lines = _scalar_function([e], ("x",))
-    want = 0.3
+    f, lines = _scalar_function([e, ex.derive(e, "x")], ("x",))
+    want, slope, text = 0.3, 1.0, "x"
     for k in range(5000):
-        want = want * 0.5 + 0.3 if k % 2 else math.cos(want)
-    assert f(0.3) == (want,)
+        if k % 2:
+            want, slope, text = want * 0.5 + 0.3, slope * 0.5 + 1.0, f"{text}*0.5 + x"
+        else:
+            want, slope, text = math.cos(want), -math.sin(want) * slope, f"cos({text})"
+    assert f(0.3) == (want, slope)
     assert max(line.count("(") for line in lines) <= 2 * ex._INLINE_DEPTH
+    assert ex.to_text(e) == text
+    assert not ex.references_time(e)
+    assert ex.simplify([e])[0] is e  # nothing to rewrite: the tree comes back
     batch = ex.compile_batch([e], ex.CoordinateFrame(("x",)))
     assert batch(np.array([[0.3]]), np.zeros(1))[0, 0] == pytest.approx(want, rel=1e-12)
 
@@ -422,6 +453,7 @@ def test_batch_code_matches_evaluate(exprs, points):
 @hyp.given(_exprs)
 def test_to_text_round_trip_property(e):
     assert ex.parse(ex.to_text(e), XYT) == e
+    assert ex.to_text(e) == oracles.to_text(e)
 
 
 # --- the exact simplification of scalar code ---------------------------------
