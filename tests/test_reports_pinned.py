@@ -8,10 +8,10 @@ trajectory CSV is pinned by its sha256 and row count, and the stdout of
 line count.  Each input is also swept once with a small ensemble: sweeps
 draw seeded start points, which ``run`` never does.  The sweep report is pinned byte for byte and
 ``sweep.csv`` by its sha256 and row count.  The generated source of each
-input's compiled system, ``kernel_source``, is pinned by its sha256 and line
-count.  A change that moves bytes on purpose regenerates these files and the golden clifton-pohl sweep that
-``test_cli.py`` compares with, and shows the moved values in the diff of
-``tests/data``:
+input's compiled system, ``kernel_source``, is pinned by its sha256 and
+line count.  A change that moves bytes on purpose regenerates these files
+and the golden clifton-pohl sweep that ``test_cli.py`` compares with, and
+shows the moved values in the diff of ``tests/data``:
 
     PYTHONPATH=src python tests/test_reports_pinned.py
 """
@@ -62,7 +62,7 @@ def _pin(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "rows": data.count(b"\n") - 1}
 
 
-def _json_pin(data: bytes) -> dict:
+def _line_pin(data: bytes) -> dict:
     return {"lines": data.count(b"\n"), "sha256": hashlib.sha256(data).hexdigest()}
 
 
@@ -108,8 +108,7 @@ def _outputs(source, workdir):
 def _kernel_pin(source) -> dict:
     """The pin of the generated source of one input's compiled system."""
     s = cat.resolve(source)
-    data = dy.compiled_system(s.manifold, s.fields).kernel_source.encode()
-    return {"lines": data.count(b"\n"), "sha256": hashlib.sha256(data).hexdigest()}
+    return _line_pin(dy.compiled_system(s.manifold, s.fields).kernel_source.encode())
 
 
 def _sweep_outputs(source, workdir):
@@ -147,7 +146,7 @@ def test_trajectory_csv_pins_hold_for_any_block_size(source, block, tmp_path, ca
     with open(CSV_PINS) as fh:
         assert _pin(_read(os.path.join(out, "run_trajectory.csv"))) == json.load(fh)[_name(source)]
     with open(JSON_PINS) as fh:
-        assert _json_pin(_json_stdout(source)) == json.load(fh)[_name(source)]
+        assert _line_pin(_json_stdout(source)) == json.load(fh)[_name(source)]
 
 
 @pytest.mark.parametrize("source", INPUTS, ids=_name)
@@ -181,7 +180,7 @@ def _regenerate():
         for source in INPUTS:
             name = _name(source)
             check, run, pins[name] = _outputs(source, workdir)
-            json_pins[name] = _json_pin(_json_stdout(source))
+            json_pins[name] = _line_pin(_json_stdout(source))
             sweep, sweep_pins[name] = _sweep_outputs(source, workdir)
             kernel_pins[name] = _kernel_pin(source)
             for kind, data in (("check", check), ("run", run), ("sweep", sweep)):
