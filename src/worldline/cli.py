@@ -7,12 +7,14 @@ printed with repr, JSON keys are sorted, and nothing records wall-clock time.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
 import os
 import pickle
 import random
+import select
 import signal
 import struct
 import sys
@@ -304,13 +306,14 @@ class _Spool:
 
 
 _SIZE = struct.Struct("<Q")  # a message between a sweep and its helper: bytes of its pickle
+# the bytes of the jobs a sweep has sent and not had answered stay within
+# this; a pipe always holds that much, so sending them never waits
+_QUEUE_BYTES = select.PIPE_BUF
 
 
-def _send(fh, message):
+def _frame(message) -> bytes:
     data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    fh.write(_SIZE.pack(len(data)))
-    fh.write(data)
-    fh.flush()
+    return _SIZE.pack(len(data)) + data
 
 
 def _receive(fh):
@@ -328,9 +331,9 @@ def _serve_backward(jobs: int, replies: int, sysd) -> int:
 
     Answers each (start state, config) read from the pipe ``jobs`` with
     ``(True, dynamics.backward_half(...))`` or with ``(False, error)`` on
-    ``replies``, until ``jobs`` closes.  An error that would not reach the
-    sweep as itself through ``pickle`` goes as an ``OSError`` with its
-    text."""
+    ``replies``, in the order of the jobs, until ``jobs`` closes.  An error
+    that would not reach the sweep as itself through ``pickle`` goes as an
+    ``OSError`` with its text."""
     with open(jobs, "rb") as src, open(replies, "wb") as out:
         while (job := _receive(src)) is not None:
             try:
@@ -341,34 +344,51 @@ def _serve_backward(jobs: int, replies: int, sysd) -> int:
                 except Exception:
                     same = False
                 reply = False, err if same else OSError(f"{type(err).__name__}: {err}")
-            _send(out, reply)
+            out.write(_frame(reply))
+            out.flush()
     return 0
 
 
 class _Backward:
     """The backward directions of a sweep, integrated by a helper process on
-    the other core while the sweep integrates the forward ones.
+    the other core while the sweep integrates the forward ones, from the
+    start states of ``draws`` under ``cfg``.
 
     Entering forks the helper (POSIX ``fork``, see ``_fork``) once the
     sweep's system is compiled, so that it inherits the compiled system and
     the cached verdicts of the sampled checks; there is one helper per
     sweep, whatever its size.  The sweep starts no thread, and numpy's
     OpenBLAS, which the helper's fold may call, restarts its thread pool in
-    a forked child.  As the ``backward`` of
-    ``dynamics.integrate_maximal``, a call sends the start state and the
-    config down a pipe and returns the function that takes the reply: the
-    backward report and its fold values, or the backward error, raised with
-    its type and message.  The draws of the start points stay in the sweep.
-    A helper that is gone makes that function raise ``OSError``.  ``close``
-    closes the pipe, and the helper ends at its end; a sweep killed in the
-    middle of a trajectory leaves the helper to finish that backward
-    direction, fail to send it, and end.  Leaving reaps the
-    helper, killing it first when an error is on its way out, so that no
-    command waits for a backward direction it will not read.
+    a forked child.
+
+    Iterating gives the start states of ``draws`` in order, each drawn when
+    the iteration or the queue first needs it; a draw that raises is held,
+    and the iteration raises it in its place, after the trajectories before
+    it.  As the ``backward`` of ``dynamics.integrate_maximal``, a call with
+    the start state the iteration gave last and ``cfg`` sends that start's
+    job (start state, config) down a pipe unless it went ahead, then queues
+    the jobs of the next starts behind it, in one write, while the jobs sent
+    and not answered stay within ``_QUEUE_BYTES``.  So the helper runs
+    ahead, and a sweep takes about the longer of its forward and backward
+    sums, not the sum of the longer of each pair.  No write waits, whatever
+    the size of a reply: the jobs in the pipe are among those not answered,
+    and a pipe holds ``PIPE_BUF`` bytes.  A larger job goes alone, when
+    nothing else is outstanding.  The call returns the function that takes
+    the reply, in the order of the trajectories and after the forward
+    direction: the backward report and its fold values, or the backward
+    error, raised with its type and message; a helper that is gone makes it
+    raise ``OSError``.  ``close`` closes the pipe, and the helper ends at
+    its end.  A sweep killed mid-way leaves the helper to finish the
+    backward direction it is in, fail to send it, and end.  Leaving reaps
+    the helper, killing it first when an error is on its way out, so that no
+    command waits for backward directions it will not read.
     """
 
-    def __init__(self, sysd):
-        self._sysd = sysd
+    def __init__(self, sysd, cfg, draws):
+        self._sysd, self._cfg, self._draws = sysd, cfg, draws
+        self._starts = collections.deque()  # drawn, not yet given by the iteration
+        self._jobs = collections.deque()  # framed jobs drawn, not yet sent
+        self._unread = collections.deque()  # bytes of each job sent and not answered
 
     def __enter__(self):
         jobs, pipe = os.pipe()
@@ -377,13 +397,49 @@ class _Backward:
                           pipe, self._replies)
         os.close(jobs)
         os.close(replies)
-        self._jobs, self._replies = open(pipe, "wb"), open(self._replies, "rb")
+        self._pipe, self._replies = open(pipe, "wb"), open(self._replies, "rb")
         return self
 
+    def _draw(self) -> bool:
+        """Draw the next start state; False when the draws are done.  A draw
+        that raises is held in its place and ends the draws."""
+        try:
+            s0 = next(self._draws, None)
+        except Exception as err:
+            self._starts.append(err)
+            return False
+        if s0 is None:
+            return False
+        self._starts.append(s0)
+        self._jobs.append(_frame((s0, self._cfg)))
+        return True
+
+    def __iter__(self):
+        while self._starts or self._draw() or self._starts:  # or the draw failed
+            s0 = self._starts.popleft()
+            if isinstance(s0, Exception):
+                raise s0
+            yield s0
+
     def __call__(self, s0, cfg):
-        with contextlib.suppress(BrokenPipeError):  # a helper gone fails the reply
-            _send(self._jobs, (s0, cfg))
+        if not self._unread:  # every earlier reply is read: s0's job did not go ahead
+            self._send_jobs(1)
+        count, queued = 0, sum(self._unread)
+        while ((count < len(self._jobs) or self._draw())
+               and queued + len(self._jobs[count]) <= _QUEUE_BYTES):
+            queued += len(self._jobs[count])
+            count += 1
+        if count:
+            self._send_jobs(count)
         return self._reply
+
+    def _send_jobs(self, count):
+        """Send the next ``count`` jobs in one write."""
+        batch = [self._jobs.popleft() for _ in range(count)]
+        self._unread.extend(map(len, batch))
+        with contextlib.suppress(BrokenPipeError):  # a helper gone fails the reply
+            self._pipe.write(b"".join(batch))
+            self._pipe.flush()
 
     def _reply(self):
         reply = _receive(self._replies)
@@ -391,6 +447,7 @@ class _Backward:
             self.close()
             pid, self._pid = self._pid, None
             raise OSError(f"backward-direction helper ended with status {_reap(pid)}")
+        self._unread.popleft()
         done, value = reply
         if not done:
             raise value
@@ -398,7 +455,7 @@ class _Backward:
 
     def close(self):
         with contextlib.suppress(BrokenPipeError):
-            self._jobs.close()
+            self._pipe.close()
 
     def __exit__(self, failed, *exc):
         self.close()
@@ -558,7 +615,22 @@ def _sample_velocity(m: geo.ManifoldSpec, fp: fl.FieldPack, q, rng,
     return sampling.ball_point(rng, m.dim, radius)
 
 
+def _draw_starts(m: geo.ManifoldSpec, fp: fl.FieldPack, rng, radius: float, n: int):
+    """The ``n`` start states of a sweep, each drawn from ``rng`` when it is
+    asked for."""
+    for _ in range(n):
+        q = _sample_initial_point(m, rng)
+        yield geo.TrajectoryState(0.0, q, _sample_velocity(m, fp, q, rng, radius))
+
+
 def cmd_sweep(args) -> int:
+    """Classify ``-n`` trajectories from start points drawn with ``--seed``.
+
+    The forward directions run here and the backward ones in a helper
+    process (``_Backward``), which takes the jobs of the coming trajectories
+    ahead of the sweep; the bytes are those of the one-process integration.
+    The points are drawn after the system is compiled, in order, from one
+    ``random.Random(seed)``, as far as the helper's queue needs them."""
     if args.n <= 0:
         raise geo.ValidationError("ensemble size -n must be positive")
     if args.seed < 0:
@@ -567,7 +639,6 @@ def cmd_sweep(args) -> int:
     cr.check_growth_ball(s.manifold)
     cfg = _resolved_config(s, args)
     radius = s.velocity_radius
-    rng = random.Random(args.seed)
     m, fp = s.manifold, s.fields
 
     n = m.dim
@@ -583,12 +654,10 @@ def cmd_sweep(args) -> int:
     max_speed = 0.0
     max_bound = None
     consistent = True
-    with _Backward(dy.compiled_system(m, fp)) as backward:
-        for index in range(args.n):
-            q = _sample_initial_point(m, rng)
-            v = _sample_velocity(m, fp, q, rng, radius)
-            result = dy.integrate_maximal(m, fp, geo.TrajectoryState(0.0, q, v), cfg,
-                                           backward=backward)
+    draws = _draw_starts(m, fp, random.Random(args.seed), radius, args.n)
+    with _Backward(dy.compiled_system(m, fp), cfg, draws) as backward:
+        for index, s0 in enumerate(backward):
+            result = dy.integrate_maximal(m, fp, s0, cfg, backward=backward)
             cls = result.classification
             energy = dy.energy_monitor(result)
             killing = dy.killing_charge_monitor(result)
@@ -605,7 +674,7 @@ def cmd_sweep(args) -> int:
             if not cert.refused:
                 max_bound = cert.bound if max_bound is None else max(max_bound, cert.bound)
                 consistent = consistent and cert.consistent
-            rows.append([float(index), *map(float, q), *map(float, v), cls.kind,
+            rows.append([float(index), *map(float, s0.q), *map(float, s0.v), cls.kind,
                          _finite_or_nan(cls.t_star),
                          _finite_or_nan(cls.t_star_halfwidth),
                          float(cls.marginal), energy.max_drift,

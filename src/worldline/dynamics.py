@@ -921,8 +921,10 @@ def _evaluate(m: geo.ManifoldSpec, fp: fl.FieldPack, ts, qs, vs):
 
 def _fold_max(running, values):
     """The running maximum after one more block; np.max and np.maximum
-    propagate a nan."""
-    top = np.max(values)
+    propagate a nan.  Of equal zeros np.max keeps either, by the length of
+    the array, so ``+ 0.0`` makes every zero +0.0 and leaves every other
+    value as it is."""
+    top = np.max(values) + 0.0
     return top if running is None else np.maximum(running, top)
 
 

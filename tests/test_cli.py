@@ -742,37 +742,67 @@ def test_the_writer_of_a_killed_run_ends(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-@pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
-def test_the_helper_of_a_killed_sweep_ends(busy):
+@pytest.mark.parametrize("jobs, t_max", [(0, 1000), (1, 1000), (14, 5000)],
+                         ids=["idle", "busy", "queued"])
+def test_the_helper_of_a_killed_sweep_ends(jobs, t_max):
     # a killed sweep closes its ends of the pipes: an idle helper reads the
     # end of the job pipe and exits; a helper killed in the middle of a
-    # backward direction fails to send its reply and exits
+    # backward direction, with or without jobs queued behind it, fails to
+    # send its reply and exits.  Each queued direction takes a few seconds,
+    # so a helper that went on through its queue would outlast the wait
     assert _child_of_a_killed_process_ends(
-        "import time\n"
+        "import random, time\n"
         "from worldline import catalog, cli, dynamics\n"
         "s = catalog.builtin('t3-magnetic')\n"
-        "helper = cli._Backward(dynamics.compiled_system(s.manifold, s.fields)).__enter__()\n"
-        f"{'' if busy else '# '}helper(s.initial, s.integration_config(t_max=1000.0))\n"
+        f"cfg = s.integration_config(t_max={t_max})\n"
+        f"draws = cli._draw_starts(s.manifold, s.fields, random.Random(5), 1.0, {jobs})\n"
+        "helper = cli._Backward(dynamics.compiled_system(s.manifold, s.fields), cfg,\n"
+        "                       draws).__enter__()\n"
+        "for s0 in helper:\n"
+        "    helper(s0, cfg)\n"
+        f"    assert len(helper._unread) == {jobs}\n"
+        "    break\n"
         "print(helper._pid, flush=True)\n"
         "time.sleep(60)\n")
 
 
-def test_a_sweep_integrates_its_backward_directions_in_one_helper(capsys, monkeypatch):
+_CURVED_5D = os.path.join(DATA, "curved-5d.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "t3-magnetic", "-n", "3", "--t-max", "5"],
+    ["--scenario", "clifton-pohl", "-n", "40", "--t-max", "5"],
+    ["--scenario", _CURVED_5D, "-n", "40", "--t-max", "2"]],
+    ids=["t3-magnetic", "clifton-pohl", "curved-5d"])
+@pytest.mark.parametrize("bound", [None, 1], ids=["queued", "lockstep"])
+def test_a_sweep_integrates_its_backward_directions_in_one_helper(argv, bound, capsys,
+                                                                  monkeypatch):
     # the helper is forked once per sweep, whatever -n is; the directions
     # that the sweep's own process integrates are the forward ones, and the
-    # bytes are those of the one-process integration
-    signs = []
+    # bytes are those of the one-process integration.  The jobs queue ahead
+    # of the sweep, or, under a byte bound smaller than one job, go one at
+    # a time, with the same bytes
+    n = int(argv[argv.index("-n") + 1])
+    signs, queued = [], []
 
     def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
         signs.append(sign)  # the helper appends to its own copy
         return _f(sysd, s0, cfg, sign, sink)
 
+    def call(self, s0, cfg, _f=cli._Backward.__call__):
+        reply = _f(self, s0, cfg)
+        queued.append(len(self._unread))
+        return reply
+
     monkeypatch.setattr(dy, "_run_direction", run_direction)
+    monkeypatch.setattr(cli._Backward, "__call__", call)
+    if bound is not None:
+        monkeypatch.setattr(cli, "_QUEUE_BYTES", bound)
     forks = _counting_forks(monkeypatch)
-    argv = ["sweep", "--scenario", "t3-magnetic", "-n", "3", "--t-max", "5"]
-    code, out = invoke(argv, capsys)
+    code, out = invoke(["sweep", *argv], capsys)
     assert code == 0
-    assert len(forks) == 1 and signs == [1.0] * 3
+    assert len(forks) == 1 and signs == [1.0] * n
+    assert len(queued) == n and (max(queued) > 1 if bound is None else set(queued) == {1})
     with pytest.raises(ChildProcessError):  # the helper was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -780,8 +810,8 @@ def test_a_sweep_integrates_its_backward_directions_in_one_helper(capsys, monkey
         return _f(m, fp, s0, cfg)
 
     monkeypatch.setattr(dy, "integrate_maximal", one_process)
-    assert invoke(argv, capsys) == (0, out)
-    assert len(forks) == 2 and signs[3:] == [1.0, -1.0] * 3
+    assert invoke(["sweep", *argv], capsys) == (0, out)
+    assert len(forks) == 2 and signs[n:] == [1.0, -1.0] * n
 
 
 def test_a_sweep_refused_in_the_forward_direction_leaves_no_process(capsys, monkeypatch):
@@ -822,6 +852,110 @@ def test_a_backward_error_reaches_the_sweep_as_itself(tmp_path, capsys, monkeypa
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert str(refused.value).startswith("refused at t = -")
+
+
+def _fails_as_in_one_process(argv, capsys, monkeypatch, *counters):
+    """Run the sweep ``argv``, which must fail, with its helper, then in one
+    process with ``counters`` (lists the patches count in) emptied; each
+    exits 2 with empty stdout and the same message, and forks one helper and
+    reaps it.  Returns the message and the lengths of ``counters`` after the
+    sweep with its helper."""
+    forks = _counting_forks(monkeypatch)
+    code = cli.main(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+    counted = [len(counter) for counter in counters]
+    for counter in counters:
+        counter.clear()
+
+    def one_process(m, fp, s0, cfg, backward=None, _f=dy.integrate_maximal):
+        return _f(m, fp, s0, cfg)
+
+    monkeypatch.setattr(dy, "integrate_maximal", one_process)
+    assert cli.main(["sweep", *argv]) == 2
+    assert capsys.readouterr() == captured
+    assert len(forks) == 2  # the idle helper of the one-process sweep
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return captured.err, counted
+
+
+def test_a_backward_error_behind_queued_jobs_is_the_one_process_error(capsys, monkeypatch):
+    # the backward direction of trajectory 2 fails while the jobs of 3 to 9
+    # are queued behind it
+    calls = []
+
+    def backward_half(sysd, s0, cfg, table=None, _f=dy.backward_half):
+        calls.append(s0)  # the helper appends to its own copy
+        if len(calls) == 3:
+            raise geo.DegenerateMetricError(f"refused backward from q = {s0.q!r}")
+        return _f(sysd, s0, cfg, table)
+
+    monkeypatch.setattr(dy, "backward_half", backward_half)
+    err, _ = _fails_as_in_one_process(["--scenario", "clifton-pohl", "-n", "10"], capsys,
+                                      monkeypatch, calls)
+    assert err.startswith("error: refused backward from q = (")
+
+
+def test_a_forward_error_wins_over_backward_errors_queued_behind_it(capsys, monkeypatch):
+    # every backward direction after the first fails at once, in the helper;
+    # the forward direction of trajectory 1 fails later, and its error is
+    # the one the one-process integration raises
+    signs = []
+
+    def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
+        signs.append(sign)
+        if sign > 0.0 and signs.count(sign) == 2:
+            time.sleep(0.1)  # the backward error of trajectory 1 is sent by now
+            raise geo.DegenerateMetricError("refused forward")
+        if sign < 0.0 and signs.count(sign) >= 2:
+            raise geo.DegenerateMetricError("refused backward")
+        return _f(sysd, s0, cfg, sign, sink)
+
+    monkeypatch.setattr(dy, "_run_direction", run_direction)
+    err, _ = _fails_as_in_one_process(["--scenario", "null-plane-cubic", "-n", "10"],
+                                      capsys, monkeypatch, signs)
+    assert err == "error: refused forward\n"
+
+
+@pytest.mark.parametrize("failing", [None, 1], ids=["draw", "backward-first"])
+def test_a_failed_draw_is_raised_at_its_index(failing, capsys, monkeypatch):
+    # the draw of trajectory 3 fails when the queue reaches it, ahead of the
+    # sweep; it is raised after trajectories 0 to 2, unless one of them
+    # failed first
+    draws, forward, backward = [], [], []
+
+    def sample_initial_point(m, rng, _f=cli._sample_initial_point):
+        draws.append(m)
+        if len(draws) == 4:
+            raise geo.ValidationError("could not sample the fourth point")
+        return _f(m, rng)
+
+    def backward_half(sysd, s0, cfg, table=None, _f=dy.backward_half):
+        backward.append(s0)  # the helper appends to its own copy
+        if len(backward) - 1 == failing:
+            raise geo.DegenerateMetricError("refused backward")
+        return _f(sysd, s0, cfg, table)
+
+    def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
+        forward.append(sign)  # the sweep's own directions are forward ones
+        return _f(sysd, s0, cfg, sign, sink)
+
+    monkeypatch.setattr(cli, "_sample_initial_point", sample_initial_point)
+    monkeypatch.setattr(dy, "backward_half", backward_half)
+    monkeypatch.setattr(dy, "_run_direction", run_direction)
+    err, (_, forwards, _) = _fails_as_in_one_process(
+        ["--scenario", "riemann-superlinear", "-n", "10"], capsys, monkeypatch, draws,
+        forward, backward)
+    if failing is None:
+        assert err == "error: could not sample the fourth point\n"
+        assert forwards == 3 and len(backward) == 3  # trajectories 0 to 2
+    else:
+        assert err == "error: refused backward\n"
+        assert len(draws) == 2  # one process draws no further than it needs
 
 
 def test_a_sweep_whose_helper_dies_exits_two(capsys, monkeypatch):

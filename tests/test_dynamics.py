@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 import worldline.catalog as cat
 import worldline.criteria as cr
@@ -1157,12 +1157,15 @@ _FOLD_VALUES = strategies.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(values=_FOLD_VALUES, cuts=strategies.lists(strategies.integers(1, 39), max_size=8))
+@example(values=[-math.inf, -math.inf, -0.0, -math.inf, -math.inf, -math.inf, -math.inf,
+                 0.0, 0.0], cuts=[1])  # np.max of the whole is -0.0, of the tail 0.0
 def test_fold_over_blocks_is_the_max_over_the_whole(values, cuts):
+    # the maximum with its zero made +0.0, whatever the blocks
     xs = np.array(values)
     running = None
     for block in np.split(xs, sorted(c for c in set(cuts) if c < len(xs))):
         running = dy._fold_max(running, block)
-    assert repr(running) == repr(np.max(xs))
+    assert repr(running) == repr(np.max(xs) + 0.0)
 
 
 _STEPS = strategies.lists(strategies.floats(1e-3, 1.0), max_size=12)
