@@ -19,7 +19,6 @@ import signal
 import struct
 import sys
 import tempfile
-from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -156,159 +155,7 @@ def _csv_line(width: int) -> str:
     return ",".join(["%s"] * width) + "\n"
 
 
-def _fork(child, *close) -> int:
-    """Fork a child process and return its pid.  The child closes the file
-    descriptors ``close`` (the parent's ends of its pipes), runs ``child()``
-    and leaves only through ``os._exit``, with the code ``child`` returns, or
-    1 if it raises.  stdout and stderr are flushed first, so the child
-    inherits no buffered text.  Each child reads a pipe until it closes, so
-    a parent that ends, killed or not, ends its children."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            for fd in close:
-                os.close(fd)
-            code = child()
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _reap(pid: int) -> int:
-    """Wait for the child ``pid``; its exit code, or minus the signal that
-    ended it."""
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-_FRAME = struct.Struct("<?Q")  # a block sent to the writer: backward, bytes of its rows
-
-
-def _write_table(blocks: int, replies: int, files, line: str, width: int,
-                 nonfinite) -> int:
-    """The body of a ``_Spool``'s writer process; returns its exit code.
-
-    Reads framed blocks of float64 rows from the pipe ``blocks`` until it
-    closes and prints each through ``line`` (see ``_table_text``), reversed
-    when backward, to ``files[backward]``.  Then it sends to ``replies`` the
-    (start, size) in bytes of each backward block, or the text of the error
-    that stopped it."""
-    spans, code = array("q"), 0
-    try:
-        with open(blocks, "rb") as src:
-            while header := src.read(_FRAME.size):
-                backward, size = _FRAME.unpack(header)
-                rows = np.frombuffer(src.read(size)).reshape(-1, width)
-                fh = files[backward]
-                start = fh.tell()
-                fh.writelines(_table_text(rows[::-1] if backward else rows, line, nonfinite))
-                if backward:
-                    spans.extend((start, fh.tell() - start))
-        for fh in files:
-            fh.flush()
-        reply = spans.tobytes()
-    except Exception as err:
-        reply, code = f"{type(err).__name__}: {err}".encode(), 1
-    with open(replies, "wb") as out:
-        out.write(reply)
-    return code
-
-
-class _Spool:
-    """The sample table of ``run`` as text, printed by a writer process while
-    the run integrates, so that the run neither holds more than one block
-    of the table nor formats a float of it.
-
-    Entering the spool forks the writer (POSIX ``fork``, see ``_fork``).
-    The run starts no thread; the writer calls no
-    BLAS routine, so an idle BLAS thread pool that the fork leaves behind
-    does not matter to it.  ``add`` sends a block's rows, raw float64, down a
-    pipe; the writer prints them through ``row + sep`` (``_write_table``) to
-    one anonymous spool file per direction.  ``pieces`` closes the pipe,
-    takes the spans of the backward blocks from the writer and reaps it,
-    then reads the table back in increasing t: the backward blocks last to
-    first, then the forward ones, without the ``sep`` after the last row,
-    which is a forward one.  A writer that failed makes ``pieces`` (or
-    ``add``) raise ``OSError`` with its error.  Leaving the spool reaps the
-    writer if ``pieces`` did not, and closes the spool files, which vanish.
-    A run killed mid-way closes the pipe, and the writer ends at its end.
-    """
-
-    def __init__(self, row: str, sep: str = "", nonfinite=None):
-        self._format = row + sep, row.count("%s"), nonfinite
-        self._sep = len(sep)
-        self._pid = None
-
-    def __enter__(self):
-        self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
-        blocks, pipe = os.pipe()
-        self._replies, replies = os.pipe()
-        self._pid = _fork(lambda: _write_table(blocks, replies, self._files, *self._format),
-                          pipe, self._replies)
-        os.close(blocks)
-        os.close(replies)
-        self._pipe = open(pipe, "wb")
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            if self._pid is not None:  # the run failed before ``pieces``
-                with contextlib.suppress(OSError):
-                    self._reap()
-        finally:
-            for fh in self._files:
-                fh.close()
-
-    def _reap(self):
-        """Close the pipe, so that the writer finishes, and reap it; return
-        its spans of the backward blocks, or raise ``OSError`` if it failed."""
-        pid, self._pid = self._pid, None
-        with contextlib.suppress(BrokenPipeError):
-            self._pipe.close()
-        with open(self._replies, "rb") as fh:
-            reply = fh.read()
-        code = _reap(pid)
-        if code != 0:
-            raise OSError(f"sample table writer failed: {reply.decode(errors='replace')}"
-                          if reply else f"sample table writer ended with status {code}")
-        spans = array("q", reply)
-        return list(zip(spans[::2], spans[1::2]))
-
-    def add(self, columns, backward: bool):
-        rows = np.column_stack(columns).tobytes()
-        try:
-            self._pipe.write(_FRAME.pack(backward, len(rows)))
-            self._pipe.write(rows)
-            self._pipe.flush()
-        except BrokenPipeError:  # the writer is gone
-            self._reap()  # raises its error
-            raise
-
-    def pieces(self, head: bytes, tail: bytes = b""):
-        """``head``, the table, then ``tail``: the table in pieces of at most
-        ``_COPY_BYTES``, so that no block's text is held at once.  The
-        writer is reaped here, before the first piece is asked for."""
-        return self._read(head, self._reap(), tail)
-
-    def _read(self, head, spans, tail):
-        forward, backward = self._files
-        yield head
-        spans = [(backward, *span) for span in reversed(spans)]
-        for fh, start, size in [*spans, (forward, 0, forward.seek(0, os.SEEK_END) - self._sep)]:
-            fh.seek(start)
-            while size:
-                piece = fh.read(min(size, _COPY_BYTES))
-                yield piece
-                size -= len(piece)
-        yield tail
-
-
-_SIZE = struct.Struct("<Q")  # a message between a sweep and its helper: bytes of its pickle
-# the bytes of the jobs a sweep has sent and not had answered stay within
-# this; a pipe always holds that much, so sending them never waits
-_QUEUE_BYTES = select.PIPE_BUF
+_SIZE = struct.Struct("<Q")  # a message to or from a child: bytes of its pickle
 
 
 def _frame(message) -> bytes:
@@ -326,63 +173,229 @@ def _receive(fh):
     return pickle.loads(data) if len(data) == size else None
 
 
-def _serve_backward(jobs: int, replies: int, sysd) -> int:
-    """The body of a sweep's direction helper; returns its exit code.
+def _portable(err: Exception) -> Exception:
+    """``err`` if ``pickle`` brings it back with its own type, else an
+    ``OSError`` with its type's name and text."""
+    try:
+        same = type(pickle.loads(pickle.dumps(err))) is type(err)
+    except Exception:
+        same = False
+    return err if same else OSError(f"{type(err).__name__}: {err}")
 
-    Answers each (start state, config) read from the pipe ``jobs`` with
-    ``(True, dynamics.backward_half(...))`` or with ``(False, error)`` on
-    ``replies``, in the order of the jobs, until ``jobs`` closes.  An error
-    that would not reach the sweep as itself through ``pickle`` goes as an
-    ``OSError`` with its text."""
-    with open(jobs, "rb") as src, open(replies, "wb") as out:
-        while (job := _receive(src)) is not None:
+
+class _Child:
+    """A child process that answers the messages a command sends it, and
+    the two pipes to it: jobs down, replies up, each message framed by
+    ``_frame``.  A subclass answers in ``serve`` and names the child in
+    ``what``.
+
+    Entering forks the child (POSIX ``fork``), after flushing stdout and
+    stderr, so that it inherits no buffered text.  The child runs
+    ``serve(messages)``, a generator over the messages read until the job
+    pipe closes, and sends back ``(True, value)`` for each value it yields.
+    Its first error ends it and is its last reply, ``(False, error)``, with
+    the error as ``_portable`` makes it.  The child leaves only through
+    ``os._exit``.  If ``fork`` fails, entering closes the pipes it made.
+
+    ``send`` writes bytes of framed jobs and tells whether the child is
+    still there to read them.  ``receive`` gives the next value, raises the
+    child's error, or, when the replies end without one, reaps the child and
+    raises ``OSError`` naming ``what`` and its exit status.  ``close`` ends
+    the job stream.  Leaving closes both pipes and reaps the child, killing
+    it first when an error is on its way out, so that no command waits for
+    work it will not read.  A command killed mid-way closes the pipes too:
+    the child ends at the end of the jobs, or when its reply finds no reader.
+    """
+
+    def __enter__(self):
+        fds = []
+        try:
+            for _ in range(2):  # the job pipe, then the reply pipe
+                fds += os.pipe()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self._pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        jobs_in, jobs_out, replies_in, replies_out = fds
+        if self._pid == 0:
+            code = 1
             try:
-                reply = True, dy.backward_half(sysd, *job)
-            except Exception as err:
-                try:
-                    same = type(pickle.loads(pickle.dumps(err))) is type(err)
-                except Exception:
-                    same = False
-                reply = False, err if same else OSError(f"{type(err).__name__}: {err}")
-            out.write(_frame(reply))
-            out.flush()
-    return 0
+                os.close(jobs_out)
+                os.close(replies_in)
+                with open(jobs_in, "rb") as src, open(replies_out, "wb") as out:
+                    try:
+                        for value in self.serve(iter(lambda: _receive(src), None)):
+                            out.write(_frame((True, value)))
+                            out.flush()
+                    except Exception as err:
+                        out.write(_frame((False, _portable(err))))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(jobs_in)
+        os.close(replies_out)
+        self._pipe, self._replies = open(jobs_out, "wb"), open(replies_in, "rb")
+        return self
+
+    def send(self, data: bytes) -> bool:
+        try:
+            self._pipe.write(data)
+            self._pipe.flush()
+        except BrokenPipeError:
+            return False
+        return True
+
+    def receive(self):
+        reply = _receive(self._replies)
+        if reply is None:
+            raise OSError(f"{self.what} ended with status {self._reap()}")
+        done, value = reply
+        if not done:
+            raise value
+        return value
+
+    def close(self):
+        with contextlib.suppress(BrokenPipeError):
+            self._pipe.close()
+
+    def _reap(self) -> int:
+        """Wait for the child; its exit code, or minus the signal that ended
+        it."""
+        pid, self._pid = self._pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def __exit__(self, failed, *exc):
+        self.close()
+        self._replies.close()
+        if self._pid is not None:
+            if failed is not None:
+                os.kill(self._pid, signal.SIGKILL)
+            self._reap()
 
 
-class _Backward:
+class _Spool(_Child):
+    """The sample table of ``run`` as text, printed by a writer process while
+    the run integrates, so that the run neither holds more than one block
+    of the table nor formats a float of it.
+
+    Entering opens one anonymous spool file per direction and forks the
+    writer (a ``_Child``).  The run starts no thread; the writer calls no
+    BLAS routine, so an idle BLAS thread pool that the fork leaves behind
+    does not matter to it.  ``add`` sends a block's rows, a float64 array,
+    as one job; the writer prints them through ``row + sep`` (see
+    ``_table_text``) to the spool file of their direction, and once the
+    jobs end it replies with the (start, size) in bytes of each backward
+    block.  Its errors reach the run as ``OSError`` ("sample table writer
+    failed: ..."), from ``add`` once the writer is gone or from ``pieces``.
+    ``pieces`` ends the jobs, takes the spans and reads the table back in
+    increasing t: the backward blocks last to first, then the forward ones,
+    without the ``sep`` after the last row, which is a forward one.  Leaving
+    closes the spool files, which vanish.
+    """
+
+    what = "sample table writer"
+
+    def __init__(self, row: str, sep: str = "", nonfinite=None):
+        self._format = row + sep, nonfinite
+        self._sep = len(sep)
+
+    def __enter__(self):
+        self._files = tempfile.TemporaryFile(), tempfile.TemporaryFile()  # forward, backward
+        try:
+            return super().__enter__()
+        except BaseException:
+            for fh in self._files:
+                fh.close()
+            raise
+
+    def __exit__(self, *exc):
+        try:
+            super().__exit__(*exc)
+        finally:
+            for fh in self._files:
+                fh.close()
+
+    def serve(self, blocks):
+        spans = []
+        try:
+            for backward, rows in blocks:
+                fh = self._files[backward]
+                start = fh.tell()
+                fh.writelines(_table_text(rows[::-1] if backward else rows, *self._format))
+                if backward:
+                    spans.append((start, fh.tell() - start))
+            for fh in self._files:
+                fh.flush()
+        except Exception as err:
+            raise OSError(f"{self.what} failed: {type(err).__name__}: {err}")
+        yield spans
+
+    def add(self, columns, backward: bool):
+        if not self.send(_frame((backward, np.column_stack(columns)))):
+            self.receive()  # the writer replies only after the last block: raises
+
+    def pieces(self, head: bytes, tail: bytes = b""):
+        """``head``, the table, then ``tail``: the table in pieces of at most
+        ``_COPY_BYTES``, so that no block's text is held at once.  The
+        writer's reply is taken here, before the first piece is asked for."""
+        self.close()
+        return self._read(head, self.receive(), tail)
+
+    def _read(self, head, spans, tail):
+        forward, backward = self._files
+        yield head
+        spans = [(backward, *span) for span in reversed(spans)]
+        for fh, start, size in [*spans, (forward, 0, forward.seek(0, os.SEEK_END) - self._sep)]:
+            fh.seek(start)
+            while size:
+                piece = fh.read(min(size, _COPY_BYTES))
+                yield piece
+                size -= len(piece)
+        yield tail
+
+
+# the bytes of the jobs a sweep has sent and not had answered stay within
+# this; a pipe always holds that much, so sending them never waits
+_QUEUE_BYTES = select.PIPE_BUF
+
+
+class _Backward(_Child):
     """The backward directions of a sweep, integrated by a helper process on
     the other core while the sweep integrates the forward ones, from the
     start states of ``draws`` under ``cfg``.
 
-    Entering forks the helper (POSIX ``fork``, see ``_fork``) once the
-    sweep's system is compiled, so that it inherits the compiled system and
-    the cached verdicts of the sampled checks; there is one helper per
-    sweep, whatever its size.  The sweep starts no thread, and numpy's
-    OpenBLAS, which the helper's fold may call, restarts its thread pool in
-    a forked child.
+    Entering forks the helper (a ``_Child``) once the sweep's system is
+    compiled, so that it inherits the compiled system and the cached
+    verdicts of the sampled checks; there is one helper per sweep, whatever
+    its size.  The helper answers each job (start state, config) with
+    ``dynamics.backward_half``, in the order of the jobs, and stops at its
+    first error.  The sweep starts no thread, and numpy's OpenBLAS, which
+    the helper's fold may call, restarts its thread pool in a forked child.
 
     Iterating gives the start states of ``draws`` in order, each drawn when
     the iteration or the queue first needs it; a draw that raises is held,
     and the iteration raises it in its place, after the trajectories before
     it.  As the ``backward`` of ``dynamics.integrate_maximal``, a call with
     the start state the iteration gave last and ``cfg`` sends that start's
-    job (start state, config) down a pipe unless it went ahead, then queues
-    the jobs of the next starts behind it, in one write, while the jobs sent
-    and not answered stay within ``_QUEUE_BYTES``.  So the helper runs
-    ahead, and a sweep takes about the longer of its forward and backward
-    sums, not the sum of the longer of each pair.  No write waits, whatever
-    the size of a reply: the jobs in the pipe are among those not answered,
-    and a pipe holds ``PIPE_BUF`` bytes.  A larger job goes alone, when
-    nothing else is outstanding.  The call returns the function that takes
-    the reply, in the order of the trajectories and after the forward
-    direction: the backward report and its fold values, or the backward
-    error, raised with its type and message; a helper that is gone makes it
-    raise ``OSError``.  ``close`` closes the pipe, and the helper ends at
-    its end.  A sweep killed mid-way leaves the helper to finish the
-    backward direction it is in, fail to send it, and end.  Leaving reaps
-    the helper, killing it first when an error is on its way out, so that no
-    command waits for backward directions it will not read.
+    job unless it went ahead, then queues the jobs of the next starts behind
+    it, in one write, while the jobs sent and not answered stay within
+    ``_QUEUE_BYTES``.  So the helper runs ahead, and a sweep takes about the
+    longer of its forward and backward sums, not the sum of the longer of
+    each pair.  No write waits, whatever the size of a reply: the jobs in
+    the pipe are among those not answered, and a pipe holds ``PIPE_BUF``
+    bytes.  A larger job goes alone, when nothing else is outstanding.  The
+    call returns the function that takes the reply, in the order of the
+    trajectories and after the forward direction: the backward report and
+    its fold values, or the backward error, raised with its type and
+    message; a helper that is gone makes it raise ``OSError``.  A sweep
+    killed mid-way leaves the helper to finish the backward direction it is
+    in, fail to send it, and end.
     """
+
+    what = "backward-direction helper"
 
     def __init__(self, sysd, cfg, draws):
         self._sysd, self._cfg, self._draws = sysd, cfg, draws
@@ -390,15 +403,9 @@ class _Backward:
         self._jobs = collections.deque()  # framed jobs drawn, not yet sent
         self._unread = collections.deque()  # bytes of each job sent and not answered
 
-    def __enter__(self):
-        jobs, pipe = os.pipe()
-        self._replies, replies = os.pipe()
-        self._pid = _fork(lambda: _serve_backward(jobs, replies, self._sysd),
-                          pipe, self._replies)
-        os.close(jobs)
-        os.close(replies)
-        self._pipe, self._replies = open(pipe, "wb"), open(self._replies, "rb")
-        return self
+    def serve(self, jobs):
+        for job in jobs:
+            yield dy.backward_half(self._sysd, *job)
 
     def _draw(self) -> bool:
         """Draw the next start state; False when the draws are done.  A draw
@@ -437,33 +444,12 @@ class _Backward:
         """Send the next ``count`` jobs in one write."""
         batch = [self._jobs.popleft() for _ in range(count)]
         self._unread.extend(map(len, batch))
-        with contextlib.suppress(BrokenPipeError):  # a helper gone fails the reply
-            self._pipe.write(b"".join(batch))
-            self._pipe.flush()
+        self.send(b"".join(batch))  # a helper gone fails the reply
 
     def _reply(self):
-        reply = _receive(self._replies)
-        if reply is None:
-            self.close()
-            pid, self._pid = self._pid, None
-            raise OSError(f"backward-direction helper ended with status {_reap(pid)}")
+        value = self.receive()
         self._unread.popleft()
-        done, value = reply
-        if not done:
-            raise value
         return value
-
-    def close(self):
-        with contextlib.suppress(BrokenPipeError):
-            self._pipe.close()
-
-    def __exit__(self, failed, *exc):
-        self.close()
-        self._replies.close()
-        if self._pid is not None:
-            if failed is not None:
-                os.kill(self._pid, signal.SIGKILL)
-            _reap(self._pid)
 
 
 def _dump(doc: dict) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import json
 import math
 import os
@@ -974,6 +975,126 @@ def test_a_sweep_whose_helper_dies_exits_two(capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     assert "error: backward-direction helper ended with status -9" in captured.err
     assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _spool_files(monkeypatch):
+    """The spool files opened from now on, in a list."""
+    spooled = []
+
+    def spool_file(*args, _f=tempfile.TemporaryFile, **kwargs):
+        spooled.append(_f(*args, **kwargs))
+        return spooled[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool_file)
+    return spooled
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_run_whose_writer_dies_exits_two(fmt, tmp_path, capsys, monkeypatch):
+    # the writer is killed as the forward direction starts; the run finds it
+    # gone when it sends a block or asks for the spans, and fails without
+    # printing or writing
+    spooled = _spool_files(monkeypatch)
+    forks = _counting_forks(monkeypatch)
+
+    def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
+        if forks and sign > 0.0:
+            os.kill(forks[0], signal.SIGKILL)
+        return _f(sysd, s0, cfg, sign, sink)
+
+    monkeypatch.setattr(dy, "_run_direction", run_direction)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", "clifton-pohl", "--format", fmt,
+                     "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: sample table writer ended with status -9" in captured.err
+    assert not out.exists()
+    assert len(forks) == 1 and len(spooled) == 2 and all(fh.closed for fh in spooled)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "clifton-pohl"],
+    ["run", "--scenario", "clifton-pohl", "--format", "json"],
+    ["sweep", "--scenario", "clifton-pohl", "-n", "3"]], ids=["run-csv", "run-json", "sweep"])
+def test_a_failed_fork_exits_two_and_leaves_nothing_open(argv, tmp_path, capsys, monkeypatch,
+                                                         open_pipes):
+    # fork fails as it does when the process table is full: the pipes made
+    # for the child and the spool files are closed at once, not left to the
+    # garbage collector
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "no process today")
+
+    spooled = _spool_files(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork)
+    pipes = open_pipes()
+    out = tmp_path / "out"
+    code = cli.main([*argv, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: [Errno {errno.EAGAIN}] no process today" in captured.err
+    assert not out.exists()
+    assert open_pipes() == pipes
+    assert len(spooled) == (2 if argv[0] == "run" else 0)
+    assert all(fh.closed for fh in spooled)
+
+
+class _TwoPartError(Exception):
+    """An error that pickle does not bring back: unpickling calls the class
+    with its one message, and it takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def test_a_backward_error_that_does_not_unpickle_reaches_the_sweep_as_oserror(capsys,
+                                                                             monkeypatch):
+    def backward_half(sysd, s0, cfg, table=None):
+        raise _TwoPartError("refused backward", "the start")
+
+    monkeypatch.setattr(dy, "backward_half", backward_half)
+    forks = _counting_forks(monkeypatch)
+    code = cli.main(["sweep", "--scenario", "clifton-pohl", "-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: _TwoPartError: refused backward at the start\n"
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_integrates_no_job_after_its_first_error(tmp_path, capsys, monkeypatch):
+    # the backward direction of trajectory 2 fails while the jobs of 3 to 9
+    # are queued behind it, and the sweep reads that reply 0.2 s later; the
+    # helper writes a dot to a file per backward direction it starts
+    log = tmp_path / "backward"
+    forward = []
+
+    def backward_half(sysd, s0, cfg, table=None, _f=dy.backward_half):
+        with open(log, "a") as fh:
+            fh.write(".")
+        if log.stat().st_size == 3:
+            raise geo.DegenerateMetricError("refused backward")
+        return _f(sysd, s0, cfg, table)
+
+    def run_direction(sysd, s0, cfg, sign, sink, _f=dy._run_direction):
+        if sign > 0.0:
+            forward.append(s0)
+            if len(forward) == 3:
+                time.sleep(0.2)
+        return _f(sysd, s0, cfg, sign, sink)
+
+    monkeypatch.setattr(dy, "backward_half", backward_half)
+    monkeypatch.setattr(dy, "_run_direction", run_direction)
+    code = cli.main(["sweep", "--scenario", "clifton-pohl", "-n", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: refused backward\n"
+    assert len(forward) == 3 and log.read_text() == "..."
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
